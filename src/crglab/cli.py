@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -276,50 +277,19 @@ def _cmd_covering(args: argparse.Namespace) -> int:
         index = {complex(p): i for i, p in enumerate(pts)}
         disks = covering.besicovitch_cover(pts, lambda p: lookup[index[complex(p)]])
         cert = covering.besicovitch_audit(pts, disks, args.probes, args.seed)
-        cert_obj = {
-            "format_version": 1,
-            "construction": "besicovitch",
-            "covers_all": cert.covers_all,
-            "max_multiplicity": cert.max_multiplicity,
-            "multiplicity_limit": covering.BESICOVITCH_MAX_MULTIPLICITY,
-            "n_probes": cert.n_probes,
-            "n_selected": cert.n_selected,
-        }
+        name = "besicovitch"
     elif args.construction == "fuchs":
         pts = _read_points_file(args.points)
-        disks, fc = covering.fuchs_macintyre_disks(pts, args.H, args.probes)
-        cert_obj = {
-            "format_version": 1,
-            "construction": "fuchs-macintyre",
-            "n_points": fc.n_points,
-            "n_disks": fc.n_disks,
-            "H": fc.H,
-            "sum_sq_radii": fc.sum_sq_radii,
-            "budget": fc.budget,
-            "harmonic_bound": fc.harmonic_bound,
-            "max_harmonic_sum": fc.max_harmonic_sum,
-            "n_probes": fc.n_probes,
-        }
+        disks, cert = covering.fuchs_macintyre_disks(pts, args.H, args.probes)
+        name = "fuchs-macintyre"
     else:
         zeros = _read_points_file(args.zeros)
-        disks, cc = covering.cartan_levin_disks(zeros, args.R, args.eta,
-                                                args.probes)
-        cert_obj = {
-            "format_version": 1,
-            "construction": "cartan-levin",
-            "n_zeros": cc.n_zeros,
-            "n_disks": cc.n_disks,
-            "eta": cc.eta,
-            "R": cc.R,
-            "sum_radii": cc.sum_radii,
-            "budget": cc.budget,
-            "log_max_modulus_2eR": cc.log_m_2eR,
-            "bound_rhs": cc.bound_rhs,
-            "min_log_g": cc.min_log_g,
-            "n_probes": cc.n_probes,
-        }
+        disks, cert = covering.cartan_levin_disks(zeros, args.R, args.eta,
+                                                  args.probes)
+        name = "cartan-levin"
     write_bytes(args.out_disks, disks.to_text().encode("ascii"))
-    write_json(args.out_cert, cert_obj)
+    write_json(args.out_cert,
+               {"format_version": 1, "construction": name, **asdict(cert)})
     return 0
 
 

@@ -162,14 +162,14 @@ def koebe_constants(rho: float) -> KoebeConstants:
 # Halton probes
 
 def _halton(n: int, base: int) -> np.ndarray:
+    """Radical inverses of 1..n in ``base``, one array pass per digit."""
     out = np.zeros(n)
-    for i in range(n):
-        f, x, k = 1.0, 0.0, i + 1
-        while k > 0:
-            f /= base
-            x += f * (k % base)
-            k //= base
-        out[i] = x
+    k = np.arange(1, n + 1)
+    f = 1.0
+    while k.any():
+        f /= base
+        out += f * (k % base)
+        k //= base
     return out
 
 
@@ -211,6 +211,7 @@ def besicovitch_cover(points: Sequence[complex],
 class BesicovitchCertificate:
     covers_all: bool
     max_multiplicity: int
+    multiplicity_limit: int   # the audited bound, BESICOVITCH_MAX_MULTIPLICITY
     n_probes: int
     n_selected: int
 
@@ -228,7 +229,8 @@ def besicovitch_audit(points: Sequence[complex], disks: DiskSet,
               + 1j * (lo_y + (hi_y - lo_y) * gen.random(n_probes)))
     probes = np.concatenate([probes, pts])
     mult = int(disks.multiplicity(probes).max())
-    cert = BesicovitchCertificate(covers, mult, int(probes.size), len(disks))
+    cert = BesicovitchCertificate(covers, mult, BESICOVITCH_MAX_MULTIPLICITY,
+                                  int(probes.size), len(disks))
     if not covers or mult > BESICOVITCH_MAX_MULTIPLICITY:
         raise CertificateFailure(f"besicovitch audit failed: {cert}")
     return cert
@@ -383,7 +385,7 @@ class CartanCertificate:
     R: float
     sum_radii: float
     budget: float             # 4 eta R
-    log_m_2eR: float
+    log_max_modulus_2eR: float
     bound_rhs: float          # -(2 + log(3e/2eta)) * log M(2eR, g)
     min_log_g: float          # worst probe value of log|g|
     n_probes: int

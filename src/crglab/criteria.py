@@ -15,7 +15,7 @@ stream keyed by the seed, so the sample at index i is a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,7 +225,7 @@ class MembershipVerdict:
 def membership_A(model: FunctionModel, beta: GrowthMinorant,
                  z: complex, a_threshold: float = A_THRESHOLD) -> MembershipVerdict:
     """Strict log-space test: Re(z L(z)) > 64 and log|f(z)| > log beta(|z|)."""
-    mask, re_zl, margin = _membership_A_batch(
+    mask, re_zl, margin, _, _ = _membership_A_batch(
         model, beta, np.array([z], dtype=np.complex128), a_threshold)
     return MembershipVerdict(z=complex(z), in_A=bool(mask[0]),
                              re_zl=float(re_zl[0]), log_f_margin=float(margin[0]))
@@ -233,14 +233,16 @@ def membership_A(model: FunctionModel, beta: GrowthMinorant,
 
 def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
                         zs: np.ndarray, a_threshold: float = A_THRESHOLD
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray, ...]:
+    """(mask, Re(z L), log-margin, L, L valid); L is returned so that the
+    B test reuses it instead of evaluating f'/f again."""
     log_abs, _, ok = model.log_eval_many(zs)
     lvals, l_ok = model.log_derivative_many(zs)
     re_zl = np.where(l_ok, (zs * lvals).real, -np.inf)
     log_beta = beta.log_beta_many(np.abs(zs))
     margin = np.where(ok, log_abs - log_beta, -np.inf)
     mask = ok & l_ok & (re_zl > a_threshold) & (margin > 0.0)
-    return mask, re_zl, margin
+    return mask, re_zl, margin, lvals, l_ok
 
 
 def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
@@ -262,35 +264,33 @@ def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
     The disk radius is 32 |f(z)/f'(z)| = 32/|L(z)|. A near-zero of f at any
     sample point refutes positivity and yields in_B = False.
     """
-    base = membership_A(model, beta, z, a_threshold)
+    zs = np.array([z], dtype=np.complex128)
+    a_pass = _membership_A_batch(model, beta, zs, a_threshold)
+    mask_a, re_zl, margin, _, _ = a_pass
+    base = MembershipVerdict(z=complex(z), in_A=bool(mask_a[0]),
+                             re_zl=float(re_zl[0]), log_f_margin=float(margin[0]),
+                             in_B=False, certificate="sampling")
     if not base.in_A or not math.isfinite(base.re_zl):
-        return MembershipVerdict(z=base.z, in_A=base.in_A, re_zl=base.re_zl,
-                                 log_f_margin=base.log_f_margin, in_B=False,
-                                 certificate="sampling")
-    mask, min_re, radius = _membership_B_batch(
-        model, beta, np.array([z], dtype=np.complex128), disk_samples,
-        a_threshold, b_radius_factor)
-    return MembershipVerdict(
-        z=base.z, in_A=base.in_A, re_zl=base.re_zl,
-        log_f_margin=base.log_f_margin, in_B=bool(mask[0]),
-        min_disk_re=float(min_re[0]), disk_radius=float(radius[0]),
-        disk_samples=disk_samples, certificate="sampling")
+        return base
+    mask, min_re, radius = _membership_B_batch(model, zs, a_pass, disk_samples,
+                                               b_radius_factor)
+    return replace(base, in_B=bool(mask[0]), min_disk_re=float(min_re[0]),
+                   disk_radius=float(radius[0]), disk_samples=disk_samples)
 
 
-def _membership_B_batch(model: FunctionModel, beta: GrowthMinorant,
-                        zs: np.ndarray, disk_samples: int = 16,
-                        a_threshold: float = A_THRESHOLD,
-                        b_radius_factor: float = B_RADIUS_FACTOR
+def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
+                        a_pass: tuple[np.ndarray, ...], disk_samples: int,
+                        b_radius_factor: float
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disk certificate on top of the A pass ``_membership_A_batch(zs)``."""
     # only A-members need the disk certificate; for them Re(zL) > 64 forces
     # the disk radius 32/|L| below |z|/2, keeping samples near the annulus
-    in_a, _, _ = _membership_A_batch(model, beta, zs, a_threshold)
-    lvals, l_ok = model.log_derivative_many(zs)
+    in_a, _, _, lvals, l_ok = a_pass
     with np.errstate(divide="ignore"):
         radius = np.where(l_ok & (np.abs(lvals) > 0),
                           b_radius_factor / np.abs(lvals), np.inf)
     min_re = np.full(zs.shape, -np.inf)
-    idx = np.flatnonzero(in_a & l_ok)
+    idx = np.flatnonzero(in_a)
     if idx.size:
         offsets = _disk_sample_offsets(disk_samples)
         pts = zs[idx, None] + radius[idx, None] * offsets[None, :]
@@ -298,7 +298,7 @@ def _membership_B_batch(model: FunctionModel, beta: GrowthMinorant,
         l_all, ok_all = model.log_derivative_many(flat)
         re_all = np.where(ok_all, (flat * l_all).real, -np.inf)
         min_re[idx] = re_all.reshape(pts.shape).min(axis=1)
-    mask = in_a & l_ok & (min_re > 0.0)
+    mask = in_a & (min_re > 0.0)
     return mask, min_re, radius
 
 
@@ -306,8 +306,7 @@ def predicate_A(model: FunctionModel, beta: GrowthMinorant,
                 a_threshold: float = A_THRESHOLD) -> Callable[[np.ndarray], np.ndarray]:
     """Batch predicate form of membership_A for density estimation."""
     def pred(zs: np.ndarray) -> np.ndarray:
-        mask, _, _ = _membership_A_batch(model, beta, zs, a_threshold)
-        return mask
+        return _membership_A_batch(model, beta, zs, a_threshold)[0]
     return pred
 
 
@@ -317,9 +316,9 @@ def predicate_B(model: FunctionModel, beta: GrowthMinorant,
                 b_radius_factor: float = B_RADIUS_FACTOR) -> Callable[[np.ndarray], np.ndarray]:
     """Batch predicate form of membership_B (sampling certificate)."""
     def pred(zs: np.ndarray) -> np.ndarray:
-        mask, _, _ = _membership_B_batch(model, beta, zs, disk_samples,
-                                         a_threshold, b_radius_factor)
-        return mask
+        a_pass = _membership_A_batch(model, beta, zs, a_threshold)
+        return _membership_B_batch(model, zs, a_pass, disk_samples,
+                                   b_radius_factor)[0]
     return pred
 
 
@@ -344,9 +343,7 @@ def density_with_exclusions(predicate: Callable[[np.ndarray], np.ndarray],
     mask = map_chunked(predicate, zs) & outside
     report = _make_report(region, plan, int(mask.sum()), zs.size)
     excluded = 1.0 - float(outside.sum()) / zs.size
-    return DensityReport(report.region, report.plan, report.hits, report.total,
-                         report.density, report.confidence_halfwidth,
-                         excluded_fraction=excluded)
+    return replace(report, excluded_fraction=excluded)
 
 
 @dataclass(frozen=True)

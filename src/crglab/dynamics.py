@@ -17,7 +17,7 @@ bailout crossing with a broken track that cannot be iterated further).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -242,6 +242,4 @@ def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,
 
     mask = map_chunked(work, zs)
     base = _make_report(region, plan, int(mask.sum()), zs.size)
-    return DensityReport(base.region, base.plan, base.hits, base.total,
-                         base.density, base.confidence_halfwidth,
-                         fast_escaping_beta=beta.fast_escaping_form)
+    return replace(base, fast_escaping_beta=beta.fast_escaping_form)

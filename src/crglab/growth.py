@@ -35,13 +35,16 @@ class ProximateOrder:
     ``derivative_bound`` is a caller-supplied pointwise bound on
     |rho'(r) r log r|; it is accepted as given, not constructed.
     ``rho_of_log`` evaluates rho at r = exp(l) for log-domain work and must
-    agree with rho_of_r where both are defined.
+    agree with rho_of_r where both are defined. It must accept a numpy
+    array of l and return rho elementwise (a scalar that broadcasts
+    against l is allowed), because minorants evaluate it on whole sample
+    batches.
     """
 
     rho_limit: float
     rho_of_r: Callable[[float], float]
     derivative_bound: Callable[[float], float]
-    rho_of_log: Callable[[float], float] | None = None
+    rho_of_log: Callable[[np.ndarray], np.ndarray | float]
     description: str = ""
 
     @staticmethod
@@ -64,8 +67,8 @@ class ProximateOrder:
         def rho_r(r: float) -> float:
             return rho + a / max(math.log(r), 1.0) if r > 0 else rho + a
 
-        def rho_l(l: float) -> float:
-            return rho + a / max(l, 1.0)
+        def rho_l(l: np.ndarray) -> np.ndarray:
+            return rho + a / np.maximum(l, 1.0)
 
         def bound(r: float) -> float:
             # |d/dr (a/log r) * r log r| = |a| / log r
@@ -95,11 +98,11 @@ def scale_V(po: ProximateOrder, r: float) -> float:
 # ---------------------------------------------------------------------------
 # epsilon cascade
 
-def _iterated_log(x: float, n: int) -> float:
-    for _ in range(n):
-        if x <= 0.0:
-            return -math.inf
-        x = math.log(x)
+def _iterated_log(x: np.ndarray, n: int) -> np.ndarray:
+    """log applied n times elementwise; a nonpositive stage gives -inf."""
+    with np.errstate(divide="ignore"):
+        for _ in range(n):
+            x = np.log(np.maximum(x, 0.0))
     return x
 
 
@@ -126,29 +129,28 @@ class EpsilonCascade:
             x = math.exp(x)
         return x
 
-    def eps3_from_log(self, log_r: float) -> float:
-        """eps3 evaluated from l = log r (l may exceed the float range of r)."""
-        if log_r == math.inf:
-            return 0.0
+    def eps3_from_log(self, log_r: np.ndarray) -> np.ndarray:
+        """eps3 evaluated elementwise from l = log r (l may exceed the float
+        range of r; l = inf gives 0)."""
         v = _iterated_log(log_r, self.N - 1)
-        return v ** -0.25 if v > 1.0 else 1.0
+        return np.where(v > 1.0, np.maximum(v, 1.0) ** -0.25, 1.0)
 
-    def eps2_from_log(self, log_r: float) -> float:
+    def eps2_from_log(self, log_r: np.ndarray) -> np.ndarray:
         e3 = self.eps3_from_log(log_r)
         return e3 * e3
 
-    def eps1_from_log(self, log_r: float) -> float:
+    def eps1_from_log(self, log_r: np.ndarray) -> np.ndarray:
         e2 = self.eps2_from_log(log_r)
         return e2 * e2
 
     def eps1(self, r: float) -> float:
-        return self.eps1_from_log(_iterated_log(r, 1))
+        return float(self.eps1_from_log(_iterated_log(r, 1)))
 
     def eps2(self, r: float) -> float:
-        return self.eps2_from_log(_iterated_log(r, 1))
+        return float(self.eps2_from_log(_iterated_log(r, 1)))
 
     def eps3(self, r: float) -> float:
-        return self.eps3_from_log(_iterated_log(r, 1))
+        return float(self.eps3_from_log(_iterated_log(r, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,63 +239,52 @@ class EmpiricalIndicator:
 Indicator = ExactIndicator | EmpiricalIndicator
 
 
-def _envelope_value(bs: list[complex], theta: float) -> tuple[float, int]:
-    best, arg = -math.inf, 0
-    for i, b in enumerate(bs):
-        v = (b * complex(math.cos(theta), math.sin(theta))).real
-        if v > best:
-            best, arg = v, i
-    return best, arg
+def _hull_ccw(points: list[complex]) -> list[complex]:
+    """Convex-hull vertices in counter-clockwise order (Andrew's monotone
+    chain); points inside the hull or on an edge are not vertices."""
+    pts = sorted(set(points), key=lambda p: (p.real, p.imag))
+    if len(pts) < 3:
+        return pts
 
+    def chain(seq: list[complex]) -> list[complex]:
+        out: list[complex] = []
+        for p in seq:
+            # pop out[-1] unless out[-2] -> out[-1] -> p turns left by more
+            # than 1e-12 rad: smaller turns are rounding noise of collinear
+            # exponents, and their arcs would be too thin to order by atan2
+            while len(out) >= 2:
+                u, w = out[-1] - out[-2], p - out[-1]
+                if (u.conjugate() * w).imag > 1e-12 * abs(u) * abs(w):
+                    break
+                out.pop()
+            out.append(p)
+        return out[:-1]
 
-def _crossing_angle(ba: complex, bb: complex, lo: float, hi: float) -> float:
-    """Angle in [lo, hi] where Re(ba e^{i t}) = Re(bb e^{i t})."""
-    d = ba - bb
-    d_phase = math.atan2(d.imag, d.real)
-    candidates = []
-    for offset in (math.pi / 2, -math.pi / 2):
-        t = offset - d_phase
-        for k in range(-3, 4):
-            tt = t + k * _TWO_PI
-            if lo - 1e-9 <= tt <= hi + 1e-9:
-                candidates.append(tt)
-    if not candidates:
-        return 0.5 * (lo + hi)
-    mid = 0.5 * (lo + hi)
-    return min(candidates, key=lambda t: abs(t - mid))
+    return chain(pts) + chain(pts[::-1])
 
 
 def indicator_exact_expsum(f) -> ExactIndicator:
     """h(theta) = max_k |b_k| cos(theta + arg b_k) for an exponential sum.
 
-    Breakpoints are the crossing angles of the achieving sinusoids; each arc
-    carries (A_j, phi_j) = (|b_k|, arg b_k) of the winning exponent.
+    h(theta) = max_k Re(b_k e^{i theta}) is the support function of the
+    indicator diagram, the convex hull of {conj b_k} (B. Ya. Levin,
+    *Distribution of Zeros of Entire Functions*, ch. I). The hull vertices,
+    taken counter-clockwise, win in turn; the outward normal angle of the
+    edge entering a vertex starts its arc, so the breakpoints are exact.
+    Each arc carries (A_j, phi_j) = (|b_k|, arg b_k) of its exponent.
     """
-    bs = f.exponents()
-    n_samples = 8192
-    thetas = np.arange(n_samples) * (_TWO_PI / n_samples)
-    vals = np.stack([(np.asarray(b) * np.exp(1j * thetas)).real for b in bs])
-    winners = np.argmax(vals, axis=0)
-    switches: list[tuple[float, int, int]] = []   # (crossing angle, from, to)
-    for i in range(n_samples):
-        a, b = winners[i - 1], winners[i]
-        if a != b:
-            lo = thetas[i - 1] if i > 0 else thetas[-1] - _TWO_PI
-            t = _crossing_angle(bs[a], bs[b], lo, thetas[i])
-            switches.append((t % _TWO_PI, a, b))
-    if not switches:
-        k = winners[0]
-        b = bs[k]
-        return ExactIndicator(
-            arcs=(SinusoidArc(0.0, _TWO_PI, abs(b), math.atan2(b.imag, b.real)),),
-            rho=1.0)
-    switches.sort()
+    verts = _hull_ccw([b.conjugate() for b in f.exponents()])
+    # outward normal of the edge u -> v is (d.imag, -d.real) for d = v - u;
+    # a single vertex gives d = 0 and the one arc [0, 2 pi]
+    starts = sorted(
+        (math.atan2(-(v - u).real, (v - u).imag) % _TWO_PI, j)
+        for j, (u, v) in enumerate(zip(verts[-1:] + verts[:-1], verts)))
     arcs = []
-    for i, (t0, _, k) in enumerate(switches):
-        t1 = switches[(i + 1) % len(switches)][0]
-        if i + 1 == len(switches):
+    for i, (t0, j) in enumerate(starts):
+        t1 = starts[(i + 1) % len(starts)][0]
+        if i + 1 == len(starts):
             t1 += _TWO_PI
-        b = bs[k]
+        b = verts[j].conjugate()
         arcs.append(SinusoidArc(t0, t1, abs(b), math.atan2(b.imag, b.real)))
     return ExactIndicator(arcs=tuple(arcs), rho=1.0)
 
@@ -376,14 +367,16 @@ class GrowthMinorant:
     """Continuous increasing beta with beta(x) > x for x > threshold_x0.
 
     ``log_beta_of_log`` maps l = log r to log beta(r), so iterates can be
-    followed far beyond the float range of r itself. ``fast_escaping_form``
-    marks minorants of the shape exp(r^mu-or-larger), for which escape
-    upgrades to the fast-escaping regime.
+    followed far beyond the float range of r itself. It must accept a numpy
+    array of l and return log beta elementwise with the same shape, so that
+    a whole sample batch costs one call. ``fast_escaping_form`` marks
+    minorants of the shape exp(r^mu-or-larger), for which escape upgrades
+    to the fast-escaping regime.
     """
 
     kind: str
     threshold_x0: float
-    log_beta_of_log: Callable[[float], float]
+    log_beta_of_log: Callable[[np.ndarray], np.ndarray]
     description: str
     fast_escaping_form: bool = False
 
@@ -393,8 +386,10 @@ class GrowthMinorant:
         return float(self.log_beta_of_log(math.log(r)))
 
     def log_beta_many(self, rs: np.ndarray) -> np.ndarray:
-        return np.array([self.log_beta(float(r)) for r in np.asarray(rs).ravel()
-                         ]).reshape(np.shape(rs))
+        rs = np.asarray(rs, dtype=float)
+        if (rs <= 0).any():
+            raise ValueError("r must be positive")
+        return self.log_beta_of_log(np.log(rs))
 
     def beta(self, r: float) -> float:
         lb = self.log_beta(r)
@@ -406,8 +401,9 @@ class GrowthMinorant:
         if c <= 0 or mu <= 0:
             raise ValueError("c and mu must be positive")
 
-        def lb(l: float) -> float:
-            return c * _safe_exp(mu * l)
+        def lb(l: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore"):   # c * exp(x) past the float range is +inf
+                return c * _safe_exp(mu * l)
 
         if threshold_x0 is None:
             threshold_x0 = _find_threshold(lb)
@@ -419,10 +415,8 @@ class GrowthMinorant:
     def growth_scale(po: ProximateOrder, cascade: EpsilonCascade,
                      threshold_x0: float | None = None) -> "GrowthMinorant":
         """beta(r) = exp(r**rho(r) * eps1(r))."""
-        rho_l = po.rho_of_log or (lambda l: po.rho_of_r(math.exp(l)))
-
-        def lb(l: float) -> float:
-            return _safe_exp(rho_l(l) * l) * cascade.eps1_from_log(l)
+        def lb(l: np.ndarray) -> np.ndarray:
+            return _safe_exp(po.rho_of_log(l) * l) * cascade.eps1_from_log(l)
 
         if threshold_x0 is None:
             threshold_x0 = _find_threshold(lb)
@@ -434,34 +428,34 @@ class GrowthMinorant:
     @staticmethod
     def from_table(rs: Sequence[float], betas: Sequence[float],
                    threshold_x0: float) -> "GrowthMinorant":
-        """Piecewise log-log linear interpolation through (r, beta(r)) pairs."""
+        """Piecewise log-log linear interpolation through (r, beta(r)) pairs,
+        extrapolated past the last node with the final slope."""
         ls = np.log(np.asarray(rs, dtype=float))
         lbs = np.log(np.asarray(betas, dtype=float))
-        if (np.diff(ls) <= 0).any() or (np.diff(lbs) <= 0).any():
-            raise ValueError("table must be strictly increasing in r and beta")
+        if ls.size < 2 or (np.diff(ls) <= 0).any() or (np.diff(lbs) <= 0).any():
+            raise ValueError("table must have two or more nodes, strictly "
+                             "increasing in r and beta")
+        slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
 
-        def lb(l: float) -> float:
-            if l >= ls[-1]:   # extrapolate with the final slope
-                slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
-                return _safe_exp(lbs[-1] + slope * (l - ls[-1]))
-            return math.exp(float(np.interp(l, ls, lbs)))
+        def lb(l: np.ndarray) -> np.ndarray:
+            return np.where(l >= ls[-1], _safe_exp(lbs[-1] + slope * (l - ls[-1])),
+                            np.exp(np.interp(l, ls, lbs)))
 
         return GrowthMinorant("table", threshold_x0, lb,
                               f"table minorant on [{rs[0]:g}, {rs[-1]:g}]")
 
 
-def _safe_exp(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
+def _safe_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) elementwise, cut to +inf at x >= 709, just below where exp
+    overflows."""
+    return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), np.inf)
 
 
-def _find_threshold(log_beta_of_log: Callable[[float], float]) -> float:
+def _find_threshold(log_beta_of_log: Callable[[np.ndarray], np.ndarray]) -> float:
     """Smallest grid radius beyond which beta(x) > x, by coarse scan."""
     grid = np.linspace(-14.0, 14.0, 281)   # log r from e^-14 to e^14
-    bad = -math.inf
-    for l in grid:
-        if log_beta_of_log(float(l)) <= l:
-            bad = float(l)
-    return math.exp(bad) if math.isfinite(bad) else 0.0
+    bad = grid[log_beta_of_log(grid) <= grid]
+    return math.exp(bad[-1]) if bad.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,27 @@ class TestKoebe:
                 covering.koebe_constants(bad)
 
 
+def _halton_reference(n, base):
+    """Per-element radical inverse, the scalar form of covering._halton."""
+    out = []
+    for i in range(n):
+        f, x, k = 1.0, 0.0, i + 1
+        while k > 0:
+            f /= base
+            x += f * (k % base)
+            k //= base
+        out.append(x)
+    return np.array(out)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("base", [2, 3, 5])
+    def test_bit_identical_to_scalar(self, base):
+        for n in (0, 1, 7, 8000, 40_000):
+            assert np.array_equal(covering._halton(n, base),
+                                  _halton_reference(n, base))
+
+
 class TestBesicovitch:
     def test_single_point(self):
         disks = covering.besicovitch_cover([0.0], lambda p: 1.0)
@@ -146,7 +167,7 @@ class TestCartanLevin:
     def test_linear_factor(self):
         disks, cert = covering.cartan_levin_disks([1.0 + 0j], 1.0, 0.1)
         assert cert.sum_radii <= 0.4 + 1e-15
-        assert cert.log_m_2eR == pytest.approx(math.log(1 + 2 * math.e), rel=1e-9)
+        assert cert.log_max_modulus_2eR == pytest.approx(math.log(1 + 2 * math.e), rel=1e-9)
         assert cert.min_log_g > cert.bound_rhs
 
     def test_empty_zero_list(self):

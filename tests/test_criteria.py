@@ -102,6 +102,48 @@ class TestMembership:
                 assert v8.in_B == v16.in_B
 
 
+class _CountingModel:
+    """Delegates to a model and counts the points each evaluator sees."""
+
+    def __init__(self, model):
+        self.model = model
+        self.n_eval = 0
+        self.n_deriv = 0
+
+    def log_eval_many(self, zs):
+        self.n_eval += np.size(zs)
+        return self.model.log_eval_many(zs)
+
+    def log_derivative_many(self, zs):
+        self.n_deriv += np.size(zs)
+        return self.model.log_derivative_many(zs)
+
+
+class TestSinglePass:
+    """f and f'/f are evaluated once per sample point; only the B disk adds
+    f'/f evaluations, 1 + 8 * disk_samples per A-member."""
+
+    def test_predicate_b_point_counts(self, sin_model, beta_half):
+        zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
+                                    criteria.MonteCarloPlan(500, 11))
+        k = int(criteria.predicate_A(sin_model, beta_half)(zs).sum())
+        assert 0 < k < zs.size
+        counting = _CountingModel(sin_model)
+        criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
+        assert counting.n_eval == zs.size
+        assert counting.n_deriv == zs.size + k * (1 + 8 * 4)
+
+    def test_membership_b_point_counts(self, exp_model, beta_half):
+        counting = _CountingModel(exp_model)
+        v = criteria.membership_B(counting, beta_half, 100.0, disk_samples=4)
+        assert v.in_A and v.in_B
+        assert (counting.n_eval, counting.n_deriv) == (1, 1 + (1 + 8 * 4))
+        counting = _CountingModel(exp_model)
+        v = criteria.membership_B(counting, beta_half, 100j, disk_samples=4)
+        assert not v.in_A and v.in_B is False
+        assert (counting.n_eval, counting.n_deriv) == (1, 1)
+
+
 class TestAnnulusDensity:
     def test_always_true(self):
         rep = criteria.annulus_density(lambda zs: np.ones(zs.shape, bool),

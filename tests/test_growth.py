@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -90,6 +91,50 @@ class TestExactIndicators:
             for t in ind.breakpoints:
                 jump = abs(ind.h(t - 1e-11) - ind.h(t + 1e-11))
                 assert jump < 1e-9
+
+    @staticmethod
+    def _brute_h(bs, thetas):
+        return np.max([(b * np.exp(1j * np.asarray(thetas))).real for b in bs],
+                      axis=0)
+
+    def test_narrow_arc_found(self):
+        # the middle exponent wins on an arc ~7e-6 rad wide, well under
+        # the 2 pi / 8192 spacing of a sampling scan
+        rot = cmath.exp(1j * math.pi / 8192)
+        bs = [cmath.exp(0.3j) * rot, cmath.exp(-0.3j) * rot,
+              (math.cos(0.3) + 1e-6) * rot]
+        ind = growth.indicator_exact_expsum(
+            models.ExponentialSum([([1.0], b) for b in bs]))
+        assert len(ind.arcs) == 3
+        narrow = min(ind.arcs, key=lambda a: a.theta_hi - a.theta_lo)
+        assert narrow.amplitude == pytest.approx(abs(bs[2]), rel=1e-15)
+        mid = 0.5 * (narrow.theta_lo + narrow.theta_hi)
+        assert ind.h(mid) == pytest.approx(self._brute_h(bs, [mid])[0],
+                                           abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_exponents_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        w, c = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        # (exponents, expected arc count; None where it depends on the draw)
+        cases = [
+            ([complex(*p) for p in rng.normal(size=(int(rng.integers(3, 9)), 2))],
+             None),
+            ([complex(*p) for p in rng.normal(size=(2, 2))], 2),
+            ([c + t * w for t in rng.normal(size=int(rng.integers(3, 7)))], 2),
+            ([complex(k, 2 * k) for k in range(-2, 3)], 2),
+        ]
+        thetas = np.linspace(0.0, 2 * math.pi, 2001)
+        for bs, n_arcs in cases:
+            ind = growth.indicator_exact_expsum(
+                models.ExponentialSum([([1.0], b) for b in bs]))
+            arcs = ind.arcs
+            assert arcs[-1].theta_hi == pytest.approx(arcs[0].theta_lo + 2 * math.pi)
+            assert all(a.theta_hi > a.theta_lo for a in arcs)
+            assert all(a.theta_hi == b.theta_lo for a, b in zip(arcs, arcs[1:]))
+            assert n_arcs is None or len(arcs) == n_arcs
+            h = np.array([ind.h(t) for t in thetas])
+            assert np.max(np.abs(h - self._brute_h(bs, thetas))) < 1e-12
 
 
 class TestEmpiricalIndicator:
@@ -192,6 +237,103 @@ class TestGrowthMinorant:
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
         track = growth.beta_log_track(b, 10.0, 8)
         assert track[-1] == math.inf
+
+
+def _ref_eps1_from_log(l, n):
+    """Scalar cascade: eps1 = (eps3**2)**2, eps3 = (log^(n-1) l)**-1/4."""
+    v = l
+    for _ in range(n - 1):
+        v = math.log(v) if v > 0.0 else -math.inf
+    e3 = v ** -0.25 if v > 1.0 else 1.0
+    return (e3 * e3) * (e3 * e3)
+
+
+def _ref_exp(x):
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _ref_table(rs, betas):
+    ls, lbs = [math.log(r) for r in rs], [math.log(b) for b in betas]
+
+    def lb(l):
+        if l >= ls[-1]:
+            slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
+            return _ref_exp(lbs[-1] + slope * (l - ls[-1]))
+        return math.exp(float(np.interp(l, ls, lbs)))
+    return lb
+
+
+def _ref_threshold(lb):
+    bad = -math.inf
+    for l in np.linspace(-14.0, 14.0, 281):
+        if lb(float(l)) <= l:
+            bad = float(l)
+    return math.exp(bad) if math.isfinite(bad) else 0.0
+
+
+class TestMinorantArrays:
+    """The array path of every minorant kind against per-element scalar
+    references written with math (the pre-vectorisation formulas)."""
+
+    TABLE = ([1.0, 10.0, 100.0], [3.0, 40.0, 900.0])
+
+    def _cases(self):
+        po_log = growth.ProximateOrder.log_corrected(0.5, 1.0)
+        return [
+            (growth.GrowthMinorant.exp_power(0.5, 1.0),
+             lambda l: 0.5 * _ref_exp(l)),
+            (growth.GrowthMinorant.exp_power(2.0, 60.0),     # saturates to inf
+             lambda l: 2.0 * _ref_exp(60.0 * l)),
+            (growth.GrowthMinorant.growth_scale(growth.ProximateOrder.constant(1.0),
+                                                growth.EpsilonCascade(1)),
+             lambda l: _ref_exp(l) * _ref_eps1_from_log(l, 1)),
+            (growth.GrowthMinorant.growth_scale(po_log, growth.EpsilonCascade(2)),
+             lambda l: _ref_exp((0.5 + 1.0 / max(l, 1.0)) * l)
+             * _ref_eps1_from_log(l, 2)),
+            (growth.GrowthMinorant.from_table(*self.TABLE, 1.0),
+             _ref_table(*self.TABLE)),
+        ]
+
+    def test_many_matches_scalar(self):
+        # below the exp^N(1) floors (e, e^e), between and past the table
+        # nodes, and far out; 1e-13 allows a few ulps of log r amplified by
+        # exp(mu log r) when math.log and np.log round differently
+        rs = np.concatenate([[0.3, 1.0, 2.0, math.e, 10.0, 15.0, 100.0, 150.0],
+                             np.geomspace(1e-3, 1e7, 300)])
+        for beta, ref in self._cases():
+            many = beta.log_beta_many(rs)
+            assert many.shape == rs.shape
+            assert list(many) == pytest.approx([beta.log_beta(r) for r in rs],
+                                               rel=1e-13)
+            assert list(many) == pytest.approx([ref(math.log(r)) for r in rs],
+                                               rel=1e-13)
+            grid = beta.log_beta_many(rs[:8].reshape(2, 4))
+            assert grid.shape == (2, 4)
+        for beta, ref in self._cases()[:4]:
+            assert beta.threshold_x0 == _ref_threshold(ref)
+
+    def test_nonpositive_radius_rejected(self):
+        for beta, _ in self._cases():
+            with pytest.raises(ValueError):
+                beta.log_beta_many(np.array([1.0, 0.0]))
+            with pytest.raises(ValueError):
+                beta.log_beta_many(np.array([-2.0]))
+            with pytest.raises(ValueError):
+                beta.log_beta(0.0)
+
+    def test_scalar_entry_points_return_float(self):
+        for beta, _ in self._cases():
+            assert type(beta.log_beta(20.0)) is float
+        cascade = growth.EpsilonCascade(2)
+        for r in (2.0, 1e3):
+            assert all(type(v) is float for v in
+                       (cascade.eps1(r), cascade.eps2(r), cascade.eps3(r)))
+        alpha = growth.DensityBudget.sector_budget(2, cascade)
+        assert type(alpha.alpha_of_r(50.0)) is float
+
+    def test_table_needs_two_nodes(self):
+        with pytest.raises(ValueError):
+            growth.GrowthMinorant.from_table([1.0], [2.0], 0.5)
 
 
 class TestSeriesCondition:
