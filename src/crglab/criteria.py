@@ -225,8 +225,13 @@ class MembershipVerdict:
 def membership_A(model: FunctionModel, beta: GrowthMinorant,
                  z: complex, a_threshold: float = A_THRESHOLD) -> MembershipVerdict:
     """Strict log-space test: Re(z L(z)) > 64 and log|f(z)| > log beta(|z|)."""
-    mask, re_zl, margin, _, _ = _membership_A_batch(
-        model, beta, np.array([z], dtype=np.complex128), a_threshold)
+    return _verdict_A(z, _membership_A_batch(
+        model, beta, np.array([z], dtype=np.complex128), a_threshold))
+
+
+def _verdict_A(z: complex, a_pass: tuple[np.ndarray, ...]) -> MembershipVerdict:
+    """The A verdict at z from the one-point pass ``_membership_A_batch([z])``."""
+    mask, re_zl, margin, _, _ = a_pass
     return MembershipVerdict(z=complex(z), in_A=bool(mask[0]),
                              re_zl=float(re_zl[0]), log_f_margin=float(margin[0]))
 
@@ -266,10 +271,7 @@ def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
     """
     zs = np.array([z], dtype=np.complex128)
     a_pass = _membership_A_batch(model, beta, zs, a_threshold)
-    mask_a, re_zl, margin, _, _ = a_pass
-    base = MembershipVerdict(z=complex(z), in_A=bool(mask_a[0]),
-                             re_zl=float(re_zl[0]), log_f_margin=float(margin[0]),
-                             in_B=False, certificate="sampling")
+    base = replace(_verdict_A(z, a_pass), in_B=False, certificate="sampling")
     if not base.in_A or not math.isfinite(base.re_zl):
         return base
     mask, min_re, radius = _membership_B_batch(model, zs, a_pass, disk_samples,

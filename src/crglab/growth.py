@@ -251,10 +251,12 @@ def _hull_ccw(points: list[complex]) -> list[complex]:
         for p in seq:
             # pop out[-1] unless out[-2] -> out[-1] -> p turns left by more
             # than 1e-12 rad: smaller turns are rounding noise of collinear
-            # exponents, and their arcs would be too thin to order by atan2
+            # exponents. The angle, not its sine, is cut, so the hairpins
+            # that noise makes on a nearly vertical line (left turns of
+            # nearly pi) keep their vertex.
             while len(out) >= 2:
-                u, w = out[-1] - out[-2], p - out[-1]
-                if (u.conjugate() * w).imag > 1e-12 * abs(u) * abs(w):
+                c = (out[-1] - out[-2]).conjugate() * (p - out[-1])
+                if math.atan2(c.imag, c.real) > 1e-12:
                     break
                 out.pop()
             out.append(p)
@@ -270,22 +272,33 @@ def indicator_exact_expsum(f) -> ExactIndicator:
     indicator diagram, the convex hull of {conj b_k} (B. Ya. Levin,
     *Distribution of Zeros of Entire Functions*, ch. I). The hull vertices,
     taken counter-clockwise, win in turn; the outward normal angle of the
-    edge entering a vertex starts its arc, so the breakpoints are exact.
+    edge entering a vertex starts its arc and its exterior angle is the arc
+    width, so the breakpoints are exact.
     Each arc carries (A_j, phi_j) = (|b_k|, arg b_k) of its exponent.
     """
     verts = _hull_ccw([b.conjugate() for b in f.exponents()])
-    # outward normal of the edge u -> v is (d.imag, -d.real) for d = v - u;
-    # a single vertex gives d = 0 and the one arc [0, 2 pi]
-    starts = sorted(
-        (math.atan2(-(v - u).real, (v - u).imag) % _TWO_PI, j)
-        for j, (u, v) in enumerate(zip(verts[-1:] + verts[:-1], verts)))
+    # edges[j] enters vertex j; the outward normal of an edge d points at
+    # angle atan2(-d.real, d.imag), and a single vertex gives d = 0 and the
+    # one arc [0, 2 pi]
+    edges = [v - u for u, v in zip(verts[-1:] + verts[:-1], verts)]
+    starts = [math.atan2(-edges[0].real, edges[0].imag) % _TWO_PI]
+    for d_in, d_out in zip(edges, edges[1:]):
+        # the arc of a vertex is its exterior angle, in [0, pi]; adding
+        # these keeps the arcs in hull order even where rounding would swap
+        # two nearly equal normal angles
+        c = d_in.conjugate() * d_out
+        starts.append(min(starts[-1] + math.atan2(abs(c.imag), c.real),
+                          starts[0] + _TWO_PI))
+    # the arcs past 2 pi, a suffix, wrap round to the front
+    k = sum(t < _TWO_PI for t in starts)
+    order = [*range(k, len(verts)), *range(k)]
+    lo = [starts[j] - _TWO_PI if j >= k else starts[j] for j in order]
+    hi = lo[1:] + [lo[0] + _TWO_PI]
     arcs = []
-    for i, (t0, j) in enumerate(starts):
-        t1 = starts[(i + 1) % len(starts)][0]
-        if i + 1 == len(starts):
-            t1 += _TWO_PI
-        b = verts[j].conjugate()
-        arcs.append(SinusoidArc(t0, t1, abs(b), math.atan2(b.imag, b.real)))
+    for j, t0, t1 in zip(order, lo, hi):
+        if t1 > t0:  # a vertex whose exterior angle rounds to 0 wins nowhere
+            b = verts[j].conjugate()
+            arcs.append(SinusoidArc(t0, t1, abs(b), math.atan2(b.imag, b.real)))
     return ExactIndicator(arcs=tuple(arcs), rho=1.0)
 
 

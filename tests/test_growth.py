@@ -116,6 +116,7 @@ class TestExactIndicators:
     def test_random_exponents_match_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         w, c = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+        up = cmath.exp(1j * math.pi / 2)
         # (exponents, expected arc count; None where it depends on the draw)
         cases = [
             ([complex(*p) for p in rng.normal(size=(int(rng.integers(3, 9)), 2))],
@@ -123,6 +124,12 @@ class TestExactIndicators:
             ([complex(*p) for p in rng.normal(size=(2, 2))], 2),
             ([c + t * w for t in rng.normal(size=int(rng.integers(3, 7)))], 2),
             ([complex(k, 2 * k) for k in range(-2, 3)], 2),
+            # cmath.exp(+-i pi/2) has real part 6.1e-17: sorted by real part,
+            # such nearly vertical sets put an end of their line in its middle
+            ([0j, up, up.conjugate()], 2),
+            ([0j, up, -up, 2 * up, -3 * up.conjugate(), 0.5 * up], None),
+            ([complex(1e-16 * x, y)
+              for x, y in rng.normal(size=(int(rng.integers(3, 9)), 2))], None),
         ]
         thetas = np.linspace(0.0, 2 * math.pi, 2001)
         for bs, n_arcs in cases:
