@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BandViolation,
@@ -183,6 +182,8 @@ def kernel_integral_I(rho_at_r: float, p: int, z: complex,
     on the branch 0 < arg z < 2 pi. Raises NonConvergent if the two routes
     disagree beyond 1e-7 relative.
     """
+    from scipy.integrate import quad   # the only scipy user; kept off import
+
     lam = rho_at_r - p
     if not (0.0 < lam < 1.0):
         raise ValueError(f"need p < rho(r) < p+1, got rho={rho_at_r}, p={p}")

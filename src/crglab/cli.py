@@ -273,9 +273,10 @@ def _cmd_covering(args: argparse.Namespace) -> int:
         if len(radii) != len(pts):
             print("radii file length mismatch", file=sys.stderr)
             return 1
-        lookup = {i: r for i, r in enumerate(radii)}
-        index = {complex(p): i for i, p in enumerate(pts)}
-        disks = covering.besicovitch_cover(pts, lambda p: lookup[index[complex(p)]])
+        # a repeated point keeps its largest radius, the copy the greedy
+        # cover selects: sorted by radius, the largest is written last
+        radius_of = dict(sorted(zip(pts, radii), key=lambda pr: pr[1]))
+        disks = covering.besicovitch_cover(pts, lambda p: radius_of[complex(p)])
         cert = covering.besicovitch_audit(pts, disks, args.probes, args.seed)
         name = "besicovitch"
     elif args.construction == "fuchs":

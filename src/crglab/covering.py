@@ -259,9 +259,15 @@ def _densest_disk(pts: np.ndarray, rho: float) -> tuple[int, complex]:
         perp = np.where(d > 0, 1j * (pj - pi) / np.where(d > 0, d, 1.0), 0.0)
         cand_list.extend([mid + h * perp, mid - h * perp])
     cand = np.concatenate(cand_list)
-    counts = (np.abs(pts[None, :] - cand[:, None]) <= rho + tol).sum(axis=1)
-    k = int(np.argmax(counts))
-    return int(counts[k]), complex(cand[k])
+    rows = max(1, (1 << 20) // n)   # at most 2^20 candidate-point pairs a block
+    best, center = -1, 0j
+    for lo in range(0, cand.size, rows):
+        blk = cand[lo:lo + rows]
+        counts = (np.abs(pts[None, :] - blk[:, None]) <= rho + tol).sum(axis=1)
+        k = int(np.argmax(counts))
+        if counts[k] > best:   # strict: the first maximal candidate wins
+            best, center = int(counts[k]), complex(blk[k])
+    return best, center
 
 
 def _greedy_concentration(points: np.ndarray,

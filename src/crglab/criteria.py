@@ -8,8 +8,9 @@ by structured sampling (8 concentric circles plus the center), never proved;
 verdicts record that they are sampling certificates.
 
 Sampling is deterministic: Monte Carlo draws come from a counter-based Philox
-stream keyed by the seed, so the sample at index i is a pure function of
-(seed, i) and results are bit-identical under any parallel schedule.
+stream keyed by the seed, so the sample at index i is a function of
+(seed, n, i) for a plan of n samples. All samples are drawn before the work
+is split into chunks, so results are bit-identical for any CRG_THREADS.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ SamplePlan = GridPlan | MonteCarloPlan
 
 
 def _philox_uniforms(seed: int, n: int, dims: int) -> np.ndarray:
-    """dims x n uniforms; entry (d, i) is a pure function of (seed, d, i)."""
+    """dims x n uniforms; entry (d, i) is draw d*n + i of the seed's stream,
+    so it depends on n as well as on (seed, d, i)."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     return gen.random((dims, n))
 
@@ -294,12 +296,13 @@ def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
     min_re = np.full(zs.shape, -np.inf)
     idx = np.flatnonzero(in_a)
     if idx.size:
-        offsets = _disk_sample_offsets(disk_samples)
-        pts = zs[idx, None] + radius[idx, None] * offsets[None, :]
-        flat = pts.ravel()
-        l_all, ok_all = model.log_derivative_many(flat)
-        re_all = np.where(ok_all, (flat * l_all).real, -np.inf)
-        min_re[idx] = re_all.reshape(pts.shape).min(axis=1)
+        centers, radii = zs[idx], radius[idx]
+        low = np.full(idx.shape, np.inf)
+        for off in _disk_sample_offsets(disk_samples):   # O(k) memory per call
+            pts = centers + radii * off
+            lvals_d, ok_d = model.log_derivative_many(pts)
+            low = np.minimum(low, np.where(ok_d, (pts * lvals_d).real, -np.inf))
+        min_re[idx] = low
     mask = in_a & (min_re > 0.0)
     return mask, min_re, radius
 

@@ -8,8 +8,10 @@ Two families are supported:
   sequence a_k = c * k**e * exp(i*theta0), truncated at a certified cutoff.
 
 The primary representation of a value is its logarithm: ``LogEval`` carries
-log|f(z)| and the argument of f(z) mod 2*pi, so quantities such as |f(z)|
-versus beta(|z|) stay comparable long after exp() would overflow.
+log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such as |f(z)|
+versus beta(|z|) stay comparable long after exp() would overflow. An
+exponential sum is e^mu S with mu = max_k Re(b_k z), so log|f| = mu + log|S|
+and f'/f = S'/S come from the same scaled sums.
 """
 
 from __future__ import annotations
@@ -92,95 +94,71 @@ class ExponentialSum:
     def exponents(self) -> list[complex]:
         return [b for _, b in self.terms]
 
-    def _poly_values(self, zs: np.ndarray) -> list[np.ndarray]:
-        """Horner evaluation of every coefficient polynomial."""
-        out = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for coeffs, _ in self.terms:
-                acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
-                for c in reversed(coeffs[:-1]):
-                    acc = acc * zs + c
-                out.append(acc)
-        return out
-
     def plain_values(self, zs: np.ndarray) -> np.ndarray:
         """Direct complex evaluation; overflows to inf/nan silently."""
         zs = np.asarray(zs, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             acc = np.zeros(zs.shape, dtype=np.complex128)
-            for pv, (_, b) in zip(self._poly_values(zs), self.terms):
-                acc = acc + pv * np.exp(b * zs)
+            for coeffs, b in self.terms:
+                p = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+                for c in reversed(coeffs[:-1]):
+                    p = p * zs + c
+                acc = acc + p * np.exp(b * zs)
         return acc
 
-    def log_eval_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised log-sum-exp evaluation.
+    def _scaled_sums(self, zs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, S, S', largest |term of S|): mu = max_k Re(b_k z),
+        S = sum_k P_k e^(b_k z - mu), S' = sum_k (P_k' + b_k P_k) e^(b_k z - mu);
+        f = e^mu S and f' = e^mu S'."""
+        bz = [b * zs for _, b in self.terms]
+        mu = np.maximum.reduce([w.real for w in bz])
+        s = np.zeros(zs.shape, dtype=np.complex128)
+        ds = np.zeros(zs.shape, dtype=np.complex128)
+        scale = np.zeros(zs.shape)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for (coeffs, b), w in zip(self.terms, bz):
+                p, dp = coeffs[-1], 0.0
+                for c in reversed(coeffs[:-1]):
+                    dp = dp * zs + p
+                    p = p * zs + c
+                e = np.exp(w - mu)
+                term = p * e
+                s = s + term
+                ds = ds + (dp + b * p) * e
+                scale = np.maximum(scale, np.abs(term))
+        return mu, s, ds, scale
 
-        Returns (log_abs, phase, valid). The complex log of the dominant
-        term is factored out, so |Re(b_k z)| up to 1e8 stays representable.
+    def log_eval_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised log|f| = mu + log|S| and arg f = arg S.
+
+        Returns (log_abs, phase, valid). log_abs is +inf and valid where S is
+        not finite (mu or a coefficient overflowed), and -inf and invalid
+        below ZERO_HIT_LOG, an exact zero of S included.
         """
         zs = np.asarray(zs, dtype=np.complex128)
-        n = len(self.terms)
-        pv = self._poly_values(zs)
-        # log-magnitude and full complex log of each term
-        re = np.empty((n,) + zs.shape)
-        logs = np.empty((n,) + zs.shape, dtype=np.complex128)
+        mu, s, _, _ = self._scaled_sums(zs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, ((_, b), p) in enumerate(zip(self.terms, pv)):
-                w = b * zs
-                lp = np.log(np.abs(p))
-                re[k] = lp + w.real
-                logs[k] = lp + 1j * np.angle(p) + w
-        re = np.where(np.isnan(re), -np.inf, re)
-        kstar = np.argmax(re, axis=0)
-        cstar = np.take_along_axis(logs, kstar[None, ...], axis=0)[0]
-        finite = np.isfinite(cstar.real)
-        # a +inf dominant log-term is an overflow of the log scale itself,
-        # not a zero hit; surface it as log_abs = +inf with valid=True
-        blown = cstar.real == np.inf
-        cref = np.where(finite, cstar, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.exp(logs - cref[None, ...])
-            s = np.where(np.isfinite(s), s, 0.0)
-            total = s.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_abs = cref.real + np.log(np.abs(total))
-        phase = np.angle(total) + cref.imag
-        phase = np.remainder(phase + math.pi, _TWO_PI) - math.pi
+            log_abs = mu + np.log(np.abs(s))
+        blown = ~np.isfinite(s)
+        valid = blown | (log_abs >= ZERO_HIT_LOG)
+        log_abs = np.where(blown, np.inf, np.where(valid, log_abs, -np.inf))
+        phase = np.angle(s)
         phase = np.where(phase == -math.pi, math.pi, phase)
-        valid = finite & (log_abs >= ZERO_HIT_LOG)
-        log_abs = np.where(valid, log_abs, -np.inf)
-        log_abs = np.where(blown, np.inf, log_abs)
-        valid = valid | blown
         phase = np.where(valid & ~blown, phase, 0.0)
         return log_abs, phase, valid
 
     def log_derivative_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised f'/f as a ratio of shifted sums sharing one exponent scale.
+        """Vectorised f'/f = S'/S.
 
-        Returns (L, ok); ok is False where the denominator cancels below the
-        near-zero guard.
+        Returns (L, ok); ok is False where S cancels below the near-zero
+        guard, 1e-6 of its largest term.
         """
         zs = np.asarray(zs, dtype=np.complex128)
-        mu = np.full(zs.shape, -np.inf)
-        for _, b in self.terms:
-            mu = np.maximum(mu, (b * zs).real)
-        num = np.zeros(zs.shape, dtype=np.complex128)
-        den = np.zeros(zs.shape, dtype=np.complex128)
-        scale = np.zeros(zs.shape)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for coeffs, b in self.terms:
-                p = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
-                dp = np.zeros(zs.shape, dtype=np.complex128)
-                for c in reversed(coeffs[:-1]):
-                    dp = dp * zs + p
-                    p = p * zs + c
-                w = np.exp(b * zs - mu)
-                den = den + p * w
-                num = num + (dp + b * p) * w
-                scale = np.maximum(scale, np.abs(p * w))
-        ok = np.abs(den) > _NEAR_ZERO_REL * scale
+        _, s, ds, scale = self._scaled_sums(zs)
+        ok = np.abs(s) > _NEAR_ZERO_REL * scale
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+            ratio = np.where(ok, ds / np.where(ok, s, 1.0), 0.0)
         return ratio, ok
 
     def zeros_in_disk(self, radius: float) -> list[complex]:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crglab
 from crglab.cli import run
 
 SIN = "expsum:[(0,-0.5)]exp((0,1));[(0,0.5)]exp((0,-1))"
@@ -119,6 +123,18 @@ class TestCoveringCommand:
         for line in read_bytes(disks).decode().splitlines():
             assert len(line.split()) == 3
 
+    def test_besicovitch_repeated_point_keeps_largest_radius(self, tmp_path):
+        pts = tmp_path / "pts.txt"
+        rad = tmp_path / "rad.txt"
+        pts.write_text("0 0\n0 0\n0.3 0\n")
+        rad.write_text("0.5\n0.01\n0.05\n")
+        disks = tmp_path / "d.txt"
+        code = run(["covering", "besicovitch", "--points", str(pts),
+                    "--radii", str(rad), "--out-disks", str(disks),
+                    "--out-cert", str(tmp_path / "c.json")])
+        assert code == 0
+        assert read_bytes(disks) == b"0 0 0.5\n"
+
     def test_fuchs_and_cartan(self, tmp_path):
         pts = tmp_path / "pts.txt"
         pts.write_text("0.2 0.1\n-0.4 0.3\n0.1 -0.5\n")
@@ -173,6 +189,20 @@ class TestExitCodes:
 
     def test_unknown_command_is_one(self):
         assert run(["no-such-command"]) == 1
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy serves only kernel_integral_I, which no command calls
+        src = os.path.dirname(os.path.dirname(crglab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, crglab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestFloatFormatting:

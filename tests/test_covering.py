@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,19 @@ class TestFuchsMacintyre:
             assert sum(Fraction(r) ** 2 for r in disks.radii()) \
                 <= 4 * Fraction(h) ** 2
             assert cert.max_harmonic_sum <= cert.harmonic_bound * (1 + 1e-12)
+
+    def test_densest_disk_memory_bounded(self):
+        # candidate counts go in blocks, not one (n + n^2) x n matrix,
+        # which at n = 400 alone took about 0.5 GB
+        rng = np.random.default_rng(3)
+        pts = rng.random(400) + 1j * rng.random(400)
+        tracemalloc.start()
+        try:
+            covering.fuchs_macintyre_disks(pts, 0.2, n_probes=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

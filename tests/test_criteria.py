@@ -109,6 +109,7 @@ class _CountingModel:
         self.model = model
         self.n_eval = 0
         self.n_deriv = 0
+        self.max_deriv_call = 0
 
     def log_eval_many(self, zs):
         self.n_eval += np.size(zs)
@@ -116,6 +117,7 @@ class _CountingModel:
 
     def log_derivative_many(self, zs):
         self.n_deriv += np.size(zs)
+        self.max_deriv_call = max(self.max_deriv_call, np.size(zs))
         return self.model.log_derivative_many(zs)
 
 
@@ -132,6 +134,16 @@ class TestSinglePass:
         criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
         assert counting.n_eval == zs.size
         assert counting.n_deriv == zs.size + k * (1 + 8 * 4)
+
+    def test_predicate_b_disk_calls_bounded(self, sin_model, beta_half):
+        # the B disk is swept one offset at a time, so no f'/f call sees
+        # more points than the chunk itself
+        zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
+                                    criteria.MonteCarloPlan(500, 11))
+        counting = _CountingModel(sin_model)
+        criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
+        assert counting.n_deriv > zs.size
+        assert counting.max_deriv_call <= zs.size
 
     def test_membership_b_point_counts(self, exp_model, beta_half):
         counting = _CountingModel(exp_model)

@@ -50,10 +50,14 @@ class TestEvalLog:
         # single-term decay below the underflow+50 threshold: sentinel fires
         le = models.eval_log(exp_model, -700.0)
         assert not le.valid
-        # cancellation at a zero of a sum floors near log(eps), far above the
-        # threshold, so the value is reported as an ordinary tiny modulus
+        # an exact zero of a sum: the scaled terms cancel to exactly 0
         le = models.eval_log(sin_model, 0.0)
-        assert le.valid and le.log_abs < -30.0
+        assert not le.valid and le.log_abs == -math.inf
+        # next to a zero of a sum the tiny modulus is ordinary and exact:
+        # sin(fl(pi)) is the rounding error of fl(pi), about 1.2e-16
+        le = models.eval_log(sin_model, math.pi)
+        assert le.valid
+        assert le.log_abs == pytest.approx(math.log(math.sin(math.pi)), abs=1e-9)
 
     def test_to_complex_roundtrip(self, sin_model):
         for z in (0.7 + 0.3j, -2.0 + 1.5j, 3.0 - 4.0j):
