@@ -77,10 +77,13 @@ def default_order(ast: FunctionSpecAST) -> growth.ProximateOrder:
 
 def _parse_plan(text: str) -> criteria.SamplePlan:
     parts = text.split(":")
-    if parts[0] == "mc" and len(parts) == 3:
-        return criteria.MonteCarloPlan(int(float(parts[1])), int(parts[2]))
-    if parts[0] == "grid" and len(parts) == 3:
-        return criteria.GridPlan(int(parts[1]), int(parts[2]))
+    try:
+        if parts[0] == "mc" and len(parts) == 3:
+            return criteria.MonteCarloPlan(int(float(parts[1])), int(parts[2]))
+        if parts[0] == "grid" and len(parts) == 3:
+            return criteria.GridPlan(int(parts[1]), int(parts[2]))
+    except OverflowError:   # int(float("inf")); argparse reports ValueError itself
+        pass
     raise argparse.ArgumentTypeError(
         f"plan must be 'mc:<n>:<seed>' or 'grid:<n1>:<n2>', got {text!r}")
 
@@ -265,11 +268,22 @@ def _cmd_verify_crg(args: argparse.Namespace) -> int:
     return 0
 
 
+_COVERING_OPTIONS = {"besicovitch": ("points", "radii"),
+                     "fuchs": ("points", "H"),
+                     "cartan": ("zeros", "R", "eta")}
+
+
 def _cmd_covering(args: argparse.Namespace) -> int:
+    missing = [f"--{name}" for name in _COVERING_OPTIONS[args.construction]
+               if getattr(args, name) is None]
+    if missing:
+        print(f"covering {args.construction} needs {' '.join(missing)}",
+              file=sys.stderr)
+        return 1
     if args.construction == "besicovitch":
         pts = _read_points_file(args.points)
-        radii = [float(x) for x in
-                 open(args.radii, encoding="ascii").read().split()]
+        with open(args.radii, encoding="ascii") as fh:
+            radii = [float(x) for x in fh.read().split()]
         if len(radii) != len(pts):
             print("radii file length mismatch", file=sys.stderr)
             return 1
@@ -449,6 +463,9 @@ def run(argv: Sequence[str]) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -254,6 +254,8 @@ def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
 
 def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
     """Unit-disk sample pattern: center plus 8 circles at radii j/8."""
+    if disk_samples < 1:
+        raise ValueError("disk_samples must be at least 1")
     offs = [0.0 + 0.0j]
     for ring in range(1, 9):
         rho = ring / 8.0
@@ -271,19 +273,20 @@ def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
     The disk radius is 32 |f(z)/f'(z)| = 32/|L(z)|. A near-zero of f at any
     sample point refutes positivity and yields in_B = False.
     """
+    offsets = _disk_sample_offsets(disk_samples)
     zs = np.array([z], dtype=np.complex128)
     a_pass = _membership_A_batch(model, beta, zs, a_threshold)
     base = replace(_verdict_A(z, a_pass), in_B=False, certificate="sampling")
     if not base.in_A or not math.isfinite(base.re_zl):
         return base
-    mask, min_re, radius = _membership_B_batch(model, zs, a_pass, disk_samples,
+    mask, min_re, radius = _membership_B_batch(model, zs, a_pass, offsets,
                                                b_radius_factor)
     return replace(base, in_B=bool(mask[0]), min_disk_re=float(min_re[0]),
                    disk_radius=float(radius[0]), disk_samples=disk_samples)
 
 
 def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
-                        a_pass: tuple[np.ndarray, ...], disk_samples: int,
+                        a_pass: tuple[np.ndarray, ...], offsets: np.ndarray,
                         b_radius_factor: float
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Disk certificate on top of the A pass ``_membership_A_batch(zs)``."""
@@ -298,7 +301,7 @@ def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
     if idx.size:
         centers, radii = zs[idx], radius[idx]
         low = np.full(idx.shape, np.inf)
-        for off in _disk_sample_offsets(disk_samples):   # O(k) memory per call
+        for off in offsets:   # O(k) memory per call
             pts = centers + radii * off
             lvals_d, ok_d = model.log_derivative_many(pts)
             low = np.minimum(low, np.where(ok_d, (pts * lvals_d).real, -np.inf))
@@ -320,9 +323,11 @@ def predicate_B(model: FunctionModel, beta: GrowthMinorant,
                 a_threshold: float = A_THRESHOLD,
                 b_radius_factor: float = B_RADIUS_FACTOR) -> Callable[[np.ndarray], np.ndarray]:
     """Batch predicate form of membership_B (sampling certificate)."""
+    offsets = _disk_sample_offsets(disk_samples)
+
     def pred(zs: np.ndarray) -> np.ndarray:
         a_pass = _membership_A_batch(model, beta, zs, a_threshold)
-        return _membership_B_batch(model, zs, a_pass, disk_samples,
+        return _membership_B_batch(model, zs, a_pass, offsets,
                                    b_radius_factor)[0]
     return pred
 

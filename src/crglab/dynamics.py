@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .criteria import (
     AnnulusSpec,
     DensityReport,
-    GridPlan,
-    MonteCarloPlan,
     Region,
     SamplePlan,
     Window,
@@ -46,9 +43,14 @@ INDETERMINATE = 3
 DEFAULT_BAILOUT_LOG = 500.0
 
 
-def _check_iteration_domain(model: FunctionModel, bailout_log: float) -> None:
-    """Orbits run up to |z| = exp(bailout_log); a truncated product must be
-    certified at least that far out."""
+def _check_iteration_domain(model: FunctionModel, max_iter: int,
+                            bailout_log: float) -> None:
+    """Orbits take 1..max_iter steps up to |z| = exp(bailout_log), which must
+    stay representable; a truncated product must be certified that far out."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if bailout_log > 700.0:
+        raise ValueError("bailout_log must stay exp-representable (<= 700)")
     if isinstance(model, CanonicalProduct) and bailout_log > math.log(model.r_max):
         raise ValueError(
             f"bailout_log = {bailout_log:g} exceeds the product's certified "
@@ -167,11 +169,7 @@ def classify_orbit(model: FunctionModel, z0: complex, r0: float,
     Escaped(k) iff log|z_k| >= bailout_log and log|z_j| > log beta^j(r0) for
     all j <= k; Survived if max_iter is reached below bailout.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if bailout_log > 700.0:
-        raise ValueError("bailout_log must stay exp-representable (<= 700)")
-    _check_iteration_domain(model, bailout_log)
+    _check_iteration_domain(model, max_iter, bailout_log)
     track = np.array(beta_log_track(beta, r0, max_iter))
     recorder: list[np.ndarray] = []
     codes, steps = _classify_batch(model, np.array([z0]), track, max_iter,
@@ -195,7 +193,7 @@ def escape_map(model: FunctionModel, window: Window, width: int, height: int,
     """Classify every pixel center of the window; deterministic raster."""
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
-    _check_iteration_domain(model, bailout_log)
+    _check_iteration_domain(model, max_iter, bailout_log)
     track = np.array(beta_log_track(beta, r0, max_iter))
     xs = window.x0 + (np.arange(width) + 0.5) * (window.x1 - window.x0) / width
     ys = window.y1 - (np.arange(height) + 0.5) * (window.y1 - window.y0) / height
@@ -232,7 +230,7 @@ def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,
             r0 = region.r / 2.0
         else:
             raise ValueError("r0 is required for window regions")
-    _check_iteration_domain(model, bailout_log)
+    _check_iteration_domain(model, max_iter, bailout_log)
     track = np.array(beta_log_track(beta, r0, max_iter))
     zs = sample_points(region, plan)
 

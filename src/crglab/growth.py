@@ -122,13 +122,6 @@ class EpsilonCascade:
         if self.N < 1:
             raise ValueError("N must be a positive integer")
 
-    @property
-    def floor_radius(self) -> float:
-        x = 1.0
-        for _ in range(self.N):
-            x = math.exp(x)
-        return x
-
     def eps3_from_log(self, log_r: np.ndarray) -> np.ndarray:
         """eps3 evaluated elementwise from l = log r (l may exceed the float
         range of r; l = inf gives 0)."""

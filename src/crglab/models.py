@@ -30,7 +30,6 @@ from .errors import (
     NearZero,
     NonIntegerResidue,
     OverflowUnrepresentable,
-    ZeroHit,
 )
 
 # A value whose log-modulus falls below this is treated as a zero hit:
@@ -41,14 +40,6 @@ ZERO_HIT_LOG = math.log(sys.float_info.min) + 50.0
 _NEAR_ZERO_REL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _wrap_phase(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    y = math.remainder(x, _TWO_PI)
-    if y <= -math.pi:
-        y += _TWO_PI
-    return y
 
 
 @dataclass(frozen=True)
@@ -192,11 +183,6 @@ class PowerZeroRule:
     def zeros(self, k_lo: int, k_hi: int) -> np.ndarray:
         ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
         return (self.scale * ks ** self.exponent) * cmath.exp(1j * self.angle)
-
-    @property
-    def convergence_exponent(self) -> float:
-        """Exponent of the counting function n(r) ~ (r/scale)**(1/e)."""
-        return 1.0 / self.exponent
 
 
 class CanonicalProduct:
@@ -437,11 +423,6 @@ def exp_z() -> ExponentialSum:
 def sin_z() -> ExponentialSum:
     """sin z = (-i/2) e^{iz} + (i/2) e^{-iz}."""
     return ExponentialSum([([-0.5j], 1j), ([0.5j], -1j)])
-
-
-def cos_z() -> ExponentialSum:
-    """cos z = (1/2) e^{iz} + (1/2) e^{-iz}."""
-    return ExponentialSum([([0.5], 1j), ([0.5], -1j)])
 
 
 def cosh_z() -> ExponentialSum:

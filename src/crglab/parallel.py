@@ -31,7 +31,7 @@ def worker_count() -> int:
 
 
 def map_chunked(fn: Callable[[np.ndarray], np.ndarray],
-                values: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+                values: np.ndarray) -> np.ndarray:
     """Apply an elementwise-batch fn over fixed chunks of ``values``.
 
     fn must be a pure per-element computation (its output at index i depends
@@ -42,7 +42,7 @@ def map_chunked(fn: Callable[[np.ndarray], np.ndarray],
     if n == 0:
         return np.zeros(0, dtype=bool)
     workers = worker_count()
-    slices = [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    slices = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     if workers == 1 or len(slices) == 1:
         parts = [fn(values[s]) for s in slices]
     else:

@@ -190,6 +190,39 @@ class TestExitCodes:
     def test_unknown_command_is_one(self):
         assert run(["no-such-command"]) == 1
 
+    _DENSITY = ["density", "--fn", EXP, "--r", "200"]
+
+    @pytest.mark.parametrize("argv", [
+        _DENSITY + ["--plan", "mc:inf:1", "--out", "d.json"],
+        _DENSITY + ["--plan", "mc:1e400:1", "--out", "d.json"],
+        _DENSITY + ["--plan", "mc:200:1", "--exclude-disks", "missing.txt",
+                    "--out", "d.json"],
+        _DENSITY + ["--plan", "mc:200:1", "--out", "missing/d.json"],
+        _DENSITY + ["--set", "B", "--plan", "mc:200:1", "--disk-samples", "0",
+                    "--out", "d.json"],
+        ["covering", "fuchs", "--points", "missing.txt", "--H", "0.1",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "besicovitch", "--points", "pts.txt",
+         "--radii", "missing.txt", "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "fuchs", "--points", "pts.txt",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "besicovitch", "--points", "pts.txt",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2",
+         "--plan", "mc:200:1", "--bailout-log", "800", "--out", "m.json"],
+        ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2",
+         "--plan", "mc:200:1", "--max-iter", "0", "--out", "m.json"],
+        ["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4x4",
+         "--r0", "2", "--bailout-log", "800", "--out", "m.pgm"],
+    ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
+            "disk-samples-0", "missing-points", "missing-radii-file",
+            "fuchs-without-H", "besicovitch-without-radii", "measure-bailout-800",
+            "measure-max-iter-0", "escape-map-bailout-800"])
+    def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")
+        assert run(argv) == 1
+
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):

@@ -31,6 +31,20 @@ class TestDiskSet:
         with pytest.raises(ValueError):
             covering.DiskSet(((0j, 0.0),))
 
+    def test_outside_means_multiplicity_zero(self):
+        rng = np.random.default_rng(9)
+        ds = covering.DiskSet(tuple(
+            (complex(x, y), r) for x, y, r in
+            zip(rng.uniform(-1, 1, 25), rng.uniform(-1, 1, 25),
+                rng.uniform(0.05, 0.4, 25))))
+        zs = np.concatenate([rng.uniform(-1.5, 1.5, 5000)
+                             + 1j * rng.uniform(-1.5, 1.5, 5000),
+                             [c + r for c, r in ds.disks],    # near the circles
+                             ds.centers()])
+        assert np.array_equal(ds.mask_outside(zs), ds.multiplicity(zs) == 0)
+        assert not ds.mask_outside(ds.centers()).any()
+        assert covering.DiskSet(()).mask_outside(zs).all()
+
 
 class TestInflate:
     def test_trivial_cases(self):
@@ -94,7 +108,62 @@ class TestHalton:
                                   _halton_reference(n, base))
 
 
+def _besicovitch_reference(points, radius_fn):
+    """Pure-Python greedy: visit by (-radius, index), select a point iff no
+    selected disk contains it (the earlier form of besicovitch_cover)."""
+    pts = [complex(p) for p in points]
+    radii = [float(radius_fn(p)) for p in pts]
+    sel = []
+    for i in sorted(range(len(pts)), key=lambda i: (-radii[i], i)):
+        if not any(abs(pts[i] - c) <= r for c, r in sel):
+            sel.append((pts[i], radii[i]))
+    return covering.DiskSet(tuple(sel))
+
+
+def _densest_disk_reference(pts, rho):
+    """Candidates from triu_indices, counted in one matrix (the earlier form)."""
+    tol = 1e-9 * max(rho, 1.0)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    close = np.abs(pts[iu] - pts[ju]) <= 2.0 * rho + tol
+    pi, pj = pts[iu[close]], pts[ju[close]]
+    mid = (pi + pj) / 2.0
+    d = np.abs(pj - pi)
+    h = np.sqrt(np.maximum(rho * rho - (d / 2.0) ** 2, 0.0))
+    perp = np.where(d > 0, 1j * (pj - pi) / np.where(d > 0, d, 1.0), 0.0)
+    cand = np.concatenate([pts, mid + h * perp, mid - h * perp])
+    counts = (np.abs(pts[None, :] - cand[:, None]) <= rho + tol).sum(axis=1)
+    k = int(np.argmax(counts))
+    return int(counts[k]), complex(cand[k])
+
+
+def _clustered_cloud(seed, n=120):
+    """Uniform points, a tight cluster and exact repeats, with tied radii."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([rng.random(n) + 1j * rng.random(n),
+                          0.4 + 0.01 * (rng.normal(size=n // 2)
+                                        + 1j * rng.normal(size=n // 2))])
+    pts[n:n + 8] = pts[3]
+    radii = rng.choice([0.02, 0.03, 0.05], size=pts.size)
+    radii[::5] = rng.uniform(0.01, 0.08, radii[::5].size)
+    return pts, radii
+
+
 class TestBesicovitch:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_python_greedy(self, seed):
+        pts, radii = _clustered_cloud(seed)
+        by_index = dict(zip(map(complex, pts), radii))   # repeats share a radius
+        disks = covering.besicovitch_cover(pts, lambda p: by_index[complex(p)])
+        assert disks == _besicovitch_reference(pts, lambda p: by_index[complex(p)])
+
+    def test_audit_counts_points_as_probes(self):
+        pts, radii = _clustered_cloud(1)
+        by_index = dict(zip(map(complex, pts), radii))
+        disks = covering.besicovitch_cover(pts, lambda p: by_index[complex(p)])
+        cert = covering.besicovitch_audit(pts, disks, n_probes=700, seed=4)
+        assert cert.n_probes == 700 + len(pts)
+        assert cert.covers_all and cert.n_selected == len(disks)
+
     def test_single_point(self):
         disks = covering.besicovitch_cover([0.0], lambda p: 1.0)
         assert disks.disks == ((0j, 1.0),)
@@ -169,6 +238,13 @@ class TestFuchsMacintyre:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2 ** 20
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_densest_disk_matches_triu_reference(self, seed):
+        pts, _ = _clustered_cloud(seed, n=60)
+        for rho in (0.0, 0.01, 0.05, 0.3):
+            assert covering._densest_disk(pts, rho) \
+                == _densest_disk_reference(pts, rho)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,19 @@ class TestClassifyOrbit:
             dynamics.classify_orbit(exp_model, 1.0, 10.0, beta_half,
                                     bailout_log=800.0)
 
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"bailout_log": 800.0}],
+                             ids=["max-iter-0", "bailout-800"])
+    def test_batch_entry_points_share_the_domain_check(self, exp_model,
+                                                       beta_half, kwargs):
+        window = criteria.Window(0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            dynamics.escape_map(exp_model, window, 4, 4, 2.0, beta_half,
+                                **kwargs)
+        with pytest.raises(ValueError):
+            dynamics.measure_estimate(exp_model, window,
+                                      criteria.MonteCarloPlan(10, 1),
+                                      beta_half, 2.0, **kwargs)
+
 
 class TestEscapeMonotonicity:
     def test_escaped_never_flips_to_survived(self, sin_model, beta_scale):
