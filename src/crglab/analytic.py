@@ -24,6 +24,7 @@ from .growth import (
     EpsilonCascade,
     ExactIndicator,
     ProximateOrder,
+    canonical_ray_order,
     log_max_modulus,
     scale_V,
 )
@@ -171,8 +172,7 @@ class KernelIntegralResult:
         return abs(self.quadrature - self.closed_form) / scale
 
 
-def kernel_integral_I(rho_at_r: float, p: int, z: complex,
-                      abs_tol: float = 1e-10) -> KernelIntegralResult:
+def kernel_integral_I(rho_at_r: float, p: int, z: complex) -> KernelIntegralResult:
     """I(z) = integral_0^inf t^rho / (t^{p+1} (t - z)) dt, two independent ways.
 
     Requires p < rho < p+1 and 0 < arg z < 2 pi. The quadrature route
@@ -213,9 +213,9 @@ def kernel_integral_I(rho_at_r: float, p: int, z: complex,
     pieces = []
     for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)):
         re_val, _ = quad(lambda u: integrand(u).real, lo, hi,
-                         epsabs=abs_tol, epsrel=1e-12, limit=400)
+                         epsabs=1e-10, epsrel=1e-12, limit=400)
         im_val, _ = quad(lambda u: integrand(u).imag, lo, hi,
-                         epsabs=abs_tol, epsrel=1e-12, limit=400)
+                         epsabs=1e-10, epsrel=1e-12, limit=400)
         pieces.append(complex(re_val, im_val))
     quadrature = radius ** (lam - 1.0) * (pieces[0] + pieces[1])
 
@@ -252,8 +252,10 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
     sqrt(eps(r)) <= theta <= 2pi - sqrt(eps(r)) (else BandViolation), zeros on
     the positive ray within the angular envelope, and the counting hypothesis
     |n(r,0) - c*V(r)| <= declared_constant * eps(r) * V(r) (else
-    HypothesisFailure).
+    HypothesisFailure). Products outside ``canonical_ray_order`` (integer
+    order, non-canonical genus) raise ValueError.
     """
+    canonical_ray_order(product)
     angle = product.rule.angle
     if angle != 0.0:
         lim = cascade.eps1(product.rule.modulus(product.cutoff))

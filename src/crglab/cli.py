@@ -135,18 +135,14 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
     radii = [float(r) for r in args.radii.split(",")]
     model = build_model(ast, max(radii))
-    po = default_order(ast)
-    thetas = np.arange(args.thetas) * (2.0 * math.pi / args.thetas)
-    emp = growth.indicator_empirical(model, po, thetas, radii)
     if isinstance(ast, ExpSumNode):
         exact = growth.indicator_exact_expsum(model)
-        h_exact = [exact.h(t) for t in thetas]
     else:
-        rho = po.rho_limit
-        h_exact = [math.pi * math.cos((t - math.pi) * rho) / math.sin(math.pi * rho)
-                   for t in thetas]
+        exact = growth.indicator_exact_product(model)
+    thetas = np.arange(args.thetas) * (2.0 * math.pi / args.thetas)
+    emp = growth.indicator_empirical(model, default_order(ast), thetas, radii)
     rows = [(float(t), float(he), float(hm))
-            for t, he, hm in zip(thetas, h_exact, emp.values)]
+            for t, he, hm in zip(thetas, exact.h(thetas), emp.values)]
     write_csv(args.out, ["theta", "h_exact", "h_empirical"], rows)
     return 0
 

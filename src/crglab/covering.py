@@ -305,27 +305,20 @@ def _greedy_concentration(points: np.ndarray,
     return captured
 
 
-def _shrink_until(radii: list[float], budget_holds: Callable[[list[float]], bool]
-                  ) -> list[float]:
-    """Nudge radii down by 1 ulp-scale steps until the exact budget holds."""
-    rs = list(radii)
-    for _ in range(4):
-        if budget_holds(rs):
-            return rs
-        rs = [r * (1.0 - 4e-16) for r in rs]
-    if not budget_holds(rs):
-        raise CertificateFailure("budget cannot be satisfied by rounding nudges")
-    return rs
-
-
 def _exceptional_disks(points: np.ndarray, schedule: Callable[[int], float],
-                       budget_holds: Callable[[list[float]], bool]) -> DiskSet:
+                       exact_sum: Callable[[list[float]], Fraction],
+                       budget: Fraction) -> tuple[DiskSet, Fraction]:
     """Greedy concentration, each captured disk inflated to 2*schedule(n_i),
-    radii nudged down until the exact budget holds."""
+    radii nudged down by 1 ulp-scale steps until the exact sum is within
+    the budget; returns the disks and that exact sum."""
     captured = _greedy_concentration(points, schedule)
-    radii = _shrink_until([2.0 * schedule(n_i) for _, n_i in captured],
-                          budget_holds)
-    return DiskSet(tuple((c, r) for (c, _), r in zip(captured, radii)))
+    rs = [2.0 * schedule(n_i) for _, n_i in captured]
+    for _ in range(5):
+        total = exact_sum(rs)
+        if total <= budget:
+            return DiskSet(tuple((c, r) for (c, _), r in zip(captured, rs))), total
+        rs = [r * (1.0 - 4e-16) for r in rs]
+    raise CertificateFailure("budget cannot be satisfied by rounding nudges")
 
 
 @dataclass(frozen=True)
@@ -358,11 +351,9 @@ def fuchs_macintyre_disks(points: Sequence[complex], H: float,
     if H <= 0:
         raise ValueError("H must be positive")
     budget = 4 * Fraction(H) ** 2
-
-    def holds(rs: list[float]) -> bool:
-        return sum(Fraction(r) ** 2 for r in rs) <= budget
-
-    disks = _exceptional_disks(pts, lambda lam: H * math.sqrt(lam / n), holds)
+    disks, sum_sq = _exceptional_disks(
+        pts, lambda lam: H * math.sqrt(lam / n),
+        lambda rs: sum(Fraction(r) ** 2 for r in rs), budget)
 
     bound = 2.0 * n / H
     cs, rs_arr = disks.centers(), disks.radii()
@@ -377,12 +368,12 @@ def fuchs_macintyre_disks(points: Sequence[complex], H: float,
     for p in pts:
         hsum += 1.0 / np.abs(probes - p)
     worst = float(hsum.max()) if probes.size else 0.0
-    cert = FuchsCertificate(n, len(disks), H, disks.sum_sq_radii(),
+    # float() rounds the exact sum to nearest, so it cannot exceed the
+    # rounded budget either
+    cert = FuchsCertificate(n, len(disks), H, float(sum_sq),
                             float(budget), bound, worst, int(probes.size))
     if worst > bound * (1.0 + 1e-12):
         raise CertificateFailure(f"fuchs-macintyre harmonic audit failed: {cert}")
-    if not holds(list(disks.radii())):
-        raise CertificateFailure(f"fuchs-macintyre area budget failed: {cert}")
     return disks, cert
 
 
@@ -441,21 +432,17 @@ def cartan_levin_disks(zeros: Sequence[complex], R: float, eta: float,
 
     H = 2.0 * eta * R
     budget = 4 * Fraction(eta) * Fraction(R)
-
-    def holds(rs: list[float]) -> bool:
-        return sum(Fraction(r) for r in rs) <= budget
-
-    disks = _exceptional_disks(zks, lambda lam: lam * H / n, holds)
+    disks, sum_r = _exceptional_disks(
+        zks, lambda lam: lam * H / n,
+        lambda rs: sum(Fraction(r) for r in rs), budget)
 
     probes = halton_points(4 * n_probes, -R, R, -R, R)
     probes = probes[np.abs(probes) <= R]
     probes = probes[disks.mask_outside(probes)][:n_probes]
     vals = _poly_log_abs(zks, probes)
     worst = float(vals.min()) if probes.size else math.inf
-    cert = CartanCertificate(n, len(disks), eta, R, disks.sum_radii(),
+    cert = CartanCertificate(n, len(disks), eta, R, float(sum_r),
                              float(budget), log_m, rhs, worst, int(probes.size))
     if probes.size and worst <= rhs:
         raise CertificateFailure(f"cartan-levin minimum-modulus audit failed: {cert}")
-    if not holds(list(disks.radii())):
-        raise CertificateFailure(f"cartan-levin radius budget failed: {cert}")
     return disks, cert

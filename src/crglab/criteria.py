@@ -27,7 +27,7 @@ from .parallel import map_chunked
 
 _TWO_PI = 2.0 * math.pi
 
-# default thresholds defining the escape-criteria sets A and B
+# thresholds defining the escape-criteria sets A and B
 A_THRESHOLD = 64.0
 B_RADIUS_FACTOR = 32.0
 
@@ -225,10 +225,10 @@ class MembershipVerdict:
 
 
 def membership_A(model: FunctionModel, beta: GrowthMinorant,
-                 z: complex, a_threshold: float = A_THRESHOLD) -> MembershipVerdict:
+                 z: complex) -> MembershipVerdict:
     """Strict log-space test: Re(z L(z)) > 64 and log|f(z)| > log beta(|z|)."""
     return _verdict_A(z, _membership_A_batch(
-        model, beta, np.array([z], dtype=np.complex128), a_threshold))
+        model, beta, np.array([z], dtype=np.complex128)))
 
 
 def _verdict_A(z: complex, a_pass: tuple[np.ndarray, ...]) -> MembershipVerdict:
@@ -239,8 +239,7 @@ def _verdict_A(z: complex, a_pass: tuple[np.ndarray, ...]) -> MembershipVerdict:
 
 
 def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
-                        zs: np.ndarray, a_threshold: float = A_THRESHOLD
-                        ) -> tuple[np.ndarray, ...]:
+                        zs: np.ndarray) -> tuple[np.ndarray, ...]:
     """(mask, Re(z L), log-margin, L, L valid); L is returned so that the
     B test reuses it instead of evaluating f'/f again."""
     log_abs, _, ok = model.log_eval_many(zs)
@@ -248,7 +247,7 @@ def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
     re_zl = np.where(l_ok, (zs * lvals).real, -np.inf)
     log_beta = beta.log_beta_many(np.abs(zs))
     margin = np.where(ok, log_abs - log_beta, -np.inf)
-    mask = ok & l_ok & (re_zl > a_threshold) & (margin > 0.0)
+    mask = ok & l_ok & (re_zl > A_THRESHOLD) & (margin > 0.0)
     return mask, re_zl, margin, lvals, l_ok
 
 
@@ -265,9 +264,7 @@ def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
 
 
 def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
-                 disk_samples: int = 16,
-                 a_threshold: float = A_THRESHOLD,
-                 b_radius_factor: float = B_RADIUS_FACTOR) -> MembershipVerdict:
+                 disk_samples: int = 16) -> MembershipVerdict:
     """A-membership plus sampled positivity of Re(zeta L(zeta)) on the disk.
 
     The disk radius is 32 |f(z)/f'(z)| = 32/|L(z)|. A near-zero of f at any
@@ -275,19 +272,17 @@ def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
     """
     offsets = _disk_sample_offsets(disk_samples)
     zs = np.array([z], dtype=np.complex128)
-    a_pass = _membership_A_batch(model, beta, zs, a_threshold)
+    a_pass = _membership_A_batch(model, beta, zs)
     base = replace(_verdict_A(z, a_pass), in_B=False, certificate="sampling")
     if not base.in_A or not math.isfinite(base.re_zl):
         return base
-    mask, min_re, radius = _membership_B_batch(model, zs, a_pass, offsets,
-                                               b_radius_factor)
+    mask, min_re, radius = _membership_B_batch(model, zs, a_pass, offsets)
     return replace(base, in_B=bool(mask[0]), min_disk_re=float(min_re[0]),
                    disk_radius=float(radius[0]), disk_samples=disk_samples)
 
 
 def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
-                        a_pass: tuple[np.ndarray, ...], offsets: np.ndarray,
-                        b_radius_factor: float
+                        a_pass: tuple[np.ndarray, ...], offsets: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Disk certificate on top of the A pass ``_membership_A_batch(zs)``."""
     # only A-members need the disk certificate; for them Re(zL) > 64 forces
@@ -295,7 +290,7 @@ def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
     in_a, _, _, lvals, l_ok = a_pass
     with np.errstate(divide="ignore"):
         radius = np.where(l_ok & (np.abs(lvals) > 0),
-                          b_radius_factor / np.abs(lvals), np.inf)
+                          B_RADIUS_FACTOR / np.abs(lvals), np.inf)
     min_re = np.full(zs.shape, -np.inf)
     idx = np.flatnonzero(in_a)
     if idx.size:
@@ -310,25 +305,22 @@ def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
     return mask, min_re, radius
 
 
-def predicate_A(model: FunctionModel, beta: GrowthMinorant,
-                a_threshold: float = A_THRESHOLD) -> Callable[[np.ndarray], np.ndarray]:
+def predicate_A(model: FunctionModel,
+                beta: GrowthMinorant) -> Callable[[np.ndarray], np.ndarray]:
     """Batch predicate form of membership_A for density estimation."""
     def pred(zs: np.ndarray) -> np.ndarray:
-        return _membership_A_batch(model, beta, zs, a_threshold)[0]
+        return _membership_A_batch(model, beta, zs)[0]
     return pred
 
 
 def predicate_B(model: FunctionModel, beta: GrowthMinorant,
-                disk_samples: int = 16,
-                a_threshold: float = A_THRESHOLD,
-                b_radius_factor: float = B_RADIUS_FACTOR) -> Callable[[np.ndarray], np.ndarray]:
+                disk_samples: int = 16) -> Callable[[np.ndarray], np.ndarray]:
     """Batch predicate form of membership_B (sampling certificate)."""
     offsets = _disk_sample_offsets(disk_samples)
 
     def pred(zs: np.ndarray) -> np.ndarray:
-        a_pass = _membership_A_batch(model, beta, zs, a_threshold)
-        return _membership_B_batch(model, zs, a_pass, offsets,
-                                   b_radius_factor)[0]
+        a_pass = _membership_A_batch(model, beta, zs)
+        return _membership_B_batch(model, zs, a_pass, offsets)[0]
     return pred
 
 
@@ -367,14 +359,13 @@ class MarginRow:
 
 def hypothesis_check_14b(model: FunctionModel, beta: GrowthMinorant,
                          alpha: DensityBudget, r_list: Sequence[float],
-                         plan: SamplePlan, disk_samples: int = 16,
-                         a_threshold: float = A_THRESHOLD,
-                         b_radius_factor: float = B_RADIUS_FACTOR) -> list[MarginRow]:
+                         plan: SamplePlan,
+                         disk_samples: int = 16) -> list[MarginRow]:
     """margin(r) = dens(B, ann(r)) - (1 - alpha(r)); negative margins flagged."""
     rs = [float(r) for r in r_list]
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("r_list must be increasing")
-    pred = predicate_B(model, beta, disk_samples, a_threshold, b_radius_factor)
+    pred = predicate_B(model, beta, disk_samples)
     rows = []
     for r in rs:
         rep = annulus_density(pred, AnnulusSpec(r), plan)

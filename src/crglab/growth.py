@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BelowThreshold, NonpositiveInterior, ZeroHit
-from .models import FunctionModel
+from .models import CanonicalProduct, FunctionModel
 
 _TWO_PI = 2.0 * math.pi
 
@@ -34,18 +34,20 @@ class ProximateOrder:
 
     ``derivative_bound`` is a caller-supplied pointwise bound on
     |rho'(r) r log r|; it is accepted as given, not constructed.
-    ``rho_of_log`` evaluates rho at r = exp(l) for log-domain work and must
-    agree with rho_of_r where both are defined. It must accept a numpy
-    array of l and return rho elementwise (a scalar that broadcasts
+    ``rho_of_log`` evaluates rho at r = exp(l), so log-domain work never
+    forms r itself; ``rho_of_r`` is defined through it. It must accept a
+    numpy array of l and return rho elementwise (a scalar that broadcasts
     against l is allowed), because minorants evaluate it on whole sample
     batches.
     """
 
     rho_limit: float
-    rho_of_r: Callable[[float], float]
     derivative_bound: Callable[[float], float]
     rho_of_log: Callable[[np.ndarray], np.ndarray | float]
     description: str = ""
+
+    def rho_of_r(self, r: float) -> float:
+        return float(self.rho_of_log(math.log(r)))
 
     @staticmethod
     def constant(rho: float) -> "ProximateOrder":
@@ -53,7 +55,6 @@ class ProximateOrder:
             raise ValueError("order must be positive")
         return ProximateOrder(
             rho_limit=rho,
-            rho_of_r=lambda r: rho,
             derivative_bound=lambda r: 0.0,
             rho_of_log=lambda l: rho,
             description=f"constant rho = {rho:g}")
@@ -64,9 +65,6 @@ class ProximateOrder:
         if rho <= 0:
             raise ValueError("order must be positive")
 
-        def rho_r(r: float) -> float:
-            return rho + a / max(math.log(r), 1.0) if r > 0 else rho + a
-
         def rho_l(l: np.ndarray) -> np.ndarray:
             return rho + a / np.maximum(l, 1.0)
 
@@ -74,7 +72,7 @@ class ProximateOrder:
             # |d/dr (a/log r) * r log r| = |a| / log r
             return abs(a) / max(math.log(r), 1.0) if r > 1 else abs(a)
 
-        return ProximateOrder(rho, rho_r, bound, rho_l,
+        return ProximateOrder(rho, bound, rho_l,
                               f"rho(r) = {rho:g} + {a:g}/log r")
 
     def check_derivative_bound(self, r_samples: Sequence[float],
@@ -170,23 +168,16 @@ class ExactIndicator:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(a.theta_lo for a in self.arcs) + (self.arcs[-1].theta_hi,)
 
-    def _locate(self, theta: float) -> SinusoidArc:
+    def h(self, theta: float | np.ndarray) -> float | np.ndarray:
+        """h elementwise; a scalar theta gives a float."""
         lo = self.arcs[0].theta_lo
-        t = lo + math.remainder(theta - lo, _TWO_PI)
-        if t < lo:
-            t += _TWO_PI
-        for arc in self.arcs:
-            if t <= arc.theta_hi + 1e-15:
-                return arc
-        return self.arcs[-1]
-
-    def h(self, theta: float) -> float:
-        lo = self.arcs[0].theta_lo
-        t = lo + math.remainder(theta - lo, _TWO_PI)
-        if t < lo:
-            t += _TWO_PI
-        arc = self._locate(t)
-        return arc.amplitude * math.cos(self.rho * t + arc.phase)
+        t = lo + np.mod(np.asarray(theta, dtype=float) - lo, _TWO_PI)
+        # the first arc ending at or past t (1e-15 slack), else the last
+        ends = np.array([a.theta_hi for a in self.arcs]) + 1e-15
+        j = np.minimum(np.searchsorted(ends, t), len(self.arcs) - 1)
+        amp, phase = np.array([(a.amplitude, a.phase) for a in self.arcs]).T[:, j]
+        out = amp * np.cos(self.rho * t + phase)
+        return out if out.ndim else float(out)
 
     def zeros(self) -> list[float]:
         """Angles in one period where h vanishes, sorted ascending."""
@@ -220,13 +211,13 @@ class EmpiricalIndicator:
     values: np.ndarray
     radii: tuple[float, ...]
 
-    def h(self, theta: float) -> float:
-        t = math.remainder(theta, _TWO_PI)
-        if t < 0:
-            t += _TWO_PI
+    def h(self, theta: float | np.ndarray) -> float | np.ndarray:
+        """Periodic linear interpolation; a scalar theta gives a float."""
         grid = np.concatenate([self.thetas, [self.thetas[0] + _TWO_PI]])
         vals = np.concatenate([self.values, [self.values[0]]])
-        return float(np.interp(t, grid, vals))
+        t = self.thetas[0] + np.mod(np.asarray(theta) - self.thetas[0], _TWO_PI)
+        out = np.interp(t, grid, vals)
+        return out if out.ndim else float(out)
 
 
 Indicator = ExactIndicator | EmpiricalIndicator
@@ -295,6 +286,33 @@ def indicator_exact_expsum(f) -> ExactIndicator:
     return ExactIndicator(arcs=tuple(arcs), rho=1.0)
 
 
+def canonical_ray_order(product: CanonicalProduct) -> float:
+    """rho = 1/e for zeros |a_k| = scale * k**e on one ray. ValueError where
+    the ray indicator does not apply: rho within 1e-9 of an integer, or a
+    genus other than floor(rho) (a larger one multiplies f by
+    exp(z sum 1/a_k), of order 1)."""
+    rho = 1.0 / product.rule.exponent
+    if abs(rho - round(rho)) <= 1e-9:
+        raise ValueError(f"order rho = {rho:g} is an integer")
+    if product.genus != math.floor(rho):
+        raise ValueError(f"genus {product.genus} is not the canonical genus "
+                         f"{math.floor(rho)} of order rho = {rho:g}")
+    return rho
+
+
+def indicator_exact_product(product: CanonicalProduct) -> ExactIndicator:
+    """h(theta) = c pi cos(rho (theta - theta0 - pi)) / sin(pi rho) on the one
+    arc [theta0, theta0 + 2 pi), for zeros on the ray of angle theta0 with
+    density c = scale**(-rho) (B. Ya. Levin, *Distribution of Zeros of
+    Entire Functions*, ch. I-II)."""
+    rho = canonical_ray_order(product)
+    rule = product.rule
+    arc = SinusoidArc(rule.angle, rule.angle + _TWO_PI,
+                      math.pi * rule.scale ** -rho / math.sin(math.pi * rho),
+                      -rho * (rule.angle + math.pi))
+    return ExactIndicator(arcs=(arc,), rho=rho)
+
+
 def indicator_empirical(model: FunctionModel, po: ProximateOrder,
                         theta_grid: Sequence[float],
                         radii: Sequence[float]) -> EmpiricalIndicator:
@@ -322,13 +340,13 @@ def indicator_empirical(model: FunctionModel, po: ProximateOrder,
     return EmpiricalIndicator(thetas=thetas, values=best, radii=tuple(radii))
 
 
-def indicator_lower_bound_check(ind: ExactIndicator,
-                                grid_per_arc: int = 10_000) -> list[tuple[float, float, float]]:
+def indicator_lower_bound_check(ind: ExactIndicator) -> list[tuple[float, float, float]]:
     """Largest c_j with h(theta) >= c_j * min(theta - lo, hi - theta) per arc.
 
-    Arcs are taken between consecutive zeros of h. Only arcs with positive
-    interior are scored; raises NonpositiveInterior when no such arc exists
-    or when an arc mixes signs without a zero crossing at its ends.
+    Arcs are taken between consecutive zeros of h, and c_j is the minimum
+    over 10,000 interior grid points. Only arcs with positive interior are
+    scored; raises NonpositiveInterior when no such arc exists or when an
+    arc mixes signs without a zero crossing at its ends.
     """
     if any(a.theta_hi - a.theta_lo <= 1e-12 for a in ind.arcs):
         raise ValueError("degenerate arc of width zero")
@@ -351,8 +369,8 @@ def indicator_lower_bound_check(ind: ExactIndicator,
     for a, b in segments:
         if b - a <= 1e-12:
             raise ValueError("degenerate arc of width zero")
-        ts = a + (b - a) * (np.arange(1, grid_per_arc + 1) / (grid_per_arc + 1))
-        hs = np.array([ind.h(t) for t in ts])
+        ts = a + (b - a) * (np.arange(1, 10_001) / 10_001)
+        hs = ind.h(ts)
         if (hs <= 0).all():
             continue
         if (hs <= 0).any():

@@ -195,13 +195,14 @@ class CanonicalProduct:
     holds for every |z| <= r_max, and |z/a_{K+1}| <= 1/2 so the per-factor
     series bound applies. The resulting bound is stored in ``tail_bound``
     and never recomputed per call. A (tail_tol, r_max) pair whose cutoff
-    would exceed ``max_cutoff`` factors is refused up front.
+    would exceed ``MAX_CUTOFF`` factors is refused up front.
     """
 
     _CHUNK = 1 << 19
+    MAX_CUTOFF = 200_000_000
 
     def __init__(self, rule: PowerZeroRule, genus: int, tail_tol: float,
-                 r_max: float, max_cutoff: int = 200_000_000):
+                 r_max: float):
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         s = rule.exponent * (genus + 1)
@@ -218,10 +219,10 @@ class CanonicalProduct:
         c = (2.0 / (genus + 1)) * (r_max / rule.scale) ** (genus + 1) / (s - 1.0)
         k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / tail_tol ** (1.0 / (s - 1.0)))
         cutoff = max(k_half, k_tol, 1)
-        if cutoff > max_cutoff:
+        if cutoff > self.MAX_CUTOFF:
             raise ValueError(
                 f"tail tolerance {tail_tol:g} at r_max {r_max:g} needs "
-                f"{cutoff:.2e} factors (> {max_cutoff:.0e}); relax the "
+                f"{cutoff:.2e} factors (> {self.MAX_CUTOFF:.0e}); relax the "
                 "tolerance or reduce r_max")
         self.cutoff = cutoff
         self.tail_bound = self._tail_estimate(r_max, self.cutoff)

@@ -200,6 +200,18 @@ class TestVerifyCrg:
             analytic.verify_crg_ray_product(wide_product, 3.0, rho_half,
                                           cascade_one, [(1e4, math.pi)])
 
+    @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (1.5, 1)])
+    def test_noncanonical_product_refused(self, exponent, genus, cascade_one):
+        # integer order, and a genus above the canonical one, are refused
+        # before any sample is compared
+        product = models.CanonicalProduct(
+            models.PowerZeroRule(exponent=exponent), genus, tail_tol=0.1,
+            r_max=200.0)
+        po = growth.ProximateOrder.constant(1.0 / exponent)
+        with pytest.raises(ValueError):
+            analytic.verify_crg_ray_product(product, 1.0, po, cascade_one,
+                                          [(100.5, math.pi / 4)])
+
 
 def test_sin_log_modulus_oracle_self_check():
     # the shared test oracle agrees with direct evaluation at moderate height

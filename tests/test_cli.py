@@ -13,6 +13,9 @@ from crglab.cli import run
 
 SIN = "expsum:[(0,-0.5)]exp((0,1));[(0,0.5)]exp((0,-1))"
 EXP = "expsum:[1]exp(1)"
+# integer order rho = 1, and genus 1 above the canonical genus 0 of rho = 2/3
+POW1_G1 = "product:zeros=pow(1),genus=1,cut=0.1"
+POW15_G1 = "product:zeros=pow(1.5,angle=0.1),genus=1,cut=1e-4"
 
 
 def read_bytes(path):
@@ -44,6 +47,19 @@ class TestIndicatorCommand:
         assert h_exact == pytest.approx(math.pi, rel=1e-12)
         assert h_emp == pytest.approx(math.pi, abs=0.1)
 
+    def test_product_follows_the_zero_ray(self, tmp_path):
+        out = tmp_path / "ind.csv"
+        code = run(["indicator", "--fn",
+                    "product:zeros=pow(2,angle=1.0),genus=0,cut=0.05",
+                    "--thetas", "36", "--radii", "1000,2000,4000",
+                    "--out", str(out)])
+        assert code == 0
+        rows = read_bytes(out).decode().splitlines()[1:]
+        assert len(rows) == 36
+        for row in rows:
+            _, h_exact, h_emp = (float(c) for c in row.split(","))
+            assert abs(h_exact - h_emp) <= 0.15
+
 
 class TestDensityCommand:
     def test_a_set_json(self, tmp_path):
@@ -56,6 +72,13 @@ class TestDensityCommand:
         assert doc["format_version"] == 1
         assert doc["density"] == pytest.approx(1 / 3, abs=0.02)
         assert doc["plan"]["seed"] == 42
+
+    def test_noncanonical_product_accepted(self, tmp_path):
+        out = tmp_path / "d.json"
+        code = run(["density", "--fn", POW15_G1, "--set", "A",
+                    "--r", "20", "--plan", "mc:50:1", "--out", str(out)])
+        assert code == 0
+        assert json.loads(read_bytes(out))["total"] == 50
 
 
 class TestCheck14Command:
@@ -214,10 +237,16 @@ class TestExitCodes:
          "--plan", "mc:200:1", "--max-iter", "0", "--out", "m.json"],
         ["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4x4",
          "--r0", "2", "--bailout-log", "800", "--out", "m.pgm"],
+        *[["indicator", "--fn", spec, "--radii", "10.5,20.5,40.5", "--out", "i.csv"]
+          for spec in (POW1_G1, POW15_G1)],
+        *[["verify-crg", "--fn", spec, "--samples", "100.5:0.7853981633974483",
+           "--out", "v.csv"] for spec in (POW1_G1, POW15_G1)],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "disk-samples-0", "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "measure-bailout-800",
-            "measure-max-iter-0", "escape-map-bailout-800"])
+            "measure-max-iter-0", "escape-map-bailout-800",
+            "indicator-integer-order", "indicator-noncanonical-genus",
+            "verify-crg-integer-order", "verify-crg-noncanonical-genus"])
     def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")

@@ -282,6 +282,18 @@ class TestCartanLevin:
             assert sum(Fraction(r) for r in disks.radii()) <= Fraction(1.0)
             assert cert.min_log_g > cert.bound_rhs
 
+    def test_reported_sum_within_budget(self):
+        # 200 zeros uniform in D(0, 2) plus a cluster of 100: the float sum
+        # of these radii reads 0.4000000000000017 > 0.4 although the exact
+        # sum is within the budget
+        rng = np.random.default_rng(101)
+        zeros = np.concatenate([
+            2 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200)),
+            0.3 + 0.2j + 0.05 * (rng.normal(size=100) + 1j * rng.normal(size=100))])
+        disks, cert = covering.cartan_levin_disks(zeros, 1.0, 0.1)
+        assert cert.sum_radii <= cert.budget
+        assert cert.sum_radii == float(sum(Fraction(r) for r in disks.radii()))
+
     def test_l_exposed_not_enforced(self):
         # the disk count is reported; no bound on it is asserted by design
         disks, cert = covering.cartan_levin_disks([0.5, 0.5j, -0.5], 1.0, 0.3)

@@ -142,6 +142,49 @@ class TestExactIndicators:
             assert n_arcs is None or len(arcs) == n_arcs
             h = np.array([ind.h(t) for t in thetas])
             assert np.max(np.abs(h - self._brute_h(bs, thetas))) < 1e-12
+            assert np.array_equal(ind.h(thetas), h)
+
+
+class TestExactIndicatorProduct:
+    @staticmethod
+    def _product(exponent, genus, angle=0.0):
+        return models.CanonicalProduct(
+            models.PowerZeroRule(exponent=exponent, angle=angle), genus,
+            tail_tol=0.05, r_max=10.0)
+
+    @pytest.mark.parametrize("exponent,genus,angle",
+                             [(2.0, 0, 0.0), (2.0, 0, 1.0), (1.5, 0, -0.4),
+                              (0.75, 1, 2.5)])
+    def test_rotated_ray_formula(self, exponent, genus, angle):
+        ind = growth.indicator_exact_product(self._product(exponent, genus, angle))
+        rho = 1.0 / exponent
+        assert ind.rho == rho and len(ind.arcs) == 1
+        thetas = np.linspace(-7.0, 7.0, 141)
+        w = np.mod(thetas - angle, 2 * math.pi)
+        expected = math.pi * np.cos(rho * (w - math.pi)) / math.sin(math.pi * rho)
+        assert np.max(np.abs(ind.h(thetas) - expected)) < 1e-12
+        assert ind.h(angle + math.pi) == pytest.approx(
+            math.pi / math.sin(math.pi * rho), rel=1e-15)
+
+    def test_positive_except_at_the_ray(self):
+        # h = pi sin(theta/2): one positive arc (0, 2 pi) whose wedge
+        # constant h / min(theta, 2 pi - theta) is smallest, 1, at theta = pi
+        rows = growth.indicator_lower_bound_check(
+            growth.indicator_exact_product(self._product(2.0, 0)))
+        assert len(rows) == 1
+        lo, hi, c = rows[0]
+        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert hi == pytest.approx(2 * math.pi, abs=1e-12)
+        assert c == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (0.5, 3), (1.5, 1),
+                                                (2.0, 1)])
+    def test_integer_order_or_noncanonical_genus_refused(self, exponent, genus):
+        product = self._product(exponent, genus)
+        with pytest.raises(ValueError):
+            growth.indicator_exact_product(product)
+        with pytest.raises(ValueError):
+            growth.canonical_ray_order(product)
 
 
 class TestEmpiricalIndicator:
@@ -173,6 +216,14 @@ class TestEmpiricalIndicator:
                                              [1e2, 1e3, 1e4])
             for t, v in zip(thetas, emp.values):
                 assert exact.h(t) - 0.01 <= v <= exact.h(t) + 0.01
+
+    def test_h_interpolates_across_the_wrap(self):
+        # a grid starting at 0.3: theta = 0.1 lies between its last point
+        # and 0.3 + 2 pi, not before its first
+        thetas = 0.3 + np.arange(8) * (2 * math.pi / 8)
+        emp = growth.EmpiricalIndicator(thetas, np.arange(8.0), (1.0, 2.0, 3.0))
+        assert emp.h(0.1) == pytest.approx(7.0 * 0.2 / (2 * math.pi / 8))
+        assert np.array_equal(emp.h(thetas), np.arange(8.0))
 
     def test_ladder_validation(self, exp_model, rho_one):
         with pytest.raises(ValueError):
