@@ -5,13 +5,20 @@ Every artifact written here is byte-deterministic: floats are printed with
 sampling is seeded. CRG_THREADS caps worker parallelism without changing any
 output byte.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 numeric failure
-(overflow / zero-hit dominating), 3 certificate or audit failure.
+Every rule a command applies (defaults, domain checks, geometry) lives in
+the module that owns it; this module only parses, calls and writes. The
+argument parser is built on the first ``run`` call and reused after.
+
+Exit codes follow the error hierarchy: 0 success, 1 usage or parse failure
+(any ValueError, including ParseError and BelowThreshold, or OSError),
+3 certificate or audit failure (CertificateFailure), 2 any other CrgLabError
+(overflow, zero hit, contour too close).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,23 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic, criteria, covering, dynamics, growth, models
-from .errors import (
-    BelowThreshold,
-    CertificateFailure,
-    ContourTooClose,
-    CrgLabError,
-    NearZero,
-    NonConvergent,
-    NonIntegerResidue,
-    OverflowUnrepresentable,
-    ParseError,
-    ZeroHit,
-    ZeroInDisk,
-)
+from .errors import CertificateFailure, CrgLabError
 from .parser import ExpSumNode, FunctionSpecAST, ProductNode, parse_function_spec
-
-_NUMERIC_ERRORS = (OverflowUnrepresentable, ZeroHit, NearZero, ContourTooClose,
-                   NonIntegerResidue, ZeroInDisk, NonConvergent, BelowThreshold)
 
 
 def _fmt(x: float) -> str:
@@ -150,20 +142,17 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
     ann = criteria.AnnulusSpec(args.r)
-    # B-certificate disks stay within 1.5 |z| for A-members
-    model = build_model(ast, ann.outer * 1.55)
+    model = build_model(ast, ann.reach)
     beta = _parse_beta(args.beta, default_order(ast), args.N)
     if args.set == "A":
         pred = criteria.predicate_A(model, beta)
     else:
         pred = criteria.predicate_B(model, beta, disk_samples=args.disk_samples)
+    disks = None
     if args.exclude_disks:
         with open(args.exclude_disks, encoding="ascii") as fh:
             disks = covering.DiskSet.from_text(fh.read())
-        rep = criteria.density_with_exclusions(pred, ann, disks, args.plan)
-    else:
-        rep = criteria.annulus_density(pred, ann, args.plan)
-    out = rep.to_json_dict()
+    out = criteria.annulus_density(pred, ann, args.plan, disks).to_json_dict()
     out["set"] = args.set
     write_json(args.out, out)
     return 0
@@ -172,7 +161,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_check14(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
     r_list = [float(r) for r in args.r_list.split(",")]
-    model = build_model(ast, 3.1 * max(r_list))
+    model = build_model(ast, criteria.AnnulusSpec(max(r_list)).reach)
     po = default_order(ast)
     cascade = growth.EpsilonCascade(args.N)
     beta = growth.GrowthMinorant.growth_scale(po, cascade)
@@ -225,21 +214,14 @@ def _cmd_escape_map(args: argparse.Namespace) -> int:
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    if args.annulus is not None:
-        region: criteria.Region = criteria.AnnulusSpec(args.annulus)
-        r0 = args.r0 if args.r0 is not None else args.annulus / 2.0
-    else:
-        if args.window is None:
-            print("measure needs --window or --annulus", file=sys.stderr)
-            return 1
-        region = args.window
-        if args.r0 is None:
-            print("measure on a window needs --r0", file=sys.stderr)
-            return 1
-        r0 = args.r0
+    region = (criteria.AnnulusSpec(args.annulus) if args.annulus is not None
+              else args.window)
+    if region is None:
+        print("measure needs --window or --annulus", file=sys.stderr)
+        return 1
     model = _build_dynamics_model(ast, args.bailout_log)
     beta = _parse_beta(args.beta, default_order(ast), args.N)
-    rep = dynamics.measure_estimate(model, region, args.plan, beta, r0,
+    rep = dynamics.measure_estimate(model, region, args.plan, beta, args.r0,
                                     args.max_iter, args.bailout_log)
     write_json(args.out, rep.to_json_dict())
     return 0
@@ -280,14 +262,8 @@ def _cmd_covering(args: argparse.Namespace) -> int:
         pts = _read_points_file(args.points)
         with open(args.radii, encoding="ascii") as fh:
             radii = [float(x) for x in fh.read().split()]
-        if len(radii) != len(pts):
-            print("radii file length mismatch", file=sys.stderr)
-            return 1
-        # a repeated point keeps its largest radius, the copy the greedy
-        # cover selects: sorted by radius, the largest is written last
-        radius_of = dict(sorted(zip(pts, radii), key=lambda pr: pr[1]))
-        disks = covering.besicovitch_cover(pts, lambda p: radius_of[complex(p)])
-        cert = covering.besicovitch_audit(pts, disks, args.probes, args.seed)
+        disks = covering.besicovitch_cover(pts, radii)
+        cert = covering.besicovitch_audit(pts, disks, args.probes)
         name = "besicovitch"
     elif args.construction == "fuchs":
         pts = _read_points_file(args.points)
@@ -342,6 +318,7 @@ def _cmd_check_8l(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="crglab",
@@ -424,7 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, help="Cartan disk radius")
     p.add_argument("--eta", type=float, help="Cartan budget parameter")
     p.add_argument("--probes", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-disks", required=True)
     p.add_argument("--out-cert", required=True)
     p.set_defaults(func=_cmd_covering)
@@ -448,32 +424,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
         from .parallel import worker_count
         worker_count()   # validate CRG_THREADS before any computation
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return 1
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
     except CrgLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,8 +20,7 @@ Three constructions are provided:
 Because constant conventions differ across the literature, the audits are
 part of each operation's postcondition: a failed audit raises
 CertificateFailure (a construction bug, not an input error). Probe sets are
-deterministic: the Fuchs-Macintyre and Cartan audits use low-discrepancy
-(Halton) points, the Besicovitch audit Philox uniforms keyed by ``seed``, so
+deterministic: all three audits use low-discrepancy (Halton) points, so
 certificates reproduce bit-for-bit. Budget inequalities are verified in
 exact rational arithmetic.
 """
@@ -183,27 +182,31 @@ def halton_points(n: int, x0: float, x1: float, y0: float, y1: float) -> np.ndar
 # Besicovitch cover
 
 def besicovitch_cover(points: Sequence[complex],
-                      radius_fn: Callable[[complex], float]) -> DiskSet:
-    """Greedy sub-collection covering every input point.
+                      radii: Sequence[float]) -> DiskSet:
+    """Greedy sub-collection covering every input point; ``radii[i]`` is
+    the radius of the disk centred at ``points[i]``.
 
-    Disks are visited by descending radius; one is selected iff its center is
-    not contained in any previously selected disk. Every unselected center is
-    then covered by a selected disk, so the input set is covered.
+    Disks are visited by descending radius, ties by index; one is selected
+    iff its center is not contained in any previously selected disk. Every
+    unselected center is then covered by a selected disk, so the input set
+    is covered; a repeated point is covered by the disk of its largest
+    radius.
     """
-    pts = [complex(p) for p in points]
-    if not pts:
+    zs = np.asarray(points, dtype=np.complex128)
+    rs = np.asarray(radii, dtype=float)
+    if zs.size == 0:
         raise ValueError("need at least one point")
-    radii = [float(radius_fn(p)) for p in pts]
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    zs = np.asarray(pts, dtype=np.complex128)
+    if rs.shape != zs.shape:
+        raise ValueError(f"{rs.size} radii for {zs.size} points")
+    if not (np.isfinite(rs) & (rs > 0)).all():
+        raise ValueError("radii must be positive and finite")
     covered = np.zeros(zs.size, dtype=bool)
     selected: list[int] = []
-    for i in sorted(range(len(pts)), key=lambda i: (-radii[i], i)):
+    for i in np.argsort(-rs, kind="stable"):
         if not covered[i]:
             selected.append(i)
-            covered |= np.abs(zs - pts[i]) <= radii[i]
-    return DiskSet(tuple((pts[i], radii[i]) for i in selected))
+            covered |= np.abs(zs - zs[i]) <= rs[i]
+    return DiskSet(tuple((complex(zs[i]), float(rs[i])) for i in selected))
 
 
 @dataclass(frozen=True)
@@ -216,16 +219,14 @@ class BesicovitchCertificate:
 
 
 def besicovitch_audit(points: Sequence[complex], disks: DiskSet,
-                      n_probes: int = 10_000, seed: int = 0) -> BesicovitchCertificate:
-    """Audit full cover at the inputs and multiplicity <= 256 at random probes."""
+                      n_probes: int = 10_000) -> BesicovitchCertificate:
+    """Audit full cover at the inputs and multiplicity <= 256 at Halton
+    probes in the disks' bounding box."""
     pts = np.asarray([complex(p) for p in points], dtype=np.complex128)
     cs, rs = disks.centers(), disks.radii()
     lo_x, hi_x = (cs.real - rs).min(), (cs.real + rs).max()
     lo_y, hi_y = (cs.imag - rs).min(), (cs.imag + rs).max()
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    probes = (lo_x + (hi_x - lo_x) * gen.random(n_probes)
-              + 1j * (lo_y + (hi_y - lo_y) * gen.random(n_probes)))
-    probes = np.concatenate([probes, pts])
+    probes = np.concatenate([halton_points(n_probes, lo_x, hi_x, lo_y, hi_y), pts])
     counts = disks.multiplicity(probes)
     covers = bool((counts[n_probes:] > 0).all())
     mult = int(counts.max())

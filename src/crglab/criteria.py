@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .covering import DiskSet
 from .growth import DensityBudget, GrowthMinorant
 from .models import FunctionModel
 from .parallel import map_chunked
@@ -39,8 +40,8 @@ class AnnulusSpec:
     r: float
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("annulus radius must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"annulus radius must be positive and finite, got {self.r}")
 
     @property
     def inner(self) -> float:
@@ -49,6 +50,12 @@ class AnnulusSpec:
     @property
     def outer(self) -> float:
         return 2.0 * self.r
+
+    @property
+    def reach(self) -> float:
+        """Radius out to which the B test evaluates f on this annulus."""
+        # Re(zL) > 64 keeps each B disk within 1.5|z| <= 3r of 0
+        return 3.1 * self.r
 
     @property
     def area(self) -> float:
@@ -68,8 +75,10 @@ class Window:
     y1: float
 
     def __post_init__(self) -> None:
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError("window must be nondegenerate")
+        bounds = (self.x0, self.x1, self.y0, self.y1)
+        if not (all(map(math.isfinite, bounds))
+                and self.x1 > self.x0 and self.y1 > self.y0):
+            raise ValueError(f"window must be finite and nondegenerate, got {bounds}")
 
     @property
     def area(self) -> float:
@@ -325,27 +334,23 @@ def predicate_B(model: FunctionModel, beta: GrowthMinorant,
 
 
 def annulus_density(predicate: Callable[[np.ndarray], np.ndarray],
-                    region: Region, plan: SamplePlan) -> DensityReport:
+                    region: Region, plan: SamplePlan,
+                    exclude: DiskSet | None = None) -> DensityReport:
     """Density of predicate-true samples under the deterministic plan.
 
     ``predicate`` receives a complex array and returns a boolean mask; the
-    worker parallelism level never changes which samples are drawn.
+    worker parallelism level never changes which samples are drawn. With
+    ``exclude``, a sample inside one of its disks is not a hit, and the
+    report records the sampled area fraction of the excluded union for
+    budget comparisons.
     """
     zs = sample_points(region, plan)
     mask = map_chunked(predicate, zs)
-    return _make_report(region, plan, int(mask.sum()), zs.size)
-
-
-def density_with_exclusions(predicate: Callable[[np.ndarray], np.ndarray],
-                            region: Region, disks, plan: SamplePlan) -> DensityReport:
-    """Density of (predicate and outside every disk); records the sampled
-    area fraction of the excluded union for budget comparisons."""
-    zs = sample_points(region, plan)
-    outside = disks.mask_outside(zs)
-    mask = map_chunked(predicate, zs) & outside
-    report = _make_report(region, plan, int(mask.sum()), zs.size)
-    excluded = 1.0 - float(outside.sum()) / zs.size
-    return replace(report, excluded_fraction=excluded)
+    if exclude is None:
+        return _make_report(region, plan, int(mask.sum()), zs.size)
+    outside = exclude.mask_outside(zs)
+    report = _make_report(region, plan, int((mask & outside).sum()), zs.size)
+    return replace(report, excluded_fraction=1.0 - float(outside.sum()) / zs.size)
 
 
 @dataclass(frozen=True)

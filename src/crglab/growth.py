@@ -180,8 +180,11 @@ class ExactIndicator:
         return out if out.ndim else float(out)
 
     def zeros(self) -> list[float]:
-        """Angles in one period where h vanishes, sorted ascending."""
-        out: list[float] = []
+        """Angles in [lo, lo + 2 pi) where h vanishes, sorted ascending, lo
+        being the start of the first arc; zeros within 1e-10 of each other
+        modulo 2 pi (such as both ends of a full-turn arc) count once."""
+        lo = self.arcs[0].theta_lo
+        found: list[float] = []
         for arc in self.arcs:
             if arc.amplitude == 0.0:
                 continue
@@ -190,13 +193,15 @@ class ExactIndicator:
             for k in range(k_lo, k_hi + 1):
                 t = (math.pi / 2 + k * math.pi - arc.phase) / self.rho
                 if arc.theta_lo - 1e-12 <= t <= arc.theta_hi + 1e-12:
-                    out.append(t)
-        out.sort()
-        dedup: list[float] = []
-        for t in out:
-            if not dedup or t - dedup[-1] > 1e-10:
-                dedup.append(t)
-        return dedup
+                    found.append(t)
+        out: list[float] = []
+        for t in sorted(found):
+            w = lo + math.remainder(t - lo, _TWO_PI)
+            if w < lo:
+                w += _TWO_PI
+            if not any(abs(math.remainder(w - u, _TWO_PI)) < 1e-10 for u in out):
+                out.append(w)
+        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -350,17 +355,10 @@ def indicator_lower_bound_check(ind: ExactIndicator) -> list[tuple[float, float,
     """
     if any(a.theta_hi - a.theta_lo <= 1e-12 for a in ind.arcs):
         raise ValueError("degenerate arc of width zero")
-    lo0 = ind.arcs[0].theta_lo
-    zeros: list[float] = []
-    for t in ind.zeros():
-        w = lo0 + math.remainder(t - lo0, _TWO_PI)
-        if w < lo0:
-            w += _TWO_PI
-        if not any(abs(math.remainder(w - u, _TWO_PI)) < 1e-10 for u in zeros):
-            zeros.append(w)
-    zeros.sort()
+    zeros = ind.zeros()
     if not zeros:
         # sign-constant indicator: one full-turn arc
+        lo0 = ind.arcs[0].theta_lo
         segments = [(lo0, lo0 + _TWO_PI)]
     else:
         segments = [(zeros[i], zeros[i + 1]) for i in range(len(zeros) - 1)]
@@ -415,12 +413,8 @@ class GrowthMinorant:
             raise ValueError("r must be positive")
         return self.log_beta_of_log(np.log(rs))
 
-    def beta(self, r: float) -> float:
-        lb = self.log_beta(r)
-        return math.exp(lb) if lb < 709.0 else math.inf
-
     @staticmethod
-    def exp_power(c: float, mu: float, threshold_x0: float | None = None) -> "GrowthMinorant":
+    def exp_power(c: float, mu: float) -> "GrowthMinorant":
         """beta(r) = exp(c * r**mu)."""
         if c <= 0 or mu <= 0:
             raise ValueError("c and mu must be positive")
@@ -429,23 +423,18 @@ class GrowthMinorant:
             with np.errstate(over="ignore"):   # c * exp(x) past the float range is +inf
                 return c * _safe_exp(mu * l)
 
-        if threshold_x0 is None:
-            threshold_x0 = _find_threshold(lb)
-        return GrowthMinorant("exp-power", threshold_x0, lb,
+        return GrowthMinorant("exp-power", _find_threshold(lb), lb,
                               f"beta(r) = exp({c:g} * r**{mu:g})",
                               fast_escaping_form=True)
 
     @staticmethod
-    def growth_scale(po: ProximateOrder, cascade: EpsilonCascade,
-                     threshold_x0: float | None = None) -> "GrowthMinorant":
+    def growth_scale(po: ProximateOrder, cascade: EpsilonCascade) -> "GrowthMinorant":
         """beta(r) = exp(r**rho(r) * eps1(r))."""
         def lb(l: np.ndarray) -> np.ndarray:
             return _safe_exp(po.rho_of_log(l) * l) * cascade.eps1_from_log(l)
 
-        if threshold_x0 is None:
-            threshold_x0 = _find_threshold(lb)
         return GrowthMinorant(
-            "growth-scale", threshold_x0, lb,
+            "growth-scale", _find_threshold(lb), lb,
             f"beta(r) = exp(r**rho(r) / log^{cascade.N}(r)), rho -> {po.rho_limit:g}",
             fast_escaping_form=True)
 
@@ -523,11 +512,16 @@ class DensityBudget:
 # ---------------------------------------------------------------------------
 # iteration of the minorant and the series condition
 
+def _check_start_radius(beta: GrowthMinorant, r0: float) -> None:
+    """Iteration starts from a finite r0 above the minorant's threshold."""
+    if not (math.isfinite(r0) and r0 > beta.threshold_x0):
+        raise BelowThreshold(f"r0 = {r0:g} is not a finite radius above the "
+                             f"minorant threshold {beta.threshold_x0:g}")
+
+
 def beta_log_track(beta: GrowthMinorant, r0: float, n: int) -> list[float]:
     """[log r0, log beta(r0), ..., log beta^n(r0)] with +inf sentinel."""
-    if r0 <= beta.threshold_x0:
-        raise BelowThreshold(
-            f"r0 = {r0:g} is not above the minorant threshold {beta.threshold_x0:g}")
+    _check_start_radius(beta, r0)
     track = [math.log(r0)]
     for _ in range(n):
         l = track[-1]
@@ -562,9 +556,7 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
     the certificate), or until ``max_terms``. Non-convergence is a result,
     not an error.
     """
-    if r0 <= beta.threshold_x0:
-        raise BelowThreshold(
-            f"r0 = {r0:g} is not above the minorant threshold {beta.threshold_x0:g}")
+    _check_start_radius(beta, r0)
     l = math.log(r0)
     total = 0.0
     terms: list[float] = []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -113,6 +114,15 @@ class TestMeasureCommand:
         doc = json.loads(read_bytes(out))
         assert doc["density"] > 0
         assert doc["fast_escaping_beta"] is True
+
+    def test_annulus_r0_defaults_to_half_the_radius(self, tmp_path):
+        outs = []
+        for extra in ([], ["--r0", "15"]):
+            out = tmp_path / f"m{len(extra)}.json"
+            assert run(["measure", "--fn", SIN, "--annulus", "30",
+                        "--plan", "mc:2000:42", *extra, "--out", str(out)]) == 0
+            outs.append(read_bytes(out))
+        assert outs[0] == outs[1]
 
 
 class TestVerifyCrgCommand:
@@ -241,16 +251,48 @@ class TestExitCodes:
           for spec in (POW1_G1, POW15_G1)],
         *[["verify-crg", "--fn", spec, "--samples", "100.5:0.7853981633974483",
            "--out", "v.csv"] for spec in (POW1_G1, POW15_G1)],
+        ["density", "--fn", EXP, "--r", "nan", "--plan", "mc:200:1", "--out", "d.json"],
+        ["density", "--fn", EXP, "--r", "inf", "--plan", "mc:200:1", "--out", "d.json"],
+        ["measure", "--fn", SIN, "--window", "0,inf,-3,3", "--r0", "2",
+         "--plan", "mc:200:1", "--out", "m.json"],
+        ["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4x4",
+         "--r0", "nan", "--out", "m.pgm"],
+        ["check-14", "--fn", SIN, "--r0", "nan", "--r-list", "1000",
+         "--plan", "mc:200:1", "--out", "c.json"],
+        ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3",
+         "--plan", "mc:200:1", "--out", "m.json"],
+        ["covering", "besicovitch", "--points", "pts.txt", "--radii", "radii.txt",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "disk-samples-0", "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "measure-bailout-800",
             "measure-max-iter-0", "escape-map-bailout-800",
             "indicator-integer-order", "indicator-noncanonical-genus",
-            "verify-crg-integer-order", "verify-crg-noncanonical-genus"])
+            "verify-crg-integer-order", "verify-crg-noncanonical-genus",
+            "density-r-nan", "density-r-inf", "measure-window-inf",
+            "escape-map-r0-nan", "check-14-r0-nan", "measure-window-without-r0",
+            "besicovitch-radii-length"])
     def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")
+        (tmp_path / "radii.txt").write_text("0.1\n")
         assert run(argv) == 1
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        for _ in range(2):
+            assert run(["indicator", "--fn", EXP, "--thetas", "4",
+                        "--radii", "1e2,1e3,1e4",
+                        "--out", str(tmp_path / "x.csv")]) == 0
+        # none if an earlier run in this process built it already
+        assert len(builds) <= 1
 
 
 class TestImportCost:

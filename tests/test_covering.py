@@ -153,40 +153,50 @@ class TestBesicovitch:
     def test_matches_python_greedy(self, seed):
         pts, radii = _clustered_cloud(seed)
         by_index = dict(zip(map(complex, pts), radii))   # repeats share a radius
-        disks = covering.besicovitch_cover(pts, lambda p: by_index[complex(p)])
+        shared = [by_index[complex(p)] for p in pts]
+        disks = covering.besicovitch_cover(pts, shared)
         assert disks == _besicovitch_reference(pts, lambda p: by_index[complex(p)])
 
     def test_audit_counts_points_as_probes(self):
         pts, radii = _clustered_cloud(1)
         by_index = dict(zip(map(complex, pts), radii))
-        disks = covering.besicovitch_cover(pts, lambda p: by_index[complex(p)])
-        cert = covering.besicovitch_audit(pts, disks, n_probes=700, seed=4)
+        disks = covering.besicovitch_cover(pts, [by_index[complex(p)] for p in pts])
+        cert = covering.besicovitch_audit(pts, disks, n_probes=700)
         assert cert.n_probes == 700 + len(pts)
         assert cert.covers_all and cert.n_selected == len(disks)
 
     def test_single_point(self):
-        disks = covering.besicovitch_cover([0.0], lambda p: 1.0)
+        disks = covering.besicovitch_cover([0.0], [1.0])
         assert disks.disks == ((0j, 1.0),)
 
     def test_two_separated(self):
-        disks = covering.besicovitch_cover([0.0, 3.0], lambda p: 1.0)
+        disks = covering.besicovitch_cover([0.0, 3.0], [1.0, 1.0])
         assert len(disks) == 2
 
     def test_random_cloud_audit(self):
         rng = np.random.default_rng(5)
         pts = rng.random(1000) + 1j * rng.random(1000)
-        radii = dict(zip(map(complex, pts), rng.uniform(0.01, 0.05, 1000)))
-        disks = covering.besicovitch_cover(pts, lambda p: radii[complex(p)])
-        cert = covering.besicovitch_audit(pts, disks, n_probes=10_000, seed=1)
+        radii = rng.uniform(0.01, 0.05, 1000)
+        disks = covering.besicovitch_cover(pts, radii)
+        cert = covering.besicovitch_audit(pts, disks, n_probes=10_000)
         assert cert.covers_all
         assert cert.max_multiplicity <= covering.BESICOVITCH_MAX_MULTIPLICITY
 
     def test_dense_same_radius(self):
         rng = np.random.default_rng(8)
         pts = 0.1 * (rng.random(400) + 1j * rng.random(400))
-        disks = covering.besicovitch_cover(pts, lambda p: 0.05)
-        cert = covering.besicovitch_audit(pts, disks, n_probes=5000, seed=2)
+        disks = covering.besicovitch_cover(pts, np.full(pts.size, 0.05))
+        cert = covering.besicovitch_audit(pts, disks, n_probes=5000)
         assert cert.covers_all and cert.max_multiplicity <= 256
+
+    @pytest.mark.parametrize("radii", [[1.0], [1.0, 1.0, 1.0]])
+    def test_radii_length_mismatch_refused(self, radii):
+        with pytest.raises(ValueError):
+            covering.besicovitch_cover([0.0, 3.0], radii)
+
+    def test_repeated_point_takes_its_largest_radius(self):
+        disks = covering.besicovitch_cover([0j, 0j, 0.3 + 0j], [0.5, 0.01, 0.05])
+        assert disks.disks == ((0j, 0.5),)
 
 
 class TestFuchsMacintyre:

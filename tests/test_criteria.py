@@ -32,6 +32,22 @@ class TestRegions:
         with pytest.raises(ValueError):
             criteria.Window(1, 1, 0, 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError):
+            criteria.AnnulusSpec(bad)
+        with pytest.raises(ValueError):
+            criteria.Window(0.0, bad, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            criteria.Window(-bad, 0.0, -1.0, 1.0)
+
+    def test_reach_covers_the_b_disks(self):
+        # perfbench's product oracle builds its model out to outer * 1.55,
+        # which must give the CLI's cutoff bit for bit
+        for r in (0.3, 200.0, 1395.0, 6200.0):
+            ann = criteria.AnnulusSpec(r)
+            assert ann.reach == 3.1 * r == ann.outer * 1.55
+
 
 class TestSamplePlans:
     def test_annulus_mc_is_area_uniform(self):
@@ -198,23 +214,23 @@ class TestExclusions:
         plan = criteria.MonteCarloPlan(5000, 3)
         pred = lambda zs: np.angle(zs) > 0
         base = criteria.annulus_density(pred, ann, plan)
-        rep = criteria.density_with_exclusions(pred, ann, DiskSet(()), plan)
+        rep = criteria.annulus_density(pred, ann, plan, DiskSet(()))
         assert rep.density == base.density and rep.excluded_fraction == 0.0
 
     def test_full_coverage_kills_density(self):
         ann = criteria.AnnulusSpec(5.0)
-        rep = criteria.density_with_exclusions(
+        rep = criteria.annulus_density(
             lambda zs: np.ones(zs.shape, bool), ann,
-            DiskSet(((0j, 100.0),)), criteria.MonteCarloPlan(2000, 3))
+            criteria.MonteCarloPlan(2000, 3), DiskSet(((0j, 100.0),)))
         assert rep.density == 0.0 and rep.excluded_fraction == 1.0
 
     def test_single_interior_disk_area(self):
         r = 100.0
         ann = criteria.AnnulusSpec(r)
         disks = DiskSet(((1.25 * r + 0j, r / 4.0),))
-        rep = criteria.density_with_exclusions(
-            lambda zs: np.ones(zs.shape, bool), ann, disks,
-            criteria.GridPlan(512, 512))
+        rep = criteria.annulus_density(
+            lambda zs: np.ones(zs.shape, bool), ann,
+            criteria.GridPlan(512, 512), disks)
         assert rep.density == pytest.approx(1.0 - 1.0 / 60.0, abs=1e-3)
         assert rep.excluded_fraction == pytest.approx(1.0 / 60.0, abs=1e-3)
 

@@ -78,6 +78,14 @@ class TestExactIndicators:
         for t in (0.3, 1.0, 2.5, 4.0, 5.9):
             assert ind.h(t) == pytest.approx(abs(math.sin(t)), abs=1e-12)
 
+    def test_zeros_give_one_period(self, sin_model, cosh_model):
+        # one angle per zero: the end of the last arc is the start of the first
+        assert growth.indicator_exact_expsum(sin_model).zeros() == [
+            0.0, pytest.approx(math.pi, abs=1e-12)]
+        assert growth.indicator_exact_expsum(cosh_model).zeros() == [
+            pytest.approx(math.pi / 2, abs=1e-12),
+            pytest.approx(3 * math.pi / 2, abs=1e-12)]
+
     def test_cosh(self, cosh_model):
         ind = growth.indicator_exact_expsum(cosh_model)
         bps = sorted(b % (2 * math.pi) for b in ind.breakpoints[:-1])
@@ -176,6 +184,12 @@ class TestExactIndicatorProduct:
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(2 * math.pi, abs=1e-12)
         assert c == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("angle", [0.0, 1.0, -2.5])
+    def test_zeros_give_one_period(self, angle):
+        # the one arc is a full turn whose two ends are the same zero
+        ind = growth.indicator_exact_product(self._product(2.0, 0, angle))
+        assert ind.zeros() == [pytest.approx(angle, abs=1e-12)]
 
     @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (0.5, 3), (1.5, 1),
                                                 (2.0, 1)])
@@ -427,6 +441,15 @@ class TestSeriesCondition:
         alpha = growth.DensityBudget.sector_budget(2, cascade)
         chk = growth.series_condition_check(alpha, beta, 100.0, 1e-10)
         assert chk.converges and chk.terms_used <= 10
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0])
+    def test_start_radius_finite_and_above_threshold(self, r0):
+        b = growth.GrowthMinorant.exp_power(1.0, 1.0)
+        alpha = growth.DensityBudget.from_callable(lambda r: 0.0)
+        with pytest.raises(BelowThreshold):
+            growth.series_condition_check(alpha, b, r0, 1e-10)
+        with pytest.raises(BelowThreshold):
+            growth.beta_log_track(b, r0, 3)
 
     def test_budget_monotone_on_grid(self):
         cascade = growth.EpsilonCascade(1)
