@@ -19,6 +19,7 @@ from .errors import (
     NonConvergent,
     SectorViolation,
     ZeroInDisk,
+    require_positive,
 )
 from .growth import (
     EpsilonCascade,
@@ -43,8 +44,7 @@ class CircleQuadrature:
     node_count: int
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        require_positive("radius", self.radius)
         m = self.node_count
         if m < 16 or (m & (m - 1)) != 0:
             raise ValueError("node_count must be a power of two, at least 16")
@@ -252,10 +252,12 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
     sqrt(eps(r)) <= theta <= 2pi - sqrt(eps(r)) (else BandViolation), zeros on
     the positive ray within the angular envelope, and the counting hypothesis
     |n(r,0) - c*V(r)| <= declared_constant * eps(r) * V(r) (else
-    HypothesisFailure). Products outside ``canonical_ray_order`` (integer
-    order, non-canonical genus) raise ValueError.
+    HypothesisFailure). Models outside ``canonical_ray_order`` and a c or
+    declared_constant that is not positive and finite raise ValueError.
     """
     canonical_ray_order(product)
+    require_positive("c", c)
+    require_positive("declared_constant", declared_constant)
     angle = product.rule.angle
     if angle != 0.0:
         lim = cascade.eps1(product.rule.modulus(product.cutoff))

@@ -6,8 +6,9 @@ sampling is seeded. CRG_THREADS caps worker parallelism without changing any
 output byte.
 
 Every rule a command applies (defaults, domain checks, geometry) lives in
-the module that owns it; this module only parses, calls and writes. The
-argument parser is built on the first ``run`` call and reused after.
+the module that owns it; this module only parses, calls and writes. Commands
+raise, and ``run`` is the only place that reports an error or picks an exit
+code. The argument parser is built on the first ``run`` call and reused after.
 
 Exit codes follow the error hierarchy: 0 success, 1 usage or parse failure
 (any ValueError, including ParseError and BelowThreshold, or OSError),
@@ -22,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +93,10 @@ def _parse_window(text: str) -> criteria.Window:
 def _parse_samples(text: str) -> list[tuple[float, float]]:
     out = []
     for piece in text.split(";"):
-        r_s, theta_s = piece.split(":")
-        out.append((float(r_s), float(theta_s)))
+        r, theta = (float(p) for p in piece.split(":"))
+        if not (math.isfinite(r) and math.isfinite(theta)):
+            raise ValueError(f"sample {piece!r} is not a finite r:theta pair")
+        out.append((r, theta))
     return out
 
 
@@ -106,7 +109,7 @@ def _parse_beta(text: str, po: growth.ProximateOrder,
     if kind == "growth-scale":
         n = int(rest) if rest else cascade_n
         return growth.GrowthMinorant.growth_scale(po, growth.EpsilonCascade(n))
-    raise argparse.ArgumentTypeError(
+    raise ValueError(
         f"beta must be 'exp-power:<c>,<mu>' or 'growth-scale[:<N>]', got {text!r}")
 
 
@@ -178,11 +181,7 @@ def _cmd_check14(args: argparse.Namespace) -> int:
             "terms_used": series.terms_used,
             "r0": args.r0,
         },
-        "margins": [
-            {"r": m.r, "density": m.density, "alpha": m.alpha,
-             "margin": m.margin, "flagged": m.flagged}
-            for m in margins
-        ],
+        "margins": [asdict(m) for m in margins],
     })
     return 0
 
@@ -216,9 +215,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
     region = (criteria.AnnulusSpec(args.annulus) if args.annulus is not None
               else args.window)
-    if region is None:
-        print("measure needs --window or --annulus", file=sys.stderr)
-        return 1
     model = _build_dynamics_model(ast, args.bailout_log)
     beta = _parse_beta(args.beta, default_order(ast), args.N)
     rep = dynamics.measure_estimate(model, region, args.plan, beta, args.r0,
@@ -229,20 +225,14 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _cmd_verify_crg(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    if not isinstance(ast, ProductNode):
-        print("verify-crg requires a product spec", file=sys.stderr)
-        return 1
     samples = _parse_samples(args.samples)
     model = build_model(ast, max(r for r, _ in samples) * 1.01)
     po = default_order(ast)
     cascade = growth.EpsilonCascade(args.N)
     rows = analytic.verify_crg_ray_product(model, args.c, po, cascade, samples,
                                          args.hypothesis_constant)
-    write_csv(args.out,
-              ["r", "theta", "measured", "predicted", "normalized_residual",
-               "eps_residual"],
-              [(c.r, c.theta, c.measured, c.predicted, c.normalized_residual,
-                c.eps_residual) for c in rows])
+    write_csv(args.out, [f.name for f in fields(analytic.CRGComparison)],
+              [astuple(c) for c in rows])
     return 0
 
 
@@ -255,9 +245,7 @@ def _cmd_covering(args: argparse.Namespace) -> int:
     missing = [f"--{name}" for name in _COVERING_OPTIONS[args.construction]
                if getattr(args, name) is None]
     if missing:
-        print(f"covering {args.construction} needs {' '.join(missing)}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"covering {args.construction} needs {' '.join(missing)}")
     if args.construction == "besicovitch":
         pts = _read_points_file(args.points)
         with open(args.radii, encoding="ascii") as fh:
@@ -300,18 +288,14 @@ def _cmd_schwarz_check(args: argparse.Namespace) -> int:
 
 def _cmd_check_8l(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    if not isinstance(ast, ExpSumNode):
-        print("check-8l requires an expsum spec", file=sys.stderr)
-        return 1
     samples = _parse_samples(args.samples)
     model = build_model(ast, max(r for r, _ in samples) * 1.01)
     po = default_order(ast)
     ind = growth.indicator_exact_expsum(model)
     cascade = growth.EpsilonCascade(args.N)
     rows = analytic.check_8l(model, ind, po, cascade, samples)
-    write_csv(args.out,
-              ["r", "theta", "re_zl", "predicted", "residual"],
-              [(s.r, s.theta, s.re_zl, s.predicted, s.residual) for s in rows])
+    write_csv(args.out, [f.name for f in fields(analytic.DirectionalSample)],
+              [astuple(s) for s in rows])
     return 0
 
 
@@ -374,8 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="escape density over a region")
     add_common(p)
-    p.add_argument("--window", type=_parse_window)
-    p.add_argument("--annulus", type=float)
+    region = p.add_mutually_exclusive_group(required=True)
+    region.add_argument("--window", type=_parse_window)
+    region.add_argument("--annulus", type=float)
     p.add_argument("--r0", type=float)
     p.add_argument("--beta", default="growth-scale")
     p.add_argument("--plan", type=_parse_plan, required=True)
@@ -432,7 +417,7 @@ def run(argv: Sequence[str]) -> int:
         from .parallel import worker_count
         worker_count()   # validate CRG_THREADS before any computation
         return args.func(args)
-    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     except CertificateFailure as exc:

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CertificateFailure
+from .errors import CertificateFailure, require_positive
 
 _TWO_PI = 2.0 * math.pi
 
@@ -48,8 +48,9 @@ class DiskSet:
     disks: tuple[tuple[complex, float], ...]
 
     def __post_init__(self) -> None:
-        if any(r <= 0 for _, r in self.disks):
-            raise ValueError("disk radii must be positive")
+        rs = self.radii()
+        if not (np.isfinite(rs) & (rs > 0)).all():
+            raise ValueError("disk radii must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.disks)
@@ -103,7 +104,7 @@ class DiskSet:
 
 def inflate(disks: DiskSet, q_r: float) -> DiskSet:
     """Add q_r to every radius; centers and count are preserved."""
-    if q_r < 0:
+    if not q_r >= 0:
         raise ValueError("inflation must be nonnegative")
     return DiskSet(tuple((c, r + q_r) for c, r in disks.disks))
 
@@ -118,8 +119,7 @@ def inflation_area_identity(disks: DiskSet, q_r: float) -> bool:
 
 def budget_checks(disks: DiskSet, r: float) -> tuple[float, float]:
     """(sum of radii over |center|<=r) / r and (sum of radii^2 over same) / r^2."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    require_positive("r", r)
     return disks.sum_radii(within=r) / r, disks.sum_sq_radii(within=r) / r ** 2
 
 
@@ -349,8 +349,7 @@ def fuchs_macintyre_disks(points: Sequence[complex], H: float,
     n = len(pts)
     if n == 0:
         raise ValueError("need at least one point")
-    if H <= 0:
-        raise ValueError("H must be positive")
+    require_positive("H", H)
     budget = 4 * Fraction(H) ** 2
     disks, sum_sq = _exceptional_disks(
         pts, lambda lam: H * math.sqrt(lam / n),
@@ -415,8 +414,7 @@ def cartan_levin_disks(zeros: Sequence[complex], R: float, eta: float,
     zks = np.asarray([complex(z) for z in zeros], dtype=np.complex128)
     if (zks == 0).any():
         raise ValueError("zeros must be nonzero so that g(0) = 1")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    require_positive("R", R)
     if not (0.0 < eta < 1.5 * math.e):
         raise ValueError("eta must lie in (0, 3e/2)")
     n = len(zks)

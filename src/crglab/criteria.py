@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covering import DiskSet
+from .errors import require_positive
 from .growth import DensityBudget, GrowthMinorant
 from .models import FunctionModel
 from .parallel import map_chunked
@@ -40,8 +41,7 @@ class AnnulusSpec:
     r: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"annulus radius must be positive and finite, got {self.r}")
+        require_positive("annulus radius", self.r)
 
     @property
     def inner(self) -> float:

@@ -49,7 +49,7 @@ def _check_iteration_domain(model: FunctionModel, max_iter: int,
     stay representable; a truncated product must be certified that far out."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if bailout_log > 700.0:
+    if not bailout_log <= 700.0:   # NaN fails too
         raise ValueError("bailout_log must stay exp-representable (<= 700)")
     if isinstance(model, CanonicalProduct) and bailout_log > math.log(model.r_max):
         raise ValueError(

@@ -2,9 +2,14 @@
 
 Every failure mode that callers are expected to handle has its own class;
 generic ValueError/TypeError are reserved for plain misuse of the API.
+
+``require_positive`` is the one check of a real parameter that must be
+positive; unlike a bare ``x <= 0`` test it also refuses NaN and +-inf.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class CrgLabError(Exception):
@@ -83,3 +88,9 @@ class ParseError(CrgLabError, ValueError):
         if expected:
             detail += " (expected: " + ", ".join(expected) + ")"
         super().__init__(detail)
+
+
+def require_positive(name: str, x: float) -> None:
+    """ValueError unless x is a finite real above 0."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be positive and finite, got {x}")

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BelowThreshold, NonpositiveInterior, ZeroHit
-from .models import CanonicalProduct, FunctionModel
+from .errors import BelowThreshold, NonpositiveInterior, ZeroHit, require_positive
+from .models import CanonicalProduct, ExponentialSum, FunctionModel
 
 _TWO_PI = 2.0 * math.pi
 
@@ -51,8 +51,7 @@ class ProximateOrder:
 
     @staticmethod
     def constant(rho: float) -> "ProximateOrder":
-        if rho <= 0:
-            raise ValueError("order must be positive")
+        require_positive("order rho", rho)
         return ProximateOrder(
             rho_limit=rho,
             derivative_bound=lambda r: 0.0,
@@ -62,8 +61,7 @@ class ProximateOrder:
     @staticmethod
     def log_corrected(rho: float, a: float) -> "ProximateOrder":
         """rho(r) = rho + a / log r for r > e, frozen at rho + a below."""
-        if rho <= 0:
-            raise ValueError("order must be positive")
+        require_positive("order rho", rho)
 
         def rho_l(l: np.ndarray) -> np.ndarray:
             return rho + a / np.maximum(l, 1.0)
@@ -88,8 +86,7 @@ class ProximateOrder:
 
 def scale_V(po: ProximateOrder, r: float) -> float:
     """V(r) = r**rho(r)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    require_positive("r", r)
     return math.exp(po.rho_of_r(r) * math.log(r))
 
 
@@ -265,6 +262,8 @@ def indicator_exact_expsum(f) -> ExactIndicator:
     width, so the breakpoints are exact.
     Each arc carries (A_j, phi_j) = (|b_k|, arg b_k) of its exponent.
     """
+    if not isinstance(f, ExponentialSum):
+        raise ValueError(f"{type(f).__name__} is not an exponential sum")
     verts = _hull_ccw([b.conjugate() for b in f.exponents()])
     # edges[j] enters vertex j; the outward normal of an edge d points at
     # angle atan2(-d.real, d.imag), and a single vertex gives d = 0 and the
@@ -293,9 +292,11 @@ def indicator_exact_expsum(f) -> ExactIndicator:
 
 def canonical_ray_order(product: CanonicalProduct) -> float:
     """rho = 1/e for zeros |a_k| = scale * k**e on one ray. ValueError where
-    the ray indicator does not apply: rho within 1e-9 of an integer, or a
-    genus other than floor(rho) (a larger one multiplies f by
-    exp(z sum 1/a_k), of order 1)."""
+    the ray indicator does not apply: a model that is not a canonical
+    product, rho within 1e-9 of an integer, or a genus other than floor(rho)
+    (a larger one multiplies f by exp(z sum 1/a_k), of order 1)."""
+    if not isinstance(product, CanonicalProduct):
+        raise ValueError(f"{type(product).__name__} is not a canonical product")
     rho = 1.0 / product.rule.exponent
     if abs(rho - round(rho)) <= 1e-9:
         raise ValueError(f"order rho = {rho:g} is an integer")
@@ -403,21 +404,20 @@ class GrowthMinorant:
     fast_escaping_form: bool = False
 
     def log_beta(self, r: float) -> float:
-        if r <= 0:
-            raise ValueError("r must be positive")
+        require_positive("r", r)
         return float(self.log_beta_of_log(math.log(r)))
 
     def log_beta_many(self, rs: np.ndarray) -> np.ndarray:
         rs = np.asarray(rs, dtype=float)
-        if (rs <= 0).any():
+        if not (rs > 0).all():   # NaN fails too; +inf is a valid radius here
             raise ValueError("r must be positive")
         return self.log_beta_of_log(np.log(rs))
 
     @staticmethod
     def exp_power(c: float, mu: float) -> "GrowthMinorant":
         """beta(r) = exp(c * r**mu)."""
-        if c <= 0 or mu <= 0:
-            raise ValueError("c and mu must be positive")
+        require_positive("c", c)
+        require_positive("mu", mu)
 
         def lb(l: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore"):   # c * exp(x) past the float range is +inf
@@ -445,7 +445,7 @@ class GrowthMinorant:
         extrapolated past the last node with the final slope."""
         ls = np.log(np.asarray(rs, dtype=float))
         lbs = np.log(np.asarray(betas, dtype=float))
-        if ls.size < 2 or (np.diff(ls) <= 0).any() or (np.diff(lbs) <= 0).any():
+        if ls.size < 2 or not ((np.diff(ls) > 0).all() and (np.diff(lbs) > 0).all()):
             raise ValueError("table must have two or more nodes, strictly "
                              "increasing in r and beta")
         slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
@@ -482,6 +482,8 @@ class DensityBudget:
     @staticmethod
     def sector_budget(m_arcs: int, cascade: EpsilonCascade) -> "DensityBudget":
         """alpha(r) = 6 * m * eps3(r/2), one wedge allowance per sector edge."""
+        if m_arcs < 1:
+            raise ValueError(f"m_arcs must be at least 1, got {m_arcs}")
         c = 6.0 * m_arcs
 
         def a_r(r: float) -> float:
@@ -554,8 +556,9 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
     Terms are summed until the current term is below ``tail_tol`` while
     decaying at ratio <= 1/2 from its predecessor (that pair of conditions is
     the certificate), or until ``max_terms``. Non-convergence is a result,
-    not an error.
+    not an error. ``tail_tol`` must be positive and finite.
     """
+    require_positive("tail_tol", tail_tol)
     _check_start_radius(beta, r0)
     l = math.log(r0)
     total = 0.0

@@ -30,6 +30,7 @@ from .errors import (
     NearZero,
     NonIntegerResidue,
     OverflowUnrepresentable,
+    require_positive,
 )
 
 # A value whose log-modulus falls below this is treated as a zero hit:
@@ -174,8 +175,8 @@ class PowerZeroRule:
     angle: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.exponent <= 0 or self.scale <= 0:
-            raise ValueError("zero rule needs positive scale and exponent")
+        require_positive("zero-rule exponent", self.exponent)
+        require_positive("zero-rule scale", self.scale)
 
     def modulus(self, k: float) -> float:
         return self.scale * k ** self.exponent
@@ -209,8 +210,8 @@ class CanonicalProduct:
         if s <= 1.0:
             raise ValueError(
                 "genus+1 must exceed the convergence exponent of the zero rule")
-        if tail_tol <= 0 or r_max <= 0:
-            raise ValueError("tail_tol and r_max must be positive")
+        require_positive("tail_tol", tail_tol)
+        require_positive("r_max", r_max)
         self.rule = rule
         self.genus = int(genus)
         self.tail_tol = float(tail_tol)
@@ -373,8 +374,7 @@ def log_derivative(model: FunctionModel, z: complex) -> complex:
 
 def counting_function_n(product: CanonicalProduct, r: float) -> int:
     """n(r, 0): exact zero count of the product rule up to modulus r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    require_positive("r", r)
     return product.counting_function(r)
 
 

@@ -263,6 +263,33 @@ class TestExitCodes:
          "--plan", "mc:200:1", "--out", "m.json"],
         ["covering", "besicovitch", "--points", "pts.txt", "--radii", "radii.txt",
          "--out-disks", "d.txt", "--out-cert", "c.json"],
+        _DENSITY + ["--plan", "mc:200:1", "--beta", "exp-power:nan,1", "--out", "d.json"],
+        _DENSITY + ["--plan", "mc:200:1", "--beta", "exp-power:inf,1", "--out", "d.json"],
+        _DENSITY + ["--plan", "mc:200:1", "--exclude-disks", "nan-disks.txt",
+                    "--out", "d.json"],
+        *[["indicator", "--fn", spec, "--radii", "1e2,1e3,inf", "--out", "i.csv"]
+          for spec in (EXP, "product:zeros=pow(2),genus=0,cut=0.05")],
+        *[["verify-crg", "--fn", "product:zeros=pow(2),genus=0,cut=0.05", *opt,
+           "--samples", "1000:3.141592653589793", "--out", "v.csv"]
+          for opt in (["--c", "nan"], ["--hypothesis-constant", "-1"])],
+        *[["check-14", "--fn", SIN, "--r0", "100", "--r-list", "1000", *opt,
+           "--plan", "mc:200:1", "--out", "c.json"]
+          for opt in (["--tail-tol", "nan"], ["--m-arcs", "-1"])],
+        ["schwarz-check", "--fn", SIN, "--samples", "20:1.5707963267948966",
+         "--t-r", "nan", "--out", "s.csv"],
+        ["check-8l", "--fn", SIN, "--samples", "100:nan", "--out", "8l.csv"],
+        ["covering", "fuchs", "--points", "pts.txt", "--H", "inf",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "cartan", "--zeros", "pts.txt", "--R", "inf", "--eta", "0.2",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--annulus", "30",
+         "--r0", "2", "--plan", "mc:200:1", "--out", "m.json"],
+        ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2",
+         "--plan", "mc:200:1", "--bailout-log", "nan", "--out", "m.json"],
+        ["verify-crg", "--fn", SIN, "--samples", "1000:3.141592653589793",
+         "--out", "v.csv"],
+        ["check-8l", "--fn", "product:zeros=pow(2),genus=0,cut=0.05",
+         "--samples", "100:1.5707963267948966", "--out", "8l.csv"],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "disk-samples-0", "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "measure-bailout-800",
@@ -271,11 +298,18 @@ class TestExitCodes:
             "verify-crg-integer-order", "verify-crg-noncanonical-genus",
             "density-r-nan", "density-r-inf", "measure-window-inf",
             "escape-map-r0-nan", "check-14-r0-nan", "measure-window-without-r0",
-            "besicovitch-radii-length"])
+            "besicovitch-radii-length", "density-beta-nan", "density-beta-inf",
+            "exclude-disk-radius-nan", "indicator-radius-inf",
+            "indicator-product-radius-inf", "verify-crg-c-nan",
+            "verify-crg-hypothesis-constant-negative", "check-14-tail-tol-nan",
+            "check-14-m-arcs-negative", "schwarz-t-r-nan", "check-8l-theta-nan",
+            "fuchs-H-inf", "cartan-R-inf", "measure-window-and-annulus",
+            "measure-bailout-nan", "verify-crg-expsum", "check-8l-product"])
     def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")
         (tmp_path / "radii.txt").write_text("0.1\n")
+        (tmp_path / "nan-disks.txt").write_text("0 0 nan\n")
         assert run(argv) == 1
 
     def test_parser_built_once(self, tmp_path, monkeypatch):

@@ -1,0 +1,79 @@
+import math
+
+import numpy as np
+import pytest
+
+from crglab import analytic, covering, criteria, growth, models
+from crglab.errors import require_positive
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("x", [5e-324, 0.5, 1, 1e308])
+    def test_accepts_finite_positive(self, x):
+        assert require_positive("x", x) is None
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_refuses_the_rest(self, x):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            require_positive("x", x)
+
+
+_RULE = models.PowerZeroRule(2.0)
+_PO = growth.ProximateOrder.constant(1.0)
+_CASCADE = growth.EpsilonCascade(1)
+_BETA = growth.GrowthMinorant.exp_power(0.5, 1.0)
+
+
+def _k_squared():
+    return models.CanonicalProduct(_RULE, 0, 0.05, 2e3)
+
+
+def _crg(c=1.0, declared=1.0):
+    return analytic.verify_crg_ray_product(
+        _k_squared(), c, growth.ProximateOrder.constant(0.5), _CASCADE,
+        [(1e3, math.pi)], declared)
+
+
+# one entry per real parameter that must be positive; each takes the value
+_PARAMETERS = {
+    "PowerZeroRule.exponent": lambda x: models.PowerZeroRule(x),
+    "PowerZeroRule.scale": lambda x: models.PowerZeroRule(2.0, scale=x),
+    "CanonicalProduct.tail_tol": lambda x: models.CanonicalProduct(_RULE, 0, x, 100.0),
+    "CanonicalProduct.r_max": lambda x: models.CanonicalProduct(_RULE, 0, 0.05, x),
+    "counting_function_n": lambda x: models.counting_function_n(_k_squared(), x),
+    "ProximateOrder.constant": growth.ProximateOrder.constant,
+    "ProximateOrder.log_corrected": lambda x: growth.ProximateOrder.log_corrected(x, 0.5),
+    "scale_V": lambda x: growth.scale_V(_PO, x),
+    "GrowthMinorant.log_beta": lambda x: _BETA.log_beta(x),
+    "exp_power.c": lambda x: growth.GrowthMinorant.exp_power(x, 1.0),
+    "exp_power.mu": lambda x: growth.GrowthMinorant.exp_power(0.5, x),
+    "series_condition_check.tail_tol": lambda x: growth.series_condition_check(
+        growth.DensityBudget.sector_budget(2, _CASCADE),
+        growth.GrowthMinorant.growth_scale(_PO, _CASCADE), 100.0, x),
+    "indicator_empirical.radii": lambda x: growth.indicator_empirical(
+        models.exp_z(), _PO, [0.0, 1.0], [1e2, 1e3, x]),
+    "budget_checks": lambda x: covering.budget_checks(covering.DiskSet(()), x),
+    "fuchs_macintyre_disks.H": lambda x: covering.fuchs_macintyre_disks([0.2 + 0.1j], x),
+    "cartan_levin_disks.R": lambda x: covering.cartan_levin_disks([0.2 + 0.1j], x, 0.2),
+    "DiskSet.radius": lambda x: covering.DiskSet(((0j, x),)),
+    "CircleQuadrature.radius": lambda x: analytic.CircleQuadrature(0j, x, 16),
+    "AnnulusSpec": criteria.AnnulusSpec,
+    "verify_crg_ray_product.c": lambda x: _crg(c=x),
+    "verify_crg_ray_product.declared_constant": lambda x: _crg(declared=x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_PARAMETERS))
+def test_positive_parameters_refuse_nan_and_inf(name, x):
+    with pytest.raises(ValueError, match="positive and finite"):
+        _PARAMETERS[name](x)
+
+
+def test_array_checks_refuse_nan():
+    with pytest.raises(ValueError):
+        _BETA.log_beta_many(np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):
+        covering.inflate(covering.DiskSet(((0j, 1.0),)), math.nan)
+    with pytest.raises(ValueError):
+        covering.DiskSet.from_text("0 0 nan\n")
