@@ -6,9 +6,15 @@ sampling is seeded. CRG_THREADS caps worker parallelism without changing any
 output byte.
 
 Every rule a command applies (defaults, domain checks, geometry) lives in
-the module that owns it; this module only parses, calls and writes. Commands
-raise, and ``run`` is the only place that reports an error or picks an exit
-code. The argument parser is built on the first ``run`` call and reused after.
+the module that owns it; this module only parses, calls and writes. Each
+kind of input has one way in: list and pair values (``--radii`` ladders,
+``--r-list``, ``--size``, ``--samples``, ``--plan``, ``--window``) are
+argparse ``type=`` functions, so a handler receives them parsed, and every
+numeric text file (points, zeros, radii, disks) is read by
+``covering.read_columns`` with an exact column count. ``--N``, the cascade
+depth, is an option of exactly the commands that read it. Commands raise,
+and ``run`` is the only place that reports an error or picks an exit code.
+The argument parser is built on the first ``run`` call and reused after.
 
 Exit codes follow the error hierarchy: 0 success, 1 usage or parse failure
 (any ValueError, including ParseError and BelowThreshold, or OSError),
@@ -24,9 +30,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, astuple, fields
+from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import analytic, criteria, covering, dynamics, growth, models
 from .errors import CertificateFailure, CrgLabError
@@ -81,22 +86,27 @@ def _parse_plan(text: str) -> criteria.SamplePlan:
         f"plan must be 'mc:<n>:<seed>' or 'grid:<n1>:<n2>', got {text!r}")
 
 
+def _parse_floats(text: str) -> list[float]:
+    return [float(p) for p in text.split(",")]
+
+
 def _parse_window(text: str) -> criteria.Window:
-    try:
-        x0, x1, y0, y1 = (float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"window must be 'x0,x1,y0,y1', got {text!r}")
-    return criteria.Window(x0, x1, y0, y1)
+    return criteria.Window(*_parse_floats(text))
+
+
+def _parse_size(text: str) -> tuple[int, int]:
+    width, height = (int(p) for p in text.split("x"))
+    return width, height
 
 
 def _parse_samples(text: str) -> list[tuple[float, float]]:
     out = []
     for piece in text.split(";"):
-        r, theta = (float(p) for p in piece.split(":"))
-        if not (math.isfinite(r) and math.isfinite(theta)):
-            raise ValueError(f"sample {piece!r} is not a finite r:theta pair")
-        out.append((r, theta))
+        pair = tuple(float(p) for p in piece.split(":"))
+        if len(pair) != 2 or not all(map(math.isfinite, pair)):
+            raise argparse.ArgumentTypeError(
+                f"sample {piece!r} is not a finite r:theta pair")
+        out.append(pair)
     return out
 
 
@@ -104,8 +114,8 @@ def _parse_beta(text: str, po: growth.ProximateOrder,
                 cascade_n: int) -> growth.GrowthMinorant:
     kind, _, rest = text.partition(":")
     if kind == "exp-power":
-        c_s, mu_s = rest.split(",")
-        return growth.GrowthMinorant.exp_power(float(c_s), float(mu_s))
+        c, mu = _parse_floats(rest)
+        return growth.GrowthMinorant.exp_power(c, mu)
     if kind == "growth-scale":
         n = int(rest) if rest else cascade_n
         return growth.GrowthMinorant.growth_scale(po, growth.EpsilonCascade(n))
@@ -113,29 +123,18 @@ def _parse_beta(text: str, po: growth.ProximateOrder,
         f"beta must be 'exp-power:<c>,<mu>' or 'growth-scale[:<N>]', got {text!r}")
 
 
-def _read_points_file(path: str) -> list[complex]:
-    pts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
-                re_s, im_s = line.split()[:2]
-                pts.append(complex(float(re_s), float(im_s)))
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_indicator(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    radii = [float(r) for r in args.radii.split(",")]
-    model = build_model(ast, max(radii))
+    model = build_model(ast, max(args.radii))
     if isinstance(ast, ExpSumNode):
         exact = growth.indicator_exact_expsum(model)
     else:
         exact = growth.indicator_exact_product(model)
-    thetas = np.arange(args.thetas) * (2.0 * math.pi / args.thetas)
-    emp = growth.indicator_empirical(model, default_order(ast), thetas, radii)
+    thetas = growth.angle_grid(args.thetas)
+    emp = growth.indicator_empirical(model, default_order(ast), thetas, args.radii)
     rows = [(float(t), float(he), float(hm))
             for t, he, hm in zip(thetas, exact.h(thetas), emp.values)]
     write_csv(args.out, ["theta", "h_exact", "h_empirical"], rows)
@@ -153,8 +152,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         pred = criteria.predicate_B(model, beta, disk_samples=args.disk_samples)
     disks = None
     if args.exclude_disks:
-        with open(args.exclude_disks, encoding="ascii") as fh:
-            disks = covering.DiskSet.from_text(fh.read())
+        disks = covering.DiskSet.from_text(Path(args.exclude_disks).read_text("ascii"))
     out = criteria.annulus_density(pred, ann, args.plan, disks).to_json_dict()
     out["set"] = args.set
     write_json(args.out, out)
@@ -163,14 +161,13 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_check14(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    r_list = [float(r) for r in args.r_list.split(",")]
-    model = build_model(ast, criteria.AnnulusSpec(max(r_list)).reach)
+    model = build_model(ast, criteria.AnnulusSpec(max(args.r_list)).reach)
     po = default_order(ast)
     cascade = growth.EpsilonCascade(args.N)
     beta = growth.GrowthMinorant.growth_scale(po, cascade)
     alpha = growth.DensityBudget.sector_budget(args.m_arcs, cascade)
     series = growth.series_condition_check(alpha, beta, args.r0, args.tail_tol)
-    margins = criteria.hypothesis_check_14b(model, beta, alpha, r_list,
+    margins = criteria.hypothesis_check_14b(model, beta, alpha, args.r_list,
                                             args.plan,
                                             disk_samples=args.disk_samples)
     write_json(args.out, {
@@ -204,7 +201,7 @@ def _cmd_escape_map(args: argparse.Namespace) -> int:
     w = args.window
     model = _build_dynamics_model(ast, args.bailout_log)
     beta = _parse_beta(args.beta, default_order(ast), args.N)
-    width, height = (int(p) for p in args.size.split("x"))
+    width, height = args.size
     emap = dynamics.escape_map(model, w, width, height, args.r0, beta,
                                args.max_iter, args.bailout_log)
     write_bytes(args.out, emap.to_pgm())
@@ -225,11 +222,10 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _cmd_verify_crg(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    samples = _parse_samples(args.samples)
-    model = build_model(ast, max(r for r, _ in samples) * 1.01)
+    model = build_model(ast, max(r for r, _ in args.samples) * 1.01)
     po = default_order(ast)
     cascade = growth.EpsilonCascade(args.N)
-    rows = analytic.verify_crg_ray_product(model, args.c, po, cascade, samples,
+    rows = analytic.verify_crg_ray_product(model, args.c, po, cascade, args.samples,
                                          args.hypothesis_constant)
     write_csv(args.out, [f.name for f in fields(analytic.CRGComparison)],
               [astuple(c) for c in rows])
@@ -246,20 +242,20 @@ def _cmd_covering(args: argparse.Namespace) -> int:
                if getattr(args, name) is None]
     if missing:
         raise ValueError(f"covering {args.construction} needs {' '.join(missing)}")
+    # the first option of each construction names its file of 're im' lines
+    path = Path(getattr(args, _COVERING_OPTIONS[args.construction][0]))
+    pts = [complex(*row) for row in covering.read_columns(path.read_text("ascii"), 2)]
     if args.construction == "besicovitch":
-        pts = _read_points_file(args.points)
-        with open(args.radii, encoding="ascii") as fh:
-            radii = [float(x) for x in fh.read().split()]
+        text = Path(args.radii).read_text("ascii")
+        radii = [r for (r,) in covering.read_columns(text, 1)]
         disks = covering.besicovitch_cover(pts, radii)
         cert = covering.besicovitch_audit(pts, disks, args.probes)
         name = "besicovitch"
     elif args.construction == "fuchs":
-        pts = _read_points_file(args.points)
         disks, cert = covering.fuchs_macintyre_disks(pts, args.H, args.probes)
         name = "fuchs-macintyre"
     else:
-        zeros = _read_points_file(args.zeros)
-        disks, cert = covering.cartan_levin_disks(zeros, args.R, args.eta,
+        disks, cert = covering.cartan_levin_disks(pts, args.R, args.eta,
                                                   args.probes)
         name = "cartan-levin"
     write_bytes(args.out_disks, disks.to_text().encode("ascii"))
@@ -270,10 +266,9 @@ def _cmd_covering(args: argparse.Namespace) -> int:
 
 def _cmd_schwarz_check(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    samples = _parse_samples(args.samples)   # r:theta pairs for disk centers
-    model = build_model(ast, max(r for r, _ in samples) * 1.2 + args.t_r)
+    model = build_model(ast, max(r for r, _ in args.samples) * 1.2 + args.t_r)
     rows = []
-    for r, theta in samples:
+    for r, theta in args.samples:   # disk centers
         z = r * complex(math.cos(theta), math.sin(theta))
         rec = analytic.schwarz_log_derivative(model, z, args.t_r, args.nodes)
         direct = models.log_derivative(model, z)
@@ -288,12 +283,11 @@ def _cmd_schwarz_check(args: argparse.Namespace) -> int:
 
 def _cmd_check_8l(args: argparse.Namespace) -> int:
     ast = parse_function_spec(args.fn)
-    samples = _parse_samples(args.samples)
-    model = build_model(ast, max(r for r, _ in samples) * 1.01)
+    model = build_model(ast, max(r for r, _ in args.samples) * 1.01)
     po = default_order(ast)
     ind = growth.indicator_exact_expsum(model)
     cascade = growth.EpsilonCascade(args.N)
-    rows = analytic.check_8l(model, ind, po, cascade, samples)
+    rows = analytic.check_8l(model, ind, po, cascade, args.samples)
     write_csv(args.out, [f.name for f in fields(analytic.DirectionalSample)],
               [astuple(s) for s in rows])
     return 0
@@ -316,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="iterated-log depth for the epsilon cascade")
 
     p = sub.add_parser("indicator", help="CSV of theta, exact and empirical h")
-    add_common(p)
+    p.add_argument("--fn", required=True, help="function spec mini-language")
     p.add_argument("--thetas", type=int, default=360)
-    p.add_argument("--radii", required=True, help="comma-separated ladder")
+    p.add_argument("--radii", type=_parse_floats, required=True, help="r1,r2,r3,...")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_indicator)
 
@@ -337,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-14", help="series condition plus density margins")
     add_common(p)
     p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--r-list", required=True)
+    p.add_argument("--r-list", type=_parse_floats, required=True)
     p.add_argument("--m-arcs", type=int, default=2)
     p.add_argument("--tail-tol", type=float, default=1e-10)
     p.add_argument("--plan", type=_parse_plan, required=True)
@@ -347,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("escape-map", help="PGM raster of escape verdicts")
     add_common(p)
-    p.add_argument("--window", type=_parse_window, required=True)
-    p.add_argument("--size", default="256x256", help="WxH pixels")
+    p.add_argument("--window", type=_parse_window, required=True, help="x0,x1,y0,y1")
+    p.add_argument("--size", type=_parse_size, default="256x256", help="WxH pixels")
     p.add_argument("--r0", type=float, required=True)
     p.add_argument("--beta", default="growth-scale")
     p.add_argument("--max-iter", type=int, default=50)
@@ -359,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="escape density over a region")
     add_common(p)
     region = p.add_mutually_exclusive_group(required=True)
-    region.add_argument("--window", type=_parse_window)
+    region.add_argument("--window", type=_parse_window, help="x0,x1,y0,y1")
     region.add_argument("--annulus", type=float)
     p.add_argument("--r0", type=float)
     p.add_argument("--beta", default="growth-scale")
@@ -372,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-crg", help="CSV of measured vs predicted log|f|")
     add_common(p)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--samples", required=True, help="'r:theta;r:theta;...'")
+    p.add_argument("--samples", type=_parse_samples, required=True, help="r:theta;...")
     p.add_argument("--hypothesis-constant", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_crg)
@@ -391,8 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_covering)
 
     p = sub.add_parser("schwarz-check", help="Schwarz reconstruction vs direct L")
-    add_common(p)
-    p.add_argument("--samples", required=True, help="'r:theta;...' disk centers")
+    p.add_argument("--fn", required=True, help="function spec mini-language")
+    p.add_argument("--samples", type=_parse_samples, required=True,
+                   help="disk centers r:theta;...")
     p.add_argument("--t-r", type=float, default=1.0)
     p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--out", required=True)
@@ -400,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-8l", help="CSV of Re(zL) residuals in eps2 units")
     add_common(p)
-    p.add_argument("--samples", required=True, help="'r:theta;...'")
+    p.add_argument("--samples", type=_parse_samples, required=True, help="r:theta;...")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_check_8l)
 

@@ -90,16 +90,19 @@ class DiskSet:
 
     @staticmethod
     def from_text(text: str) -> "DiskSet":
-        disks = []
-        for i, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"disk line {i + 1}: expected 're im radius'")
-            re, im, r = (float(p) for p in parts)
-            disks.append((complex(re, im), r))
-        return DiskSet(tuple(disks))
+        return DiskSet(tuple((complex(re, im), r)
+                             for re, im, r in read_columns(text, 3)))
+
+
+def read_columns(text: str, n_cols: int) -> list[tuple[float, ...]]:
+    """One record of ``n_cols`` floats per non-blank line; ValueError names
+    the first line holding another count."""
+    for i, line in enumerate(text.splitlines(), 1):
+        count = len(line.split())
+        if count not in (0, n_cols):
+            raise ValueError(f"line {i}: expected {n_cols} numbers, got {count}")
+    values = [float(p) for p in text.split()]
+    return list(zip(*[iter(values)] * n_cols))   # n_cols values a record
 
 
 def inflate(disks: DiskSet, q_r: float) -> DiskSet:

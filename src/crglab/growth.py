@@ -144,6 +144,13 @@ class EpsilonCascade:
 # ---------------------------------------------------------------------------
 # indicators
 
+def angle_grid(n: int) -> np.ndarray:
+    """The n angles 2 pi k / n, k = 0..n-1."""
+    if n < 1:
+        raise ValueError(f"need at least one angle, got {n}")
+    return np.arange(n) * (_TWO_PI / n)
+
+
 @dataclass(frozen=True)
 class SinusoidArc:
     """h(theta) = amplitude * cos(rho*theta + phase) on [theta_lo, theta_hi]."""
@@ -464,11 +471,33 @@ def _safe_exp(x: np.ndarray) -> np.ndarray:
     return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), np.inf)
 
 
+# log r in steps of 0.1 across the positive floats, 5e-324 to 1.65e308
+_LOG_R_GRID = np.arange(-7444, 7098) / 10.0
+
+
 def _find_threshold(log_beta_of_log: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Smallest grid radius beyond which beta(x) > x, by coarse scan."""
-    grid = np.linspace(-14.0, 14.0, 281)   # log r from e^-14 to e^14
-    bad = grid[log_beta_of_log(grid) <= grid]
-    return math.exp(bad[-1]) if bad.size else 0.0
+    """The radius t where beta last crosses the identity: beta(t) <= t and
+    beta(x) > x on the scan grid past t.
+
+    The cell after the last failing grid point is bisected in r down to
+    adjacent floats; 0 when no grid point fails. A failing stretch narrower
+    than one grid step past the last failing point goes unseen.
+    """
+    bad = np.flatnonzero(log_beta_of_log(_LOG_R_GRID) <= _LOG_R_GRID)
+    if not bad.size:
+        return 0.0
+    lo = math.exp(_LOG_R_GRID[bad[-1]])
+    if bad[-1] + 1 == _LOG_R_GRID.size:
+        return lo
+    hi = math.exp(_LOG_R_GRID[bad[-1] + 1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if float(log_beta_of_log(math.log(mid))) <= math.log(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)
@@ -583,8 +612,7 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
 
 def log_max_modulus(model: FunctionModel, r: float, n_angles: int = 2048) -> float:
     """log M(r, f) estimated as the max of log|f| over an angle grid."""
-    thetas = np.arange(n_angles) * (_TWO_PI / n_angles)
-    log_abs, _, ok = model.log_eval_many(r * np.exp(1j * thetas))
+    log_abs, _, ok = model.log_eval_many(r * np.exp(1j * angle_grid(n_angles)))
     vals = np.where(ok, log_abs, -np.inf)
     return float(np.max(vals))
 

@@ -92,7 +92,7 @@ class ExponentialSum:
         with np.errstate(over="ignore", invalid="ignore"):
             acc = np.zeros(zs.shape, dtype=np.complex128)
             for coeffs, b in self.terms:
-                p = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+                p = coeffs[-1]
                 for c in reversed(coeffs[:-1]):
                     p = p * zs + c
                 acc = acc + p * np.exp(b * zs)
@@ -216,15 +216,24 @@ class CanonicalProduct:
         self.genus = int(genus)
         self.tail_tol = float(tail_tol)
         self.r_max = float(r_max)
-        k_half = math.ceil((2.0 * r_max / rule.scale) ** (1.0 / rule.exponent))
-        c = (2.0 / (genus + 1)) * (r_max / rule.scale) ** (genus + 1) / (s - 1.0)
-        k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / tail_tol ** (1.0 / (s - 1.0)))
-        cutoff = max(k_half, k_tol, 1)
+        # the log of the cutoff is checked first, so that a cutoff past the
+        # float range is refused before a power can overflow; its factor 2 of
+        # slack lets the exact check below decide every cutoff near the limit
+        log_cutoff = max(math.log(2.0 * r_max / rule.scale) / rule.exponent,
+                         (math.log(2.0 / (genus + 1)) - math.log(s - 1.0)
+                          + (genus + 1) * math.log(r_max / rule.scale)
+                          - math.log(tail_tol)) / (s - 1.0))
+        cutoff = math.inf
+        if log_cutoff <= math.log(2 * self.MAX_CUTOFF):
+            k_half = math.ceil((2.0 * r_max / rule.scale) ** (1.0 / rule.exponent))
+            c = (2.0 / (genus + 1)) * (r_max / rule.scale) ** (genus + 1) / (s - 1.0)
+            k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / tail_tol ** (1.0 / (s - 1.0)))
+            cutoff = max(k_half, k_tol, 1)
         if cutoff > self.MAX_CUTOFF:
             raise ValueError(
-                f"tail tolerance {tail_tol:g} at r_max {r_max:g} needs "
-                f"{cutoff:.2e} factors (> {self.MAX_CUTOFF:.0e}); relax the "
-                "tolerance or reduce r_max")
+                f"tail tolerance {tail_tol:g} at r_max {r_max:g} needs about "
+                f"10^{log_cutoff / math.log(10):.1f} factors (> "
+                f"{self.MAX_CUTOFF:.0e}); relax the tolerance or reduce r_max")
         self.cutoff = cutoff
         self.tail_bound = self._tail_estimate(r_max, self.cutoff)
 

@@ -290,6 +290,20 @@ class TestExitCodes:
          "--out", "v.csv"],
         ["check-8l", "--fn", "product:zeros=pow(2),genus=0,cut=0.05",
          "--samples", "100:1.5707963267948966", "--out", "8l.csv"],
+        *[["indicator", "--fn", EXP, "--thetas", n, "--radii", "1e2,1e3,1e4",
+           "--out", "i.csv"] for n in ("0", "-3")],
+        ["indicator", "--fn", "product:zeros=pow(0.6),genus=1,cut=0.1",
+         "--radii", "1e2,1e3,1e200", "--out", "i.csv"],
+        ["indicator", "--fn", EXP, "--N", "7", "--radii", "1e2,1e3,1e4",
+         "--out", "i.csv"],
+        ["schwarz-check", "--fn", SIN, "--N", "2", "--samples", "20:1.5707963267948966",
+         "--out", "s.csv"],
+        ["covering", "fuchs", "--points", "pts3.txt", "--H", "0.5",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "besicovitch", "--points", "pts.txt", "--radii", "radii2.txt",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2e6",
+         "--beta", "exp-power:1e-3,0.5", "--plan", "mc:200:1", "--out", "m.json"],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "disk-samples-0", "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "measure-bailout-800",
@@ -304,12 +318,17 @@ class TestExitCodes:
             "verify-crg-hypothesis-constant-negative", "check-14-tail-tol-nan",
             "check-14-m-arcs-negative", "schwarz-t-r-nan", "check-8l-theta-nan",
             "fuchs-H-inf", "cartan-R-inf", "measure-window-and-annulus",
-            "measure-bailout-nan", "verify-crg-expsum", "check-8l-product"])
+            "measure-bailout-nan", "verify-crg-expsum", "check-8l-product",
+            "indicator-thetas-0", "indicator-thetas-negative",
+            "indicator-product-radius-1e200", "indicator-N", "schwarz-check-N",
+            "points-line-of-three", "radii-line-of-two", "measure-r0-below-crossing"])
     def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")
         (tmp_path / "radii.txt").write_text("0.1\n")
         (tmp_path / "nan-disks.txt").write_text("0 0 nan\n")
+        (tmp_path / "pts3.txt").write_text("0.2 0.1 9\n-0.4 0.3\n")
+        (tmp_path / "radii2.txt").write_text("0.1 0.2\n")
         assert run(argv) == 1
 
     def test_parser_built_once(self, tmp_path, monkeypatch):

@@ -27,6 +27,18 @@ class TestDiskSet:
         assert txt.endswith("\n") and "\r" not in txt
         assert covering.DiskSet.from_text(txt).disks == ds.disks
 
+    def test_read_columns(self):
+        ds = covering.DiskSet(((0.1 + 0.2j, 0.3), (-4e-300 + 5e300j, 6.0)))
+        assert covering.read_columns(ds.to_text(), 3) == [(0.1, 0.2, 0.3),
+                                                          (-4e-300, 5e300, 6.0)]
+        assert covering.read_columns("\n 1 2 \n\n\t\n3 4\n", 2) == [(1.0, 2.0),
+                                                                   (3.0, 4.0)]
+        assert covering.read_columns("", 1) == []
+        with pytest.raises(ValueError, match="line 3: expected 2 numbers, got 3"):
+            covering.read_columns("1 2\n\n0.2 0.1 9\n", 2)
+        with pytest.raises(ValueError, match="line 1: expected 1 numbers, got 2"):
+            covering.read_columns("0.1 0.2\n", 1)
+
     def test_positive_radii_enforced(self):
         with pytest.raises(ValueError):
             covering.DiskSet(((0j, 0.0),))

@@ -335,12 +335,33 @@ def _ref_table(rs, betas):
     return lb
 
 
-def _ref_threshold(lb):
-    bad = -math.inf
-    for l in np.linspace(-14.0, 14.0, 281):
-        if lb(float(l)) <= l:
-            bad = float(l)
-    return math.exp(bad) if math.isfinite(bad) else 0.0
+def _assert_crossing(beta, rs):
+    """threshold_x0 is where beta crosses the identity: beta(t) <= t and
+    beta(t (1 + 1e-9)) > t (1 + 1e-9); a threshold of 0 means beta(r) > r
+    at every r of rs."""
+    t = beta.threshold_x0
+    if t == 0.0:
+        assert all(beta.log_beta(r) > math.log(r) for r in rs)
+        return
+    up = t * (1 + 1e-9)
+    assert beta.log_beta(t) <= math.log(t)
+    assert beta.log_beta(up) > math.log(up)
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("beta, crossing", [
+        (growth.GrowthMinorant.exp_power(1e-3, 0.5), 3.9146e8),
+        (growth.GrowthMinorant.growth_scale(growth.ProximateOrder.constant(0.5),
+                                            growth.EpsilonCascade(1)), 5503.66),
+    ], ids=["exp-power-1e-3-0.5", "growth-scale-rho-0.5"])
+    def test_threshold_is_the_crossing(self, beta, crossing):
+        assert beta.threshold_x0 == pytest.approx(crossing, rel=1e-4)
+        _assert_crossing(beta, [])
+        # no start radius with beta(r0) <= r0 passes
+        below = beta.threshold_x0 * 0.999
+        assert beta.log_beta(below) <= math.log(below)
+        with pytest.raises(BelowThreshold):
+            growth.beta_log_track(beta, below, 2)
 
 
 class TestMinorantArrays:
@@ -381,8 +402,8 @@ class TestMinorantArrays:
                                                rel=1e-13)
             grid = beta.log_beta_many(rs[:8].reshape(2, 4))
             assert grid.shape == (2, 4)
-        for beta, ref in self._cases()[:4]:
-            assert beta.threshold_x0 == _ref_threshold(ref)
+        for beta, _ in self._cases()[:4]:
+            _assert_crossing(beta, rs)
 
     def test_nonpositive_radius_rejected(self):
         for beta, _ in self._cases():
