@@ -25,6 +25,7 @@ from .growth import (
     EpsilonCascade,
     ExactIndicator,
     ProximateOrder,
+    angle_grid,
     canonical_ray_order,
     log_max_modulus,
     scale_V,
@@ -50,7 +51,7 @@ class CircleQuadrature:
             raise ValueError("node_count must be a power of two, at least 16")
 
     def angles(self) -> np.ndarray:
-        return np.arange(self.node_count) * (_TWO_PI / self.node_count)
+        return angle_grid(self.node_count)
 
     def nodes(self) -> np.ndarray:
         return self.center + self.radius * np.exp(1j * self.angles())

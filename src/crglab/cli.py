@@ -9,8 +9,8 @@ Every rule a command applies (defaults, domain checks, geometry) lives in
 the module that owns it; this module only parses, calls and writes. Each
 kind of input has one way in: list and pair values (``--radii`` ladders,
 ``--r-list``, ``--size``, ``--samples``, ``--plan``, ``--window``) are
-argparse ``type=`` functions, so a handler receives them parsed, and every
-numeric text file (points, zeros, radii, disks) is read by
+argparse ``type=`` functions that report the reason a value is refused, and
+every numeric text file (points, zeros, radii, disks) is read by
 ``covering.read_columns`` with an exact column count. ``--N``, the cascade
 depth, is an option of exactly the commands that read it. Commands raise,
 and ``run`` is the only place that reports an error or picks an exit code.
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analytic, criteria, covering, dynamics, growth, models
-from .errors import CertificateFailure, CrgLabError
+from .errors import CertificateFailure, CrgLabError, require_positive
 from .parser import ExpSumNode, FunctionSpecAST, ProductNode, parse_function_spec
 
 
@@ -73,39 +73,56 @@ def default_order(ast: FunctionSpecAST) -> growth.ProximateOrder:
     return growth.ProximateOrder.constant(1.0 / ast.power)
 
 
+def _arg_type(parse):
+    """``parse`` as an argparse ``type=`` that reports the message of its
+    ValueError or OverflowError; argparse would name only the function."""
+    @functools.wraps(parse)
+    def typed(text: str):
+        try:
+            return parse(text)
+        except (ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return typed
+
+
+@_arg_type
 def _parse_plan(text: str) -> criteria.SamplePlan:
     parts = text.split(":")
-    try:
-        if parts[0] == "mc" and len(parts) == 3:
-            return criteria.MonteCarloPlan(int(float(parts[1])), int(parts[2]))
-        if parts[0] == "grid" and len(parts) == 3:
-            return criteria.GridPlan(int(parts[1]), int(parts[2]))
-    except OverflowError:   # int(float("inf")); argparse reports ValueError itself
-        pass
-    raise argparse.ArgumentTypeError(
+    if parts[0] == "mc" and len(parts) == 3:
+        return criteria.MonteCarloPlan(int(float(parts[1])), int(parts[2]))
+    if parts[0] == "grid" and len(parts) == 3:
+        return criteria.GridPlan(int(parts[1]), int(parts[2]))
+    raise ValueError(
         f"plan must be 'mc:<n>:<seed>' or 'grid:<n1>:<n2>', got {text!r}")
 
 
+@_arg_type
 def _parse_floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
 
+@_arg_type
 def _parse_window(text: str) -> criteria.Window:
-    return criteria.Window(*_parse_floats(text))
+    bounds = _parse_floats(text)
+    if len(bounds) != 4:
+        raise ValueError(f"window must be four numbers x0,x1,y0,y1, got {text!r}")
+    return criteria.Window(*bounds)
 
 
+@_arg_type
 def _parse_size(text: str) -> tuple[int, int]:
     width, height = (int(p) for p in text.split("x"))
     return width, height
 
 
+@_arg_type
 def _parse_samples(text: str) -> list[tuple[float, float]]:
     out = []
     for piece in text.split(";"):
         pair = tuple(float(p) for p in piece.split(":"))
         if len(pair) != 2 or not all(map(math.isfinite, pair)):
-            raise argparse.ArgumentTypeError(
-                f"sample {piece!r} is not a finite r:theta pair")
+            raise ValueError(f"sample {piece!r} is not a finite r:theta pair")
+        require_positive("sample radius r", pair[0])
         out.append(pair)
     return out
 
@@ -114,7 +131,7 @@ def _parse_beta(text: str, po: growth.ProximateOrder,
                 cascade_n: int) -> growth.GrowthMinorant:
     kind, _, rest = text.partition(":")
     if kind == "exp-power":
-        c, mu = _parse_floats(rest)
+        c, mu = map(float, rest.split(","))
         return growth.GrowthMinorant.exp_power(c, mu)
     if kind == "growth-scale":
         n = int(rest) if rest else cascade_n

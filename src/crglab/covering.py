@@ -35,8 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificateFailure, require_positive
+from .growth import angle_grid
 
-_TWO_PI = 2.0 * math.pi
 
 BESICOVITCH_MAX_MULTIPLICITY = 256   # 4**(2n) with n = 2
 
@@ -422,8 +422,7 @@ def cartan_levin_disks(zeros: Sequence[complex], R: float, eta: float,
         raise ValueError("eta must lie in (0, 3e/2)")
     n = len(zks)
     two_e_r = 2.0 * math.e * R
-    thetas = np.arange(2048) * (_TWO_PI / 2048)
-    ring = two_e_r * np.exp(1j * thetas)
+    ring = two_e_r * np.exp(1j * angle_grid(2048))
     log_m = float(_poly_log_abs(zks, ring).max()) if n else 0.0
     rhs = -(2.0 + math.log(1.5 * math.e / eta)) * log_m
 

@@ -11,19 +11,21 @@ Sampling is deterministic: Monte Carlo draws come from a counter-based Philox
 stream keyed by the seed, so the sample at index i is a function of
 (seed, n, i) for a plan of n samples. All samples are drawn before the work
 is split into chunks, so results are bit-identical for any CRG_THREADS.
+``annulus_density`` draws and counts for the A and B densities and for the
+escape density of ``dynamics.measure_estimate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .covering import DiskSet
-from .errors import require_positive
-from .growth import DensityBudget, GrowthMinorant
+from .errors import require_increasing, require_positive
+from .growth import DensityBudget, GrowthMinorant, angle_grid
 from .models import FunctionModel
 from .parallel import map_chunked
 
@@ -186,31 +188,9 @@ class DensityReport:
     fast_escaping_beta: bool | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "format_version": 1,
-            "region": self.region,
-            "plan": self.plan,
-            "hits": self.hits,
-            "total": self.total,
-            "density": self.density,
-            "confidence_halfwidth": self.confidence_halfwidth,
-        }
-        if self.excluded_fraction is not None:
-            out["excluded_fraction"] = self.excluded_fraction
-        if self.fast_escaping_beta is not None:
-            out["fast_escaping_beta"] = self.fast_escaping_beta
-        return out
-
-
-def _make_report(region: Region, plan: SamplePlan, hits: int,
-                 total: int) -> DensityReport:
-    density = hits / total
-    if isinstance(plan, MonteCarloPlan):
-        half = 1.96 * math.sqrt(max(density * (1.0 - density), 0.0) / total)
-    else:
-        half = 0.0
-    return DensityReport(region.region_dict(), plan.plan_dict(),
-                         int(hits), int(total), density, half)
+        """The fields in declaration order, unset optional ones left out."""
+        return {"format_version": 1,
+                **{k: v for k, v in asdict(self).items() if v is not None}}
 
 
 @dataclass(frozen=True)
@@ -263,13 +243,9 @@ def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
 def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
     """Unit-disk sample pattern: center plus 8 circles at radii j/8."""
     if disk_samples < 1:
-        raise ValueError("disk_samples must be at least 1")
-    offs = [0.0 + 0.0j]
-    for ring in range(1, 9):
-        rho = ring / 8.0
-        ang = np.arange(disk_samples) * (_TWO_PI / disk_samples)
-        offs.extend(rho * np.exp(1j * ang))
-    return np.asarray(offs, dtype=np.complex128)
+        raise ValueError(f"disk_samples must be at least 1, got {disk_samples}")
+    rings = np.arange(1, 9)[:, None] / 8.0 * np.exp(1j * angle_grid(disk_samples))
+    return np.concatenate([[0.0 + 0.0j], rings.ravel()])
 
 
 def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
@@ -342,15 +318,23 @@ def annulus_density(predicate: Callable[[np.ndarray], np.ndarray],
     worker parallelism level never changes which samples are drawn. With
     ``exclude``, a sample inside one of its disks is not a hit, and the
     report records the sampled area fraction of the excluded union for
-    budget comparisons.
+    budget comparisons. A Monte Carlo plan gives a 95% normal-approximation
+    half-width, a grid plan 0.
     """
     zs = sample_points(region, plan)
     mask = map_chunked(predicate, zs)
-    if exclude is None:
-        return _make_report(region, plan, int(mask.sum()), zs.size)
-    outside = exclude.mask_outside(zs)
-    report = _make_report(region, plan, int((mask & outside).sum()), zs.size)
-    return replace(report, excluded_fraction=1.0 - float(outside.sum()) / zs.size)
+    excluded = None
+    if exclude is not None:
+        outside = exclude.mask_outside(zs)
+        mask = mask & outside
+        excluded = 1.0 - float(outside.sum()) / zs.size
+    hits = int(mask.sum())
+    density = hits / zs.size
+    half = 0.0
+    if isinstance(plan, MonteCarloPlan):
+        half = 1.96 * math.sqrt(max(density * (1.0 - density), 0.0) / zs.size)
+    return DensityReport(region.region_dict(), plan.plan_dict(), hits, zs.size,
+                         density, half, excluded)
 
 
 @dataclass(frozen=True)
@@ -367,12 +351,9 @@ def hypothesis_check_14b(model: FunctionModel, beta: GrowthMinorant,
                          plan: SamplePlan,
                          disk_samples: int = 16) -> list[MarginRow]:
     """margin(r) = dens(B, ann(r)) - (1 - alpha(r)); negative margins flagged."""
-    rs = [float(r) for r in r_list]
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("r_list must be increasing")
     pred = predicate_B(model, beta, disk_samples)
     rows = []
-    for r in rs:
+    for r in require_increasing("r_list", r_list):
         rep = annulus_density(pred, AnnulusSpec(r), plan)
         a_r = alpha.alpha_of_r(r)
         margin = rep.density - (1.0 - a_r)

@@ -12,6 +12,9 @@ representable iterate, so escape steps are decided on true log-moduli.
 Indeterminate is a first-class verdict: it marks orbits whose comparison
 could not be completed (overflow to NaN, beta-track beyond float range, or a
 bailout crossing with a broken track that cannot be iterated further).
+
+``measure_estimate`` counts Escaped verdicts through the sampler and report
+of the A and B densities, ``criteria.annulus_density``.
 """
 
 from __future__ import annotations
@@ -21,15 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import (
-    AnnulusSpec,
-    DensityReport,
-    Region,
-    SamplePlan,
-    Window,
-    _make_report,
-    sample_points,
-)
+from .criteria import (AnnulusSpec, DensityReport, Region, SamplePlan, Window,
+                       annulus_density)
 from .growth import GrowthMinorant, beta_log_track
 from .models import CanonicalProduct, FunctionModel
 from .parallel import map_chunked
@@ -43,10 +39,11 @@ INDETERMINATE = 3
 DEFAULT_BAILOUT_LOG = 500.0
 
 
-def _check_iteration_domain(model: FunctionModel, max_iter: int,
-                            bailout_log: float) -> None:
-    """Orbits take 1..max_iter steps up to |z| = exp(bailout_log), which must
-    stay representable; a truncated product must be certified that far out."""
+def _orbit_track(model: FunctionModel, beta: GrowthMinorant, r0: float,
+                 max_iter: int, bailout_log: float) -> np.ndarray:
+    """log beta^j(r0), j = 0..max_iter. Orbits take 1..max_iter steps up to
+    |z| = exp(bailout_log), which must stay representable; a truncated
+    product must be certified that far out."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not bailout_log <= 700.0:   # NaN fails too
@@ -56,6 +53,7 @@ def _check_iteration_domain(model: FunctionModel, max_iter: int,
             f"bailout_log = {bailout_log:g} exceeds the product's certified "
             f"radius (log r_max = {math.log(model.r_max):.3g}); rebuild the "
             "product with a larger r_max or lower the bailout")
+    return np.array(beta_log_track(beta, r0, max_iter))
 
 
 @dataclass(frozen=True)
@@ -169,8 +167,7 @@ def classify_orbit(model: FunctionModel, z0: complex, r0: float,
     Escaped(k) iff log|z_k| >= bailout_log and log|z_j| > log beta^j(r0) for
     all j <= k; Survived if max_iter is reached below bailout.
     """
-    _check_iteration_domain(model, max_iter, bailout_log)
-    track = np.array(beta_log_track(beta, r0, max_iter))
+    track = _orbit_track(model, beta, r0, max_iter, bailout_log)
     recorder: list[np.ndarray] = []
     codes, steps = _classify_batch(model, np.array([z0]), track, max_iter,
                                    bailout_log, recorder)
@@ -193,8 +190,7 @@ def escape_map(model: FunctionModel, window: Window, width: int, height: int,
     """Classify every pixel center of the window; deterministic raster."""
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
-    _check_iteration_domain(model, max_iter, bailout_log)
-    track = np.array(beta_log_track(beta, r0, max_iter))
+    track = _orbit_track(model, beta, r0, max_iter, bailout_log)
     xs = window.x0 + (np.arange(width) + 0.5) * (window.x1 - window.x0) / width
     ys = window.y1 - (np.arange(height) + 0.5) * (window.y1 - window.y0) / height
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
@@ -230,14 +226,10 @@ def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,
             r0 = region.r / 2.0
         else:
             raise ValueError("r0 is required for window regions")
-    _check_iteration_domain(model, max_iter, bailout_log)
-    track = np.array(beta_log_track(beta, r0, max_iter))
-    zs = sample_points(region, plan)
+    track = _orbit_track(model, beta, r0, max_iter, bailout_log)
 
-    def work(chunk: np.ndarray) -> np.ndarray:
-        codes, _ = _classify_batch(model, chunk, track, max_iter, bailout_log)
-        return codes == ESCAPED
+    def escaped(chunk: np.ndarray) -> np.ndarray:
+        return _classify_batch(model, chunk, track, max_iter, bailout_log)[0] == ESCAPED
 
-    mask = map_chunked(work, zs)
-    base = _make_report(region, plan, int(mask.sum()), zs.size)
-    return replace(base, fast_escaping_beta=beta.fast_escaping_form)
+    report = annulus_density(escaped, region, plan)
+    return replace(report, fast_escaping_beta=beta.fast_escaping_form)

@@ -4,12 +4,14 @@ Every failure mode that callers are expected to handle has its own class;
 generic ValueError/TypeError are reserved for plain misuse of the API.
 
 ``require_positive`` is the one check of a real parameter that must be
-positive; unlike a bare ``x <= 0`` test it also refuses NaN and +-inf.
+positive; unlike a bare ``x <= 0`` test it also refuses NaN and +-inf;
+``require_increasing`` is the one check of an increasing list.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 
 class CrgLabError(Exception):
@@ -94,3 +96,13 @@ def require_positive(name: str, x: float) -> None:
     """ValueError unless x is a finite real above 0."""
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
+def require_increasing(name: str, xs: Sequence[float], at_least: int = 1) -> list[float]:
+    """xs as floats; ValueError unless it holds at least ``at_least`` values,
+    each above the one before."""
+    out = [float(x) for x in xs]
+    if len(out) < at_least or any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"{name} must hold at least {at_least} strictly "
+                         f"increasing values, got {out}")
+    return out

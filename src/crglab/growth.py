@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BelowThreshold, NonpositiveInterior, ZeroHit, require_positive
+from .errors import (BelowThreshold, NonpositiveInterior, ZeroHit,
+                     require_increasing, require_positive)
 from .models import CanonicalProduct, ExponentialSum, FunctionModel
 
 _TWO_PI = 2.0 * math.pi
@@ -73,13 +74,12 @@ class ProximateOrder:
         return ProximateOrder(rho, bound, rho_l,
                               f"rho(r) = {rho:g} + {a:g}/log r")
 
-    def check_derivative_bound(self, r_samples: Sequence[float],
-                               slack: float = 1e-6) -> bool:
-        """Finite-difference audit of |rho'(r) r log r| <= bound(r)."""
+    def check_derivative_bound(self, r_samples: Sequence[float]) -> bool:
+        """Finite-difference audit of |rho'(r) r log r| <= bound(r) + 1e-6."""
         for r in r_samples:
             h = 1e-6 * r
             d = (self.rho_of_r(r + h) - self.rho_of_r(r - h)) / (2 * h)
-            if abs(d * r * math.log(r)) > self.derivative_bound(r) + slack:
+            if abs(d * r * math.log(r)) > self.derivative_bound(r) + 1e-6:
                 return False
         return True
 
@@ -334,9 +334,7 @@ def indicator_empirical(model: FunctionModel, po: ProximateOrder,
     Zero-hit samples are skipped; a theta with every radius on a zero raises
     ZeroHit.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("need an increasing ladder of at least 3 radii")
+    radii = require_increasing("radius ladder", radii, at_least=3)
     thetas = np.asarray(list(theta_grid), dtype=float)
     vs = np.array([scale_V(po, r) for r in radii])
     best = np.full(thetas.shape, -np.inf)
@@ -550,17 +548,20 @@ def _check_start_radius(beta: GrowthMinorant, r0: float) -> None:
                              f"minorant threshold {beta.threshold_x0:g}")
 
 
+def _log_step(beta: GrowthMinorant, l: float) -> float:
+    """log beta(r) from l = log r; +inf past LOG_SENTINEL and from l = +inf."""
+    if l == math.inf:
+        return math.inf
+    nxt = float(beta.log_beta_of_log(l))
+    return math.inf if nxt > LOG_SENTINEL else nxt
+
+
 def beta_log_track(beta: GrowthMinorant, r0: float, n: int) -> list[float]:
     """[log r0, log beta(r0), ..., log beta^n(r0)] with +inf sentinel."""
     _check_start_radius(beta, r0)
     track = [math.log(r0)]
     for _ in range(n):
-        l = track[-1]
-        if l == math.inf:
-            track.append(math.inf)
-            continue
-        nxt = float(beta.log_beta_of_log(l))
-        track.append(math.inf if nxt > LOG_SENTINEL else nxt)
+        track.append(_log_step(beta, track[-1]))
     return track
 
 
@@ -601,9 +602,7 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
         if n >= 1 and term < tail_tol and decayed:
             return SeriesCheck(True, total, n + 1, tuple(terms))
         prev = term
-        if l != math.inf:
-            nxt = float(beta.log_beta_of_log(l))
-            l = math.inf if nxt > LOG_SENTINEL else nxt
+        l = _log_step(beta, l)
     return SeriesCheck(False, total, max_terms, tuple(terms))
 
 
@@ -612,23 +611,20 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
 
 def log_max_modulus(model: FunctionModel, r: float, n_angles: int = 2048) -> float:
     """log M(r, f) estimated as the max of log|f| over an angle grid."""
+    require_positive("r", r)
     log_abs, _, ok = model.log_eval_many(r * np.exp(1j * angle_grid(n_angles)))
     vals = np.where(ok, log_abs, -np.inf)
     return float(np.max(vals))
 
 
-def zheng_ratio(model: FunctionModel, r_list: Sequence[float],
-                n_angles: int = 2048) -> float:
+def zheng_ratio(model: FunctionModel, r_list: Sequence[float]) -> float:
     """min over the list of log M(2r) / log M(r), a d > 1 certificate."""
-    rs = [float(r) for r in r_list]
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise ValueError("r_list must be increasing")
     best = math.inf
-    for r in rs:
-        m1 = log_max_modulus(model, r, n_angles)
+    for r in require_increasing("r_list", r_list):
+        m1 = log_max_modulus(model, r)
         if m1 <= 0:
             raise ValueError(f"M(r) <= 1 at r = {r:g}; ratio undefined")
-        best = min(best, log_max_modulus(model, 2 * r, n_angles) / m1)
+        best = min(best, log_max_modulus(model, 2 * r) / m1)
     return best
 
 

@@ -219,15 +219,19 @@ class CanonicalProduct:
         # the log of the cutoff is checked first, so that a cutoff past the
         # float range is refused before a power can overflow; its factor 2 of
         # slack lets the exact check below decide every cutoff near the limit
+        log_k_tol = (math.log(2.0 / (genus + 1)) - math.log(s - 1.0)
+                     + (genus + 1) * math.log(r_max / rule.scale)
+                     - math.log(tail_tol)) / (s - 1.0)
         log_cutoff = max(math.log(2.0 * r_max / rule.scale) / rule.exponent,
-                         (math.log(2.0 / (genus + 1)) - math.log(s - 1.0)
-                          + (genus + 1) * math.log(r_max / rule.scale)
-                          - math.log(tail_tol)) / (s - 1.0))
+                         log_k_tol)
         cutoff = math.inf
         if log_cutoff <= math.log(2 * self.MAX_CUTOFF):
             k_half = math.ceil((2.0 * r_max / rule.scale) ** (1.0 / rule.exponent))
             c = (2.0 / (genus + 1)) * (r_max / rule.scale) ** (genus + 1) / (s - 1.0)
-            k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / tail_tol ** (1.0 / (s - 1.0)))
+            root = tail_tol ** (1.0 / (s - 1.0))
+            # a root below the normal floats has lost its digits, or is 0
+            k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / root if root >= sys.float_info.min
+                              else math.exp(log_k_tol))
             cutoff = max(k_half, k_tol, 1)
         if cutoff > self.MAX_CUTOFF:
             raise ValueError(
@@ -387,10 +391,6 @@ def counting_function_n(product: CanonicalProduct, r: float) -> int:
     return product.counting_function(r)
 
 
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 def count_zeros_argument_principle(model: FunctionModel,
                                    rectangle: tuple[float, float, float, float],
                                    nodes_per_side: int = 128) -> int:
@@ -403,7 +403,7 @@ def count_zeros_argument_principle(model: FunctionModel,
     x0, x1, y0, y1 = rectangle
     if not (x1 > x0 and y1 > y0):
         raise ValueError("rectangle must be nondegenerate")
-    xi, wi = _gauss_nodes(nodes_per_side)
+    xi, wi = np.polynomial.legendre.leggauss(nodes_per_side)
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     total = 0.0 + 0.0j
     for a, b in zip(corners, corners[1:] + corners[:1]):

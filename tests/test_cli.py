@@ -331,6 +331,17 @@ class TestExitCodes:
         (tmp_path / "radii2.txt").write_text("0.1 0.2\n")
         assert run(argv) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["indicator", "--fn", "product:zeros=pow(1.01),genus=0,cut=1e-4",
+         "--thetas", "8", "--radii", "1e-300,2e-300,3e-300", "--out", "i.csv"],
+        ["density", "--fn", "product:zeros=pow(1.01),genus=0,cut=1e-4",
+         "--r", "1e-300", "--plan", "mc:50:1", "--out", "d.json"],
+    ], ids=["indicator", "density"])
+    def test_product_at_tiny_radius_runs(self, argv, tmp_path, monkeypatch):
+        # the cutoff's tolerance power underflows to 0 at these radii
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+
     def test_parser_built_once(self, tmp_path, monkeypatch):
         builds = []
         add_subparsers = argparse.ArgumentParser.add_subparsers
@@ -346,6 +357,30 @@ class TestExitCodes:
                         "--out", str(tmp_path / "x.csv")]) == 0
         # none if an earlier run in this process built it already
         assert len(builds) <= 1
+
+
+class TestRefusalReasons:
+    _MEASURE = ["measure", "--fn", SIN, "--r0", "2", "--plan", "mc:200:1",
+                "--out", "m.json"]
+
+    @pytest.mark.parametrize("argv,reason", [
+        (_MEASURE + ["--window", "0,inf,-3,3"],
+         "window must be finite and nondegenerate"),
+        (_MEASURE + ["--window", "0,1,-3"], "window must be four numbers"),
+        (["schwarz-check", "--fn", SIN, "--samples=-100:1.5707963267948966",
+          "--out", "s.csv"], "sample radius r must be positive"),
+        *[(["check-8l", "--fn", SIN, f"--samples={r}:1.5707963267948966",
+            "--out", "8l.csv"], "sample radius r must be positive")
+          for r in ("-100", "0")],
+    ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
+            "check-8l-radius-negative", "check-8l-radius-0"])
+    def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert reason in err and "_parse" not in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestImportCost:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -274,3 +275,14 @@ class TestReportSerialization:
         assert d["format_version"] == 1
         assert set(d) == {"format_version", "region", "plan", "hits", "total",
                           "density", "confidence_halfwidth"}
+
+    def test_json_key_order_with_optional_keys(self):
+        # key order fixes the JSON bytes that the CLI writes
+        rep = criteria.annulus_density(lambda zs: np.ones(zs.shape, bool),
+                                       criteria.AnnulusSpec(5.0),
+                                       criteria.MonteCarloPlan(100, 1),
+                                       DiskSet(((5.0 + 0j, 1.0),)))
+        d = dataclasses.replace(rep, fast_escaping_beta=True).to_json_dict()
+        assert list(d) == ["format_version", "region", "plan", "hits", "total",
+                           "density", "confidence_halfwidth",
+                           "excluded_fraction", "fast_escaping_beta"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crglab import analytic, covering, criteria, growth, models
-from crglab.errors import require_positive
+from crglab.errors import require_increasing, require_positive
 
 
 class TestRequirePositive:
@@ -16,6 +16,27 @@ class TestRequirePositive:
     def test_refuses_the_rest(self, x):
         with pytest.raises(ValueError, match="x must be positive and finite"):
             require_positive("x", x)
+
+
+class TestRequireIncreasing:
+    def test_returns_floats(self):
+        assert require_increasing("r", [1, 2.5, 1e3]) == [1.0, 2.5, 1000.0]
+
+    @pytest.mark.parametrize("xs,at_least", [
+        ([], 1), ([2.0, 1.0], 1), ([1.0, 1.0], 1), ([1.0, 2.0], 3)])
+    def test_refuses_the_rest(self, xs, at_least):
+        with pytest.raises(ValueError, match="r must hold at least"):
+            require_increasing("r", xs, at_least)
+
+    def test_empty_radius_lists_refused(self, sin_model):
+        # an empty list made zheng_ratio return inf, a vacuous d > 1
+        # certificate, and hypothesis_check_14b return no rows
+        with pytest.raises(ValueError, match="r_list"):
+            growth.zheng_ratio(sin_model, [])
+        with pytest.raises(ValueError, match="r_list"):
+            criteria.hypothesis_check_14b(
+                sin_model, _BETA, growth.DensityBudget.sector_budget(2, _CASCADE),
+                [], criteria.MonteCarloPlan(10, 1))
 
 
 _RULE = models.PowerZeroRule(2.0)
@@ -44,6 +65,8 @@ _PARAMETERS = {
     "ProximateOrder.constant": growth.ProximateOrder.constant,
     "ProximateOrder.log_corrected": lambda x: growth.ProximateOrder.log_corrected(x, 0.5),
     "scale_V": lambda x: growth.scale_V(_PO, x),
+    "log_max_modulus": lambda x: growth.log_max_modulus(models.exp_z(), x),
+    "zheng_ratio": lambda x: growth.zheng_ratio(models.exp_z(), [x]),
     "GrowthMinorant.log_beta": lambda x: _BETA.log_beta(x),
     "exp_power.c": lambda x: growth.GrowthMinorant.exp_power(x, 1.0),
     "exp_power.mu": lambda x: growth.GrowthMinorant.exp_power(0.5, x),

@@ -205,6 +205,12 @@ class TestCanonicalProductContract:
         zs = k_squared_product.zeros_in_disk(30.0)
         assert zs == [1.0 + 0j, 4.0 + 0j, 9.0 + 0j, 16.0 + 0j, 25.0 + 0j]
 
+    def test_cutoff_where_the_tolerance_power_underflows(self):
+        # 1e-4 ** (1/0.01) underflows to 0; the cutoff comes from its log
+        prod = models.CanonicalProduct(models.PowerZeroRule(1.01), 0, 1e-4, 3e-300)
+        assert prod.cutoff == 1
+        assert prod.tail_bound == pytest.approx(6e-298, rel=1e-12)
+
 
 class TestZeroEnumeration:
     def test_polynomial_roots(self):
