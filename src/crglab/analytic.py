@@ -1,6 +1,6 @@
 """Analytic identities: Schwarz reconstruction of f'/f, the directional
-asymptotic Re(z f'/f) ~ rho h(theta) V(r), a certified logarithmic-derivative
-upper bound, and the ray-distributed-zero kernel integral with its closed form.
+asymptotic Re(z f'/f) ~ rho h(theta) V(r), and the ray-distributed-zero
+kernel integral with its closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .growth import (
     ProximateOrder,
     angle_grid,
     canonical_ray_order,
-    log_max_modulus,
     scale_V,
 )
 from .models import (CanonicalProduct, FunctionModel, counting_function_n,
@@ -138,28 +137,6 @@ def check_8l(model: FunctionModel, ind: ExactIndicator, po: ProximateOrder,
         out.append(DirectionalSample(r, theta, re_zl, predicted,
                                      (re_zl - predicted) / (v * e2)))
     return out
-
-
-def log_derivative_upper_bound(model: FunctionModel, z: complex,
-                               s: float) -> float:
-    """Certified upper bound  4s/(s-|z|)^2 * log+ M(s) + sum 2/|z - z_j|.
-
-    The Nevanlinna characteristic is replaced by its standard upper estimate
-    log+ M(s, g), which preserves the bound direction. The zero sum runs over
-    every zero of modulus <= s; models that cannot enumerate their zeros
-    raise IncompleteZeroList.
-    """
-    if s <= abs(z):
-        raise ValueError("need s > |z|")
-    zeros = model.zeros_in_disk(s)
-    log_m = max(0.0, log_max_modulus(model, s))
-    bound = 4.0 * s / (s - abs(z)) ** 2 * log_m
-    for zj in zeros:
-        d = abs(z - zj)
-        if d == 0:
-            return math.inf
-        bound += 2.0 / d
-    return bound
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,10 @@ def _parse_window(text: str) -> criteria.Window:
 
 @_arg_type
 def _parse_size(text: str) -> tuple[int, int]:
-    width, height = (int(p) for p in text.split("x"))
-    return width, height
+    dims = text.split("x")
+    if len(dims) != 2:
+        raise ValueError(f"size must be WxH, two integers joined by x, got {text!r}")
+    return int(dims[0]), int(dims[1])
 
 
 @_arg_type

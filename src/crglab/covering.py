@@ -61,14 +61,6 @@ class DiskSet:
     def radii(self) -> np.ndarray:
         return np.array([r for _, r in self.disks], dtype=float)
 
-    def sum_radii(self, within: float | None = None) -> float:
-        return float(sum(r for c, r in self.disks
-                         if within is None or abs(c) <= within))
-
-    def sum_sq_radii(self, within: float | None = None) -> float:
-        return float(sum(r * r for c, r in self.disks
-                         if within is None or abs(c) <= within))
-
     def mask_outside(self, zs: np.ndarray) -> np.ndarray:
         """Boolean mask of points lying outside every (closed) disk."""
         return self.multiplicity(zs) == 0
@@ -103,62 +95,6 @@ def read_columns(text: str, n_cols: int) -> list[tuple[float, ...]]:
             raise ValueError(f"line {i}: expected {n_cols} numbers, got {count}")
     values = [float(p) for p in text.split()]
     return list(zip(*[iter(values)] * n_cols))   # n_cols values a record
-
-
-def inflate(disks: DiskSet, q_r: float) -> DiskSet:
-    """Add q_r to every radius; centers and count are preserved."""
-    if not q_r >= 0:
-        raise ValueError("inflation must be nonnegative")
-    return DiskSet(tuple((c, r + q_r) for c, r in disks.disks))
-
-
-def inflation_area_identity(disks: DiskSet, q_r: float) -> bool:
-    """Exact check of sum (t+q)^2 <= 2*sum t^2 + 2*m*q^2 in rationals."""
-    q = Fraction(q_r)
-    lhs = sum((Fraction(r) + q) ** 2 for _, r in disks.disks)
-    rhs = 2 * sum(Fraction(r) ** 2 for _, r in disks.disks) + 2 * len(disks) * q * q
-    return lhs <= rhs
-
-
-def budget_checks(disks: DiskSet, r: float) -> tuple[float, float]:
-    """(sum of radii over |center|<=r) / r and (sum of radii^2 over same) / r^2."""
-    require_positive("r", r)
-    return disks.sum_radii(within=r) / r, disks.sum_sq_radii(within=r) / r ** 2
-
-
-# ---------------------------------------------------------------------------
-# Koebe distortion constants
-
-@dataclass(frozen=True)
-class KoebeConstants:
-    """Named distortion bounds of a univalent map at relative radius rho."""
-
-    rho: float
-    growth_lower: float       # rho/(1+rho)^2
-    growth_upper: float       # rho/(1-rho)^2
-    deriv_lower: float        # (1-rho)/(1+rho)^3
-    deriv_upper: float        # (1+rho)/(1-rho)^3
-    ratio: float              # (1+rho)/(1-rho)
-    ratio_squared: float
-    ratio_fourth: float
-    ratio_sixth: float
-    quarter: float = 0.25     # image disk radius factor r|f'(a)|/4
-
-
-def koebe_constants(rho: float) -> KoebeConstants:
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie strictly between 0 and 1")
-    ratio = (1.0 + rho) / (1.0 - rho)
-    return KoebeConstants(
-        rho=rho,
-        growth_lower=rho / (1.0 + rho) ** 2,
-        growth_upper=rho / (1.0 - rho) ** 2,
-        deriv_lower=(1.0 - rho) / (1.0 + rho) ** 3,
-        deriv_upper=(1.0 + rho) / (1.0 - rho) ** 3,
-        ratio=ratio,
-        ratio_squared=ratio ** 2,
-        ratio_fourth=ratio ** 4,
-        ratio_sixth=ratio ** 6)
 
 
 # ---------------------------------------------------------------------------

@@ -218,12 +218,12 @@ def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,
     """Density of Escaped verdicts over the region: a lower-bound estimator
     for dens(I(f), region) up to classification error.
 
-    For an annulus, r0 defaults to r/2 so the |z| > r0 gate is implied by
-    the region itself.
+    For an annulus, r0 defaults to its inner radius r/2 so the |z| > r0
+    gate is implied by the region itself.
     """
     if r0 is None:
         if isinstance(region, AnnulusSpec):
-            r0 = region.r / 2.0
+            r0 = region.inner
         else:
             raise ValueError("r0 is required for window regions")
     track = _orbit_track(model, beta, r0, max_iter, bailout_log)

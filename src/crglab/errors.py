@@ -62,16 +62,8 @@ class BranchViolation(CrgLabError, ValueError):
     """Argument of z outside the (0, 2*pi) branch domain."""
 
 
-class NonpositiveInterior(CrgLabError):
-    """Indicator is nonpositive strictly inside an arc assumed positive."""
-
-
 class BelowThreshold(CrgLabError, ValueError):
     """Starting radius at or below the minorant threshold x0."""
-
-
-class IncompleteZeroList(CrgLabError):
-    """The model cannot enumerate all zeros in the requested disk."""
 
 
 class CertificateFailure(CrgLabError):

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (BelowThreshold, NonpositiveInterior, ZeroHit,
+from .errors import (BelowThreshold, OverflowUnrepresentable, ZeroHit,
                      require_increasing, require_positive)
 from .models import CanonicalProduct, ExponentialSum, FunctionModel
 
@@ -33,8 +33,6 @@ LOG_SENTINEL = 1e300
 class ProximateOrder:
     """rho(r) -> rho with rho'(r) r log r -> 0; V(r) = r**rho(r).
 
-    ``derivative_bound`` is a caller-supplied pointwise bound on
-    |rho'(r) r log r|; it is accepted as given, not constructed.
     ``rho_of_log`` evaluates rho at r = exp(l), so log-domain work never
     forms r itself; ``rho_of_r`` is defined through it. It must accept a
     numpy array of l and return rho elementwise (a scalar that broadcasts
@@ -43,7 +41,6 @@ class ProximateOrder:
     """
 
     rho_limit: float
-    derivative_bound: Callable[[float], float]
     rho_of_log: Callable[[np.ndarray], np.ndarray | float]
     description: str = ""
 
@@ -55,33 +52,8 @@ class ProximateOrder:
         require_positive("order rho", rho)
         return ProximateOrder(
             rho_limit=rho,
-            derivative_bound=lambda r: 0.0,
             rho_of_log=lambda l: rho,
             description=f"constant rho = {rho:g}")
-
-    @staticmethod
-    def log_corrected(rho: float, a: float) -> "ProximateOrder":
-        """rho(r) = rho + a / log r for r > e, frozen at rho + a below."""
-        require_positive("order rho", rho)
-
-        def rho_l(l: np.ndarray) -> np.ndarray:
-            return rho + a / np.maximum(l, 1.0)
-
-        def bound(r: float) -> float:
-            # |d/dr (a/log r) * r log r| = |a| / log r
-            return abs(a) / max(math.log(r), 1.0) if r > 1 else abs(a)
-
-        return ProximateOrder(rho, bound, rho_l,
-                              f"rho(r) = {rho:g} + {a:g}/log r")
-
-    def check_derivative_bound(self, r_samples: Sequence[float]) -> bool:
-        """Finite-difference audit of |rho'(r) r log r| <= bound(r) + 1e-6."""
-        for r in r_samples:
-            h = 1e-6 * r
-            d = (self.rho_of_r(r + h) - self.rho_of_r(r - h)) / (2 * h)
-            if abs(d * r * math.log(r)) > self.derivative_bound(r) + 1e-6:
-                return False
-        return True
 
 
 def scale_V(po: ProximateOrder, r: float) -> float:
@@ -182,30 +154,6 @@ class ExactIndicator:
         amp, phase = np.array([(a.amplitude, a.phase) for a in self.arcs]).T[:, j]
         out = amp * np.cos(self.rho * t + phase)
         return out if out.ndim else float(out)
-
-    def zeros(self) -> list[float]:
-        """Angles in [lo, lo + 2 pi) where h vanishes, sorted ascending, lo
-        being the start of the first arc; zeros within 1e-10 of each other
-        modulo 2 pi (such as both ends of a full-turn arc) count once."""
-        lo = self.arcs[0].theta_lo
-        found: list[float] = []
-        for arc in self.arcs:
-            if arc.amplitude == 0.0:
-                continue
-            k_lo = math.floor((self.rho * arc.theta_lo + arc.phase) / math.pi - 0.5)
-            k_hi = math.ceil((self.rho * arc.theta_hi + arc.phase) / math.pi - 0.5)
-            for k in range(k_lo, k_hi + 1):
-                t = (math.pi / 2 + k * math.pi - arc.phase) / self.rho
-                if arc.theta_lo - 1e-12 <= t <= arc.theta_hi + 1e-12:
-                    found.append(t)
-        out: list[float] = []
-        for t in sorted(found):
-            w = lo + math.remainder(t - lo, _TWO_PI)
-            if w < lo:
-                w += _TWO_PI
-            if not any(abs(math.remainder(w - u, _TWO_PI)) < 1e-10 for u in out):
-                out.append(w)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -326,13 +274,25 @@ def indicator_exact_product(product: CanonicalProduct) -> ExactIndicator:
     return ExactIndicator(arcs=(arc,), rho=rho)
 
 
+def _log_moduli(model: FunctionModel, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|f|, valid) at zs. A model reports log|f| = +inf, valid, where
+    its sum overflowed: an orbit there has escaped, but a growth value would
+    be wrong, so it raises OverflowUnrepresentable."""
+    log_abs, _, ok = model.log_eval_many(zs)
+    blown = ok & (log_abs == np.inf)
+    if blown.any():
+        raise OverflowUnrepresentable(
+            f"log|f| is not representable at z = {complex(zs[blown][0])}")
+    return log_abs, ok
+
+
 def indicator_empirical(model: FunctionModel, po: ProximateOrder,
                         theta_grid: Sequence[float],
                         radii: Sequence[float]) -> EmpiricalIndicator:
     """max over the radius ladder of log|f(r e^{i theta})| / V(r).
 
     Zero-hit samples are skipped; a theta with every radius on a zero raises
-    ZeroHit.
+    ZeroHit, and a log-modulus past the float range OverflowUnrepresentable.
     """
     radii = require_increasing("radius ladder", radii, at_least=3)
     thetas = np.asarray(list(theta_grid), dtype=float)
@@ -340,8 +300,7 @@ def indicator_empirical(model: FunctionModel, po: ProximateOrder,
     best = np.full(thetas.shape, -np.inf)
     any_ok = np.zeros(thetas.shape, dtype=bool)
     for r, v in zip(radii, vs):
-        zs = r * np.exp(1j * thetas)
-        log_abs, _, ok = model.log_eval_many(zs)
+        log_abs, ok = _log_moduli(model, r * np.exp(1j * thetas))
         cand = np.where(ok, log_abs / v, -np.inf)
         best = np.maximum(best, cand)
         any_ok |= ok
@@ -349,42 +308,6 @@ def indicator_empirical(model: FunctionModel, po: ProximateOrder,
         bad = thetas[~any_ok]
         raise ZeroHit(f"all radii hit zeros at theta = {bad[:3]}")
     return EmpiricalIndicator(thetas=thetas, values=best, radii=tuple(radii))
-
-
-def indicator_lower_bound_check(ind: ExactIndicator) -> list[tuple[float, float, float]]:
-    """Largest c_j with h(theta) >= c_j * min(theta - lo, hi - theta) per arc.
-
-    Arcs are taken between consecutive zeros of h, and c_j is the minimum
-    over 10,000 interior grid points. Only arcs with positive interior are
-    scored; raises NonpositiveInterior when no such arc exists or when an
-    arc mixes signs without a zero crossing at its ends.
-    """
-    if any(a.theta_hi - a.theta_lo <= 1e-12 for a in ind.arcs):
-        raise ValueError("degenerate arc of width zero")
-    zeros = ind.zeros()
-    if not zeros:
-        # sign-constant indicator: one full-turn arc
-        lo0 = ind.arcs[0].theta_lo
-        segments = [(lo0, lo0 + _TWO_PI)]
-    else:
-        segments = [(zeros[i], zeros[i + 1]) for i in range(len(zeros) - 1)]
-        segments.append((zeros[-1], zeros[0] + _TWO_PI))
-    out: list[tuple[float, float, float]] = []
-    for a, b in segments:
-        if b - a <= 1e-12:
-            raise ValueError("degenerate arc of width zero")
-        ts = a + (b - a) * (np.arange(1, 10_001) / 10_001)
-        hs = ind.h(ts)
-        if (hs <= 0).all():
-            continue
-        if (hs <= 0).any():
-            raise NonpositiveInterior(
-                f"indicator nonpositive inside arc ({a:.6f}, {b:.6f})")
-        wedge = np.minimum(ts - a, b - ts)
-        out.append((a, b, float(np.min(hs / wedge))))
-    if not out:
-        raise NonpositiveInterior("indicator has no positive arc")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +444,6 @@ class DensityBudget:
 
         return DensityBudget(a_r, a_l, f"alpha(r) = {c:g} * eps3(r/2)")
 
-    @staticmethod
-    def from_callable(fn: Callable[[float], float],
-                      fn_of_log: Callable[[float], float] | None = None,
-                      description: str = "") -> "DensityBudget":
-        """Wrap a plain alpha(r); supply ``fn_of_log`` (alpha as a function of
-        log r) whenever iterated radii can exceed e**709, otherwise the
-        default wrapper saturates there (conservative for convergence
-        certificates, but inexact)."""
-        if fn_of_log is None:
-            fn_of_log = lambda l: fn(math.exp(min(l, 709.0)))
-        return DensityBudget(fn, fn_of_log, description)
-
-    def check_decreasing(self, r_samples: Sequence[float]) -> bool:
-        vals = [self.alpha_of_r(r) for r in sorted(r_samples)]
-        return all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
 
 # ---------------------------------------------------------------------------
 # iteration of the minorant and the series condition
@@ -563,11 +470,6 @@ def beta_log_track(beta: GrowthMinorant, r0: float, n: int) -> list[float]:
     for _ in range(n):
         track.append(_log_step(beta, track[-1]))
     return track
-
-
-def beta_iterate(beta: GrowthMinorant, r0: float, n: int) -> float:
-    """log beta^n(r0), composed entirely on logarithms."""
-    return beta_log_track(beta, r0, n)[n]
 
 
 @dataclass(frozen=True)
@@ -610,9 +512,10 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
 # scalar growth diagnostics
 
 def log_max_modulus(model: FunctionModel, r: float, n_angles: int = 2048) -> float:
-    """log M(r, f) estimated as the max of log|f| over an angle grid."""
+    """log M(r, f) estimated as the max of log|f| over an angle grid;
+    OverflowUnrepresentable where log|f| leaves the float range."""
     require_positive("r", r)
-    log_abs, _, ok = model.log_eval_many(r * np.exp(1j * angle_grid(n_angles)))
+    log_abs, ok = _log_moduli(model, r * np.exp(1j * angle_grid(n_angles)))
     vals = np.where(ok, log_abs, -np.inf)
     return float(np.max(vals))
 
@@ -626,32 +529,3 @@ def zheng_ratio(model: FunctionModel, r_list: Sequence[float]) -> float:
             raise ValueError(f"M(r) <= 1 at r = {r:g}; ratio undefined")
         best = min(best, log_max_modulus(model, 2 * r) / m1)
     return best
-
-
-@dataclass(frozen=True)
-class ProxOrderReport:
-    rows: tuple[tuple[float, float, float, float], ...]  # (r, s/r, prox1, prox2)
-    max_prox1_deviation: float
-    max_prox2_residual: float
-
-
-def prox_order_properties(po: ProximateOrder, r_list: Sequence[float],
-                          s_over_r_list: Sequence[float]) -> ProxOrderReport:
-    """Deviations in V(s)/V(r) = 1 + o(1) and its first-order expansion.
-
-    prox1 row entry: |V(s)/V(r) - 1|; prox2 entry:
-    |V(s)/V(r) - 1 - rho (s/r - 1)|, for regression tracking.
-    """
-    rows = []
-    rho = po.rho_limit
-    for r in r_list:
-        vr = scale_V(po, r)
-        for q in s_over_r_list:
-            ratio = scale_V(po, q * r) / vr
-            p1 = abs(ratio - 1.0)
-            p2 = abs(ratio - 1.0 - rho * (q - 1.0))
-            rows.append((float(r), float(q), p1, p2))
-    return ProxOrderReport(
-        rows=tuple(rows),
-        max_prox1_deviation=max(p for *_, p, _ in rows) if rows else 0.0,
-        max_prox2_residual=max(p for *_, p in rows) if rows else 0.0)

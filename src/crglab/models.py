@@ -7,9 +7,9 @@ Two families are supported:
 * canonical products f(z) = prod_k E(z / a_k, p) over a rule-generated zero
   sequence a_k = c * k**e * exp(i*theta0), truncated at a certified cutoff.
 
-The primary representation of a value is its logarithm: ``LogEval`` carries
-log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such as |f(z)|
-versus beta(|z|) stay comparable long after exp() would overflow. An
+The primary representation of a value is its logarithm: ``log_eval_many``
+returns log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such
+as |f(z)| versus beta(|z|) stay comparable long after exp() would overflow. An
 exponential sum is e^mu S with mu = max_k Re(b_k z), so log|f| = mu + log|S|
 and f'/f = S'/S come from the same scaled sums.
 """
@@ -24,14 +24,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    ContourTooClose,
-    IncompleteZeroList,
-    NearZero,
-    NonIntegerResidue,
-    OverflowUnrepresentable,
-    require_positive,
-)
+from .errors import ContourTooClose, NearZero, NonIntegerResidue, require_positive
 
 # A value whose log-modulus falls below this is treated as a zero hit:
 # log of the smallest positive normal double, plus 50 for slack.
@@ -41,20 +34,6 @@ ZERO_HIT_LOG = math.log(sys.float_info.min) + 50.0
 _NEAR_ZERO_REL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class LogEval:
-    """log|f(z)| plus the argument of f(z); ``valid`` is False on a zero hit."""
-
-    log_abs: float
-    phase: float
-    valid: bool = True
-
-    def to_complex(self) -> complex:
-        """exp(log_abs + i*phase); inf/0 outside the representable range."""
-        mag = math.exp(self.log_abs) if self.log_abs < 709.0 else math.inf
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
 
 
 class ExponentialSum:
@@ -153,18 +132,6 @@ class ExponentialSum:
             ratio = np.where(ok, ds / np.where(ok, s, 1.0), 0.0)
         return ratio, ok
 
-    def zeros_in_disk(self, radius: float) -> list[complex]:
-        """Zeros with |z| <= radius; only available for one-term sums."""
-        if len(self.terms) > 1:
-            raise IncompleteZeroList(
-                "multi-term exponential sums have infinitely many zeros; "
-                "no finite enumeration is available")
-        coeffs, _ = self.terms[0]
-        if len(coeffs) == 1:
-            return []
-        roots = np.roots(list(reversed(coeffs)))
-        return [complex(r) for r in roots if abs(r) <= radius * (1 + 1e-12)]
-
 
 @dataclass(frozen=True)
 class PowerZeroRule:
@@ -257,10 +224,6 @@ class CanonicalProduct:
         if r > self.r_max * (1 + 1e-12):
             raise ValueError(
                 f"|z| = {r:g} exceeds the certified radius r_max = {self.r_max:g}")
-
-    def zeros_in_disk(self, radius: float) -> list[complex]:
-        n = self.counting_function(radius)
-        return [complex(z) for z in self.rule.zeros(1, n)] if n else []
 
     def counting_function(self, r: float) -> int:
         """Exact number of generated zeros with |a_k| <= r."""
@@ -361,22 +324,6 @@ class CanonicalProduct:
 FunctionModel = Union[ExponentialSum, CanonicalProduct]
 
 
-def eval_log(model: FunctionModel, z: complex) -> LogEval:
-    """Overflow-safe evaluation of log f(z).
-
-    Returns a LogEval with ``valid=False`` and log_abs = -inf when z lies on
-    a zero of f within the zero-hit tolerance. Raises OverflowUnrepresentable
-    if even the log-modulus leaves the binary64 range.
-    """
-    la, ph, valid = model.log_eval_many(np.array([z], dtype=np.complex128))
-    log_abs, phase, ok = float(la[0]), float(ph[0]), bool(valid[0])
-    if ok and not math.isfinite(log_abs):
-        raise OverflowUnrepresentable(f"log|f| not representable at z={z}")
-    if not ok:
-        return LogEval(-math.inf, 0.0, False)
-    return LogEval(log_abs, phase, True)
-
-
 def log_derivative(model: FunctionModel, z: complex) -> complex:
     """L(z) = f'(z)/f(z); raises NearZero within the guard distance of a zero."""
     val, ok = model.log_derivative_many(np.array([z], dtype=np.complex128))
@@ -420,21 +367,3 @@ def count_zeros_argument_principle(model: FunctionModel,
         raise NonIntegerResidue(
             f"contour integral {winding} is not close to an integer")
     return int(nearest)
-
-
-# ---------------------------------------------------------------------------
-# convenience constructors
-
-def exp_z() -> ExponentialSum:
-    """f(z) = e**z."""
-    return ExponentialSum([([1.0], 1.0)])
-
-
-def sin_z() -> ExponentialSum:
-    """sin z = (-i/2) e^{iz} + (i/2) e^{-iz}."""
-    return ExponentialSum([([-0.5j], 1j), ([0.5j], -1j)])
-
-
-def cosh_z() -> ExponentialSum:
-    """cosh z = (1/2) e^{z} + (1/2) e^{-z}."""
-    return ExponentialSum([([0.5], 1.0), ([0.5], -1.0)])

@@ -7,17 +7,20 @@ from crglab import growth, models
 
 @pytest.fixture(scope="session")
 def exp_model():
-    return models.exp_z()
+    """e^z."""
+    return models.ExponentialSum([([1.0], 1.0)])
 
 
 @pytest.fixture(scope="session")
 def sin_model():
-    return models.sin_z()
+    """sin z = (-i/2) e^{iz} + (i/2) e^{-iz}."""
+    return models.ExponentialSum([([-0.5j], 1j), ([0.5j], -1j)])
 
 
 @pytest.fixture(scope="session")
 def cosh_model():
-    return models.cosh_z()
+    """cosh z = (1/2) e^{z} + (1/2) e^{-z}."""
+    return models.ExponentialSum([([0.5], 1.0), ([0.5], -1.0)])
 
 
 @pytest.fixture(scope="session")

@@ -89,36 +89,6 @@ class TestCheck8l:
         assert all(b <= a + 1e-9 for a, b in zip(maxima, maxima[1:]))
 
 
-class TestLogDerivativeUpperBound:
-    def test_linear_polynomial(self):
-        g = models.ExponentialSum([([1.0, -1.0], 0.0)])   # 1 - z
-        bound = analytic.log_derivative_upper_bound(g, 3.0, 10.0)
-        assert bound == pytest.approx(40.0 / 49.0 * math.log(11.0) + 1.0,
-                                      rel=1e-12)
-        assert bound >= abs(models.log_derivative(g, 3.0)) - 1e-9
-
-    def test_zero_free_exponential(self, exp_model):
-        bound = analytic.log_derivative_upper_bound(exp_model, 1.0, 4.0)
-        assert bound == pytest.approx(16.0 / 9.0 * 4.0, rel=1e-9)
-        assert bound >= 1.0
-
-    def test_origin_with_zero_sum_only(self):
-        g = models.ExponentialSum([([1.0, -1.0], 0.0)])
-        bound = analytic.log_derivative_upper_bound(g, 0.0, 5.0)
-        assert bound >= 0.0
-        assert bound >= abs(models.log_derivative(g, 0.0)) - 1e-9
-
-    def test_dominates_actual_everywhere_sampled(self):
-        g = models.ExponentialSum([([2.0, 0.0, 1.0], 0.0)])   # 2 + z^2
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if abs(abs(z) - math.sqrt(2.0)) < 0.2:
-                continue
-            bound = analytic.log_derivative_upper_bound(g, z, 8.0)
-            assert bound >= abs(models.log_derivative(g, z)) - 1e-9
-
-
 class TestKernelIntegral:
     def test_negative_real_axis_half_order(self):
         res = analytic.kernel_integral_I(0.5, 0, -1.0)

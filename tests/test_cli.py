@@ -220,6 +220,14 @@ class TestExitCodes:
                     "--samples", "3.141592653589793:0", "--t-r", "1.0",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_overflow_is_two(self, tmp_path):
+        # the term 1e308 z leaves the float range, although log|f(10)| is
+        # about 721.5; an h_empirical of inf would be a wrong number
+        out = tmp_path / "x.csv"
+        assert run(["indicator", "--fn", "expsum:[1,1e308]exp(1)", "--thetas", "4",
+                    "--radii", "10,20,30", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_command_is_one(self):
         assert run(["no-such-command"]) == 1
 
@@ -372,8 +380,11 @@ class TestRefusalReasons:
         *[(["check-8l", "--fn", SIN, f"--samples={r}:1.5707963267948966",
             "--out", "8l.csv"], "sample radius r must be positive")
           for r in ("-100", "0")],
+        *[(["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", size,
+            "--r0", "2", "--out", "m.pgm"], "size must be WxH")
+          for size in ("3", "4x4x4")],
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
-            "check-8l-radius-negative", "check-8l-radius-0"])
+            "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4"])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -10,16 +10,6 @@ from crglab.errors import CertificateFailure
 
 
 class TestDiskSet:
-    def test_budget_accessors(self):
-        ds = covering.DiskSet(((0j, 1.0),))
-        assert covering.budget_checks(ds, 10.0) == (0.1, 0.01)
-        assert covering.budget_checks(covering.DiskSet(()), 10.0) == (0.0, 0.0)
-
-    def test_harmonic_radii(self):
-        ds = covering.DiskSet(tuple((complex(k), 1.0 / k) for k in range(1, 201)))
-        c0, _ = covering.budget_checks(ds, 100.0)
-        assert c0 == pytest.approx(sum(1.0 / k for k in range(1, 101)) / 100.0)
-
     def test_text_round_trip(self):
         ds = covering.DiskSet(((1.234567890123456 + 2j, 0.375),
                                (-0.1 - 0.2j, 1e-9)))
@@ -56,47 +46,6 @@ class TestDiskSet:
         assert np.array_equal(ds.mask_outside(zs), ds.multiplicity(zs) == 0)
         assert not ds.mask_outside(ds.centers()).any()
         assert covering.DiskSet(()).mask_outside(zs).all()
-
-
-class TestInflate:
-    def test_trivial_cases(self):
-        assert covering.inflate(covering.DiskSet(()), 0.5).disks == ()
-        out = covering.inflate(covering.DiskSet(((0j, 1.0),)), 0.5)
-        assert out.disks == ((0j, 1.5),)
-
-    def test_exact_area_identity(self):
-        rng = np.random.default_rng(2)
-        disks = covering.DiskSet(tuple(
-            (complex(x, y), r) for x, y, r in
-            zip(rng.uniform(-5, 5, 30), rng.uniform(-5, 5, 30),
-                rng.uniform(1e-6, 3.0, 30))))
-        for q in (0.0, 1e-9, 0.37, 5.0):
-            assert covering.inflation_area_identity(disks, q)
-
-
-class TestKoebe:
-    def test_half(self):
-        kc = covering.koebe_constants(0.5)
-        assert kc.ratio_fourth == pytest.approx(81.0)
-        assert kc.growth_lower == pytest.approx(0.5 / 2.25)
-        assert kc.deriv_upper == pytest.approx(1.5 / 0.125)
-
-    def test_tiny(self):
-        kc = covering.koebe_constants(2.0 ** -8)
-        assert kc.ratio_squared == pytest.approx(1.01575, abs=1e-5)
-        assert kc.ratio_squared <= 2.0
-        assert kc.ratio_sixth <= 2.0
-
-    def test_limit_to_one(self):
-        kc = covering.koebe_constants(1e-12)
-        for v in (kc.growth_lower / 1e-12, kc.growth_upper / 1e-12,
-                  kc.deriv_lower, kc.deriv_upper, kc.ratio):
-            assert v == pytest.approx(1.0, abs=1e-8)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                covering.koebe_constants(bad)
 
 
 def _halton_reference(n, base):

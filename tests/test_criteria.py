@@ -238,7 +238,7 @@ class TestExclusions:
 
 class TestHypothesis14b:
     def test_exp_fails_as_it_must(self, exp_model, beta_half):
-        alpha = growth.DensityBudget.from_callable(lambda r: 0.5)
+        alpha = growth.DensityBudget(lambda r: 0.5, lambda l: 0.5)
         rows = criteria.hypothesis_check_14b(
             exp_model, beta_half, alpha, [200.0],
             criteria.MonteCarloPlan(20_000, 3), disk_samples=8)
@@ -258,7 +258,7 @@ class TestHypothesis14b:
         assert rows[0].density == pytest.approx(0.914, abs=0.02)
 
     def test_always_true_stub_margin_equals_alpha(self):
-        alpha = growth.DensityBudget.from_callable(lambda r: 0.25)
+        alpha = growth.DensityBudget(lambda r: 0.25, lambda l: 0.25)
         rep = criteria.annulus_density(lambda zs: np.ones(zs.shape, bool),
                                        criteria.AnnulusSpec(50.0),
                                        criteria.MonteCarloPlan(1000, 5))

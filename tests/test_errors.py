@@ -43,6 +43,7 @@ _RULE = models.PowerZeroRule(2.0)
 _PO = growth.ProximateOrder.constant(1.0)
 _CASCADE = growth.EpsilonCascade(1)
 _BETA = growth.GrowthMinorant.exp_power(0.5, 1.0)
+_EXP = models.ExponentialSum([([1.0], 1.0)])   # e^z
 
 
 def _k_squared():
@@ -63,10 +64,9 @@ _PARAMETERS = {
     "CanonicalProduct.r_max": lambda x: models.CanonicalProduct(_RULE, 0, 0.05, x),
     "counting_function_n": lambda x: models.counting_function_n(_k_squared(), x),
     "ProximateOrder.constant": growth.ProximateOrder.constant,
-    "ProximateOrder.log_corrected": lambda x: growth.ProximateOrder.log_corrected(x, 0.5),
     "scale_V": lambda x: growth.scale_V(_PO, x),
-    "log_max_modulus": lambda x: growth.log_max_modulus(models.exp_z(), x),
-    "zheng_ratio": lambda x: growth.zheng_ratio(models.exp_z(), [x]),
+    "log_max_modulus": lambda x: growth.log_max_modulus(_EXP, x),
+    "zheng_ratio": lambda x: growth.zheng_ratio(_EXP, [x]),
     "GrowthMinorant.log_beta": lambda x: _BETA.log_beta(x),
     "exp_power.c": lambda x: growth.GrowthMinorant.exp_power(x, 1.0),
     "exp_power.mu": lambda x: growth.GrowthMinorant.exp_power(0.5, x),
@@ -74,8 +74,7 @@ _PARAMETERS = {
         growth.DensityBudget.sector_budget(2, _CASCADE),
         growth.GrowthMinorant.growth_scale(_PO, _CASCADE), 100.0, x),
     "indicator_empirical.radii": lambda x: growth.indicator_empirical(
-        models.exp_z(), _PO, [0.0, 1.0], [1e2, 1e3, x]),
-    "budget_checks": lambda x: covering.budget_checks(covering.DiskSet(()), x),
+        _EXP, _PO, [0.0, 1.0], [1e2, 1e3, x]),
     "fuchs_macintyre_disks.H": lambda x: covering.fuchs_macintyre_disks([0.2 + 0.1j], x),
     "cartan_levin_disks.R": lambda x: covering.cartan_levin_disks([0.2 + 0.1j], x, 0.2),
     "DiskSet.radius": lambda x: covering.DiskSet(((0j, x),)),
@@ -96,7 +95,5 @@ def test_positive_parameters_refuse_nan_and_inf(name, x):
 def test_array_checks_refuse_nan():
     with pytest.raises(ValueError):
         _BETA.log_beta_many(np.array([1.0, math.nan]))
-    with pytest.raises(ValueError):
-        covering.inflate(covering.DiskSet(((0j, 1.0),)), math.nan)
     with pytest.raises(ValueError):
         covering.DiskSet.from_text("0 0 nan\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crglab import growth, models
-from crglab.errors import BelowThreshold, NonpositiveInterior
+from crglab.errors import BelowThreshold
 
 
 class TestScaleV:
@@ -18,14 +18,10 @@ class TestScaleV:
             == pytest.approx(100.0)
 
     def test_log_corrected(self):
-        po = growth.ProximateOrder.log_corrected(0.5, 1.0)
+        # rho(r) = 0.5 + 1/log r
+        po = growth.ProximateOrder(0.5, lambda l: 0.5 + 1.0 / np.maximum(l, 1.0))
         assert growth.scale_V(po, math.exp(10.0)) \
             == pytest.approx(math.exp(6.0), rel=1e-12)
-
-    def test_derivative_bound_audit(self):
-        po = growth.ProximateOrder.log_corrected(0.5, 1.0)
-        assert po.check_derivative_bound([10.0, 1e3, 1e6])
-        assert growth.ProximateOrder.constant(2.0).check_derivative_bound([5.0, 50.0])
 
 
 class TestEpsilonCascade:
@@ -77,14 +73,6 @@ class TestExactIndicators:
                            [0.0, math.pi], atol=1e-12)
         for t in (0.3, 1.0, 2.5, 4.0, 5.9):
             assert ind.h(t) == pytest.approx(abs(math.sin(t)), abs=1e-12)
-
-    def test_zeros_give_one_period(self, sin_model, cosh_model):
-        # one angle per zero: the end of the last arc is the start of the first
-        assert growth.indicator_exact_expsum(sin_model).zeros() == [
-            0.0, pytest.approx(math.pi, abs=1e-12)]
-        assert growth.indicator_exact_expsum(cosh_model).zeros() == [
-            pytest.approx(math.pi / 2, abs=1e-12),
-            pytest.approx(3 * math.pi / 2, abs=1e-12)]
 
     def test_cosh(self, cosh_model):
         ind = growth.indicator_exact_expsum(cosh_model)
@@ -174,23 +162,6 @@ class TestExactIndicatorProduct:
         assert ind.h(angle + math.pi) == pytest.approx(
             math.pi / math.sin(math.pi * rho), rel=1e-15)
 
-    def test_positive_except_at_the_ray(self):
-        # h = pi sin(theta/2): one positive arc (0, 2 pi) whose wedge
-        # constant h / min(theta, 2 pi - theta) is smallest, 1, at theta = pi
-        rows = growth.indicator_lower_bound_check(
-            growth.indicator_exact_product(self._product(2.0, 0)))
-        assert len(rows) == 1
-        lo, hi, c = rows[0]
-        assert lo == pytest.approx(0.0, abs=1e-12)
-        assert hi == pytest.approx(2 * math.pi, abs=1e-12)
-        assert c == pytest.approx(1.0, abs=1e-3)
-
-    @pytest.mark.parametrize("angle", [0.0, 1.0, -2.5])
-    def test_zeros_give_one_period(self, angle):
-        # the one arc is a full turn whose two ends are the same zero
-        ind = growth.indicator_exact_product(self._product(2.0, 0, angle))
-        assert ind.zeros() == [pytest.approx(angle, abs=1e-12)]
-
     @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (0.5, 3), (1.5, 1),
                                                 (2.0, 1)])
     def test_integer_order_or_noncanonical_genus_refused(self, exponent, genus):
@@ -222,7 +193,7 @@ class TestEmpiricalIndicator:
     def test_sandwich_against_exact(self, sin_model, cosh_model, rho_one):
         for model in (sin_model, cosh_model):
             exact = growth.indicator_exact_expsum(model)
-            zeros = exact.zeros()
+            zeros = exact.breakpoints   # h = |sin|, |cos| vanishes at its breaks
             thetas = [t for t in np.linspace(0, 2 * math.pi, 73)
                       if min(abs(math.remainder(t - z, 2 * math.pi))
                              for z in zeros) >= 0.3]
@@ -246,41 +217,13 @@ class TestEmpiricalIndicator:
             growth.indicator_empirical(exp_model, rho_one, [0.0], [10.0, 20.0])
 
 
-class TestIndicatorLowerBound:
-    def test_sin_wedge_constant(self, sin_model):
-        rows = growth.indicator_lower_bound_check(
-            growth.indicator_exact_expsum(sin_model))
-        assert len(rows) == 2
-        for _, _, c in rows:
-            assert c == pytest.approx(2 / math.pi, abs=1e-3)
-
-    def test_cos_positive_arc(self, exp_model):
-        rows = growth.indicator_lower_bound_check(
-            growth.indicator_exact_expsum(exp_model))
-        assert len(rows) == 1
-        assert rows[0][2] == pytest.approx(2 / math.pi, abs=1e-3)
-
-    def test_degenerate_arc_rejected(self):
-        ind = growth.ExactIndicator(
-            arcs=(growth.SinusoidArc(0.0, 0.0, 1.0, 0.0),
-                  growth.SinusoidArc(0.0, 2 * math.pi, 1.0, 0.0)), rho=1.0)
-        with pytest.raises(ValueError):
-            growth.indicator_lower_bound_check(ind)
-
-    def test_nowhere_positive(self):
-        ind = growth.ExactIndicator(
-            arcs=(growth.SinusoidArc(0.0, 2 * math.pi, 0.0, 0.0),), rho=1.0)
-        with pytest.raises(NonpositiveInterior):
-            growth.indicator_lower_bound_check(ind)
-
-
 class TestGrowthMinorant:
     def test_beta_iterate_examples(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        assert growth.beta_iterate(b, 1.0, 2) == pytest.approx(math.e)
-        assert growth.beta_iterate(b, 1.0, 4) == pytest.approx(3814279.1, rel=1e-6)
+        assert growth.beta_log_track(b, 1.0, 2)[2] == pytest.approx(math.e)
+        assert growth.beta_log_track(b, 1.0, 4)[4] == pytest.approx(3814279.1, rel=1e-6)
         b5 = growth.GrowthMinorant.exp_power(1.0, 0.5)
-        assert growth.beta_iterate(b5, 100.0, 1) == pytest.approx(10.0)
+        assert growth.beta_log_track(b5, 100.0, 1)[1] == pytest.approx(10.0)
 
     def test_monotone_in_n_and_r0(self):
         b = growth.GrowthMinorant.growth_scale(
@@ -288,13 +231,14 @@ class TestGrowthMinorant:
         track = growth.beta_log_track(b, 50.0, 6)
         assert all(y > x for x, y in zip(track, track[1:]) if y != math.inf)
         for n in (1, 2, 3):
-            lo, hi = growth.beta_iterate(b, 50.0, n), growth.beta_iterate(b, 60.0, n)
+            lo = growth.beta_log_track(b, 50.0, n)[n]
+            hi = growth.beta_log_track(b, 60.0, n)[n]
             assert hi > lo or (hi == lo == math.inf)
 
     def test_below_threshold(self):
         b = growth.GrowthMinorant.from_table([1.0, 10.0], [2.0, 20.0], 5.0)
         with pytest.raises(BelowThreshold):
-            growth.beta_iterate(b, 4.0, 1)
+            growth.beta_log_track(b, 4.0, 1)[1]
 
     def test_increasing_and_above_identity(self):
         po = growth.ProximateOrder.constant(1.0)
@@ -371,7 +315,7 @@ class TestMinorantArrays:
     TABLE = ([1.0, 10.0, 100.0], [3.0, 40.0, 900.0])
 
     def _cases(self):
-        po_log = growth.ProximateOrder.log_corrected(0.5, 1.0)
+        po_log = growth.ProximateOrder(0.5, lambda l: 0.5 + 1.0 / np.maximum(l, 1.0))
         return [
             (growth.GrowthMinorant.exp_power(0.5, 1.0),
              lambda l: 0.5 * _ref_exp(l)),
@@ -432,9 +376,9 @@ class TestMinorantArrays:
 class TestSeriesCondition:
     def test_fast_tower_converges(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget.from_callable(
+        alpha = growth.DensityBudget(
             lambda r: 1 / math.log(r) ** 2,
-            fn_of_log=lambda l: 0.0 if l == math.inf else 1 / l ** 2)
+            lambda l: 0.0 if l == math.inf else 1 / l ** 2)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10)
         assert chk.converges and chk.terms_used <= 5
         # alpha(beta^n(10)) = beta^{n-1}(10)^{-2}
@@ -443,14 +387,16 @@ class TestSeriesCondition:
 
     def test_slow_doubling_diverges(self):
         b = growth.GrowthMinorant.from_table([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], 0.5)
-        alpha = growth.DensityBudget.from_callable(lambda r: 1 / math.log(r))
+        # alpha = 1/log r, held at 1/709 past r = e^709
+        alpha = growth.DensityBudget(lambda r: 1 / math.log(r),
+                                     lambda l: 1 / math.log(math.exp(min(l, 709.0))))
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10,
                                             max_terms=2000)
         assert not chk.converges and chk.terms_used == 2000
 
     def test_zero_budget(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget.from_callable(lambda r: 0.0)
+        alpha = growth.DensityBudget(lambda r: 0.0, lambda l: 0.0)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10)
         assert chk.converges and chk.partial_sum == 0.0
 
@@ -466,18 +412,12 @@ class TestSeriesCondition:
     @pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0])
     def test_start_radius_finite_and_above_threshold(self, r0):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget.from_callable(lambda r: 0.0)
+        alpha = growth.DensityBudget(lambda r: 0.0, lambda l: 0.0)
         with pytest.raises(BelowThreshold):
             growth.series_condition_check(alpha, b, r0, 1e-10)
         with pytest.raises(BelowThreshold):
             growth.beta_log_track(b, r0, 3)
 
-    def test_budget_monotone_on_grid(self):
-        cascade = growth.EpsilonCascade(1)
-        alpha = growth.DensityBudget.sector_budget(3, cascade)
-        assert alpha.check_decreasing(np.geomspace(10.0, 1e9, 25))
-        rising = growth.DensityBudget.from_callable(lambda r: math.log(r))
-        assert not rising.check_decreasing([10.0, 100.0, 1000.0])
 
 
 class TestZhengRatio:
@@ -498,25 +438,6 @@ class TestZhengRatio:
         a = growth.log_max_modulus(sin_model, 100.0, 2048)
         b = growth.log_max_modulus(sin_model, 100.0, 4096)
         assert abs(a - b) <= 1e-6
-
-
-class TestProxOrderProperties:
-    def test_constant_taylor_remainder(self):
-        rep = growth.prox_order_properties(growth.ProximateOrder.constant(0.5),
-                                           [1e6], [1.01])
-        assert rep.max_prox2_residual == pytest.approx(
-            abs(1.01 ** 0.5 - 1 - 0.5 * 0.01), rel=1e-6)
-
-    def test_log_corrected_first_order(self):
-        rep = growth.prox_order_properties(
-            growth.ProximateOrder.log_corrected(0.5, 1.0), [1e6], [1.001])
-        assert rep.max_prox1_deviation < 1e-3
-
-    def test_s_equals_r(self):
-        rep = growth.prox_order_properties(growth.ProximateOrder.constant(2.0),
-                                           [10.0, 100.0], [1.0])
-        assert rep.max_prox1_deviation == 0.0
-        assert rep.max_prox2_residual == 0.0
 
 
 @given(st.floats(min_value=3.0, max_value=1e150),

@@ -6,31 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crglab import models
-from crglab.errors import (ContourTooClose, IncompleteZeroList, NearZero,
-                           NonIntegerResidue, OverflowUnrepresentable)
+from crglab import growth, models
+from crglab.errors import (ContourTooClose, NearZero, NonIntegerResidue,
+                           OverflowUnrepresentable)
 
 
 class TestEvalLog:
     def test_exp_identity(self, exp_model):
-        le = models.eval_log(exp_model, 1.0)
-        assert le.valid
-        assert le.log_abs == pytest.approx(1.0, abs=1e-14)
-        assert le.phase == pytest.approx(0.0, abs=1e-14)
+        la, ph, ok = exp_model.log_eval_many(np.array([1.0]))
+        assert ok[0]
+        assert la[0] == pytest.approx(1.0, abs=1e-14)
+        assert ph[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_sin_huge_imaginary(self, sin_model):
         # |sin(iy)| = sinh(y) ~ e^y / 2, far beyond exp range
-        le = models.eval_log(sin_model, 1000j)
-        assert le.log_abs == pytest.approx(1000.0 - math.log(2.0), abs=1e-9)
+        la, _, _ = sin_model.log_eval_many(np.array([1000j]))
+        assert la[0] == pytest.approx(1000.0 - math.log(2.0), abs=1e-9)
 
     def test_no_overflow_at_huge_exponent(self, exp_model):
-        le = models.eval_log(exp_model, 1e8)
-        assert le.log_abs == pytest.approx(1e8)
+        la, _, _ = exp_model.log_eval_many(np.array([1e8]))
+        assert la[0] == pytest.approx(1e8)
 
     def test_unrepresentable_log_raises(self):
         f = models.ExponentialSum([([1e308, 1e308], 0.0)])
         with pytest.raises(OverflowUnrepresentable):
-            models.eval_log(f, 1e80)
+            growth.indicator_empirical(f, growth.ProximateOrder.constant(1.0),
+                                       [0.0], [1e80, 2e80, 3e80])
+        with pytest.raises(OverflowUnrepresentable):
+            growth.log_max_modulus(f, 1e80)
 
     def test_infeasible_cutoff_refused(self):
         with pytest.raises(ValueError, match="factors"):
@@ -39,30 +42,31 @@ class TestEvalLog:
 
     def test_product_against_sinh_identity(self, k_squared_product):
         # prod (1 - z/k^2) = sin(pi sqrt(z)) / (pi sqrt(z)) at z = -100
-        le = models.eval_log(k_squared_product, -100.0)
+        la, _, _ = k_squared_product.log_eval_many(np.array([-100.0]))
         oracle = math.log(math.sinh(10 * math.pi)) - math.log(10 * math.pi)
-        assert le.log_abs == pytest.approx(oracle, abs=5e-3)
+        assert la[0] == pytest.approx(oracle, abs=5e-3)
 
     def test_zero_hit_sentinel(self, exp_model, sin_model, k_squared_product):
         # exact zero factor of a product: log|E| = -inf, sentinel fires
-        le = models.eval_log(k_squared_product, 4.0)
-        assert not le.valid and le.log_abs == -math.inf
+        la, _, ok = k_squared_product.log_eval_many(np.array([4.0]))
+        assert not ok[0] and la[0] == -math.inf
         # single-term decay below the underflow+50 threshold: sentinel fires
-        le = models.eval_log(exp_model, -700.0)
-        assert not le.valid
+        _, _, ok = exp_model.log_eval_many(np.array([-700.0]))
+        assert not ok[0]
         # an exact zero of a sum: the scaled terms cancel to exactly 0
-        le = models.eval_log(sin_model, 0.0)
-        assert not le.valid and le.log_abs == -math.inf
+        la, _, ok = sin_model.log_eval_many(np.array([0.0]))
+        assert not ok[0] and la[0] == -math.inf
         # next to a zero of a sum the tiny modulus is ordinary and exact:
         # sin(fl(pi)) is the rounding error of fl(pi), about 1.2e-16
-        le = models.eval_log(sin_model, math.pi)
-        assert le.valid
-        assert le.log_abs == pytest.approx(math.log(math.sin(math.pi)), abs=1e-9)
+        la, _, ok = sin_model.log_eval_many(np.array([math.pi]))
+        assert ok[0]
+        assert la[0] == pytest.approx(math.log(math.sin(math.pi)), abs=1e-9)
 
     def test_to_complex_roundtrip(self, sin_model):
         for z in (0.7 + 0.3j, -2.0 + 1.5j, 3.0 - 4.0j):
-            le = models.eval_log(sin_model, z)
-            assert cmath.isclose(le.to_complex(), cmath.sin(z), rel_tol=1e-12)
+            la, ph, _ = sin_model.log_eval_many(np.array([z]))
+            assert cmath.isclose(cmath.exp(complex(la[0], ph[0])), cmath.sin(z),
+                                 rel_tol=1e-12)
 
     @given(st.lists(
         st.tuples(
@@ -84,10 +88,10 @@ class TestEvalLog:
             return
         f = models.ExponentialSum(terms)
         direct = complex(f.plain_values(np.array([z]))[0])
-        le = models.eval_log(f, z)
-        if not le.valid or le.log_abs < math.log(abs(direct) + 1e-300) - 1:
+        la, ph, ok = f.log_eval_many(np.array([z]))
+        if not ok[0] or la[0] < math.log(abs(direct) + 1e-300) - 1:
             return   # cancellation regime: both routes lose relative accuracy
-        assert cmath.isclose(le.to_complex(), direct,
+        assert cmath.isclose(cmath.exp(complex(la[0], ph[0])), direct,
                              rel_tol=1e-10, abs_tol=1e-290)
 
 
@@ -121,14 +125,14 @@ class TestLogDerivative:
         for model in (sin_model, cosh_model):
             while checked < 500:
                 z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-                le = models.eval_log(model, z)
-                if not le.valid or le.log_abs < -2.0:
+                la, _, ok = model.log_eval_many(np.array([z]))
+                if not ok[0] or la[0] < -2.0:
                     continue
                 h = 1e-6 * max(1.0, abs(z))
-                lp = models.eval_log(model, z + h)
-                lms = models.eval_log(model, z - h)
-                dlog = (lp.log_abs - lms.log_abs) / (2 * h)
-                dph = math.remainder(lp.phase - lms.phase, 2 * math.pi) / (2 * h)
+                la_p, ph_p, _ = model.log_eval_many(np.array([z + h]))
+                la_m, ph_m, _ = model.log_eval_many(np.array([z - h]))
+                dlog = (la_p[0] - la_m[0]) / (2 * h)
+                dph = math.remainder(ph_p[0] - ph_m[0], 2 * math.pi) / (2 * h)
                 fd = complex(dlog, dph)
                 val = models.log_derivative(model, z)
                 assert abs(val - fd) <= 1e-5 * max(1.0, abs(val))
@@ -188,38 +192,24 @@ class TestCanonicalProductContract:
         fine = models.CanonicalProduct(rule, 0, 1e-5, 150.0)
         assert fine.cutoff > coarse.cutoff
         for z in (-100.0, 37.3 + 5j, -20j):
-            a = models.eval_log(coarse, z).log_abs
-            b = models.eval_log(fine, z).log_abs
+            a = coarse.log_eval_many(np.array([z]))[0][0]
+            b = fine.log_eval_many(np.array([z]))[0][0]
             assert abs(a - b) <= coarse.tail_bound
 
     def test_radius_certification_enforced(self, k_squared_product):
         with pytest.raises(ValueError):
-            models.eval_log(k_squared_product, 500.0)
+            k_squared_product.log_eval_many(np.array([500.0]))
 
     def test_genus_must_beat_convergence_exponent(self):
         with pytest.raises(ValueError):
             models.CanonicalProduct(models.PowerZeroRule(exponent=1.0),
                                     genus=0, tail_tol=1e-3, r_max=10.0)
 
-    def test_zero_enumeration(self, k_squared_product):
-        zs = k_squared_product.zeros_in_disk(30.0)
-        assert zs == [1.0 + 0j, 4.0 + 0j, 9.0 + 0j, 16.0 + 0j, 25.0 + 0j]
-
     def test_cutoff_where_the_tolerance_power_underflows(self):
         # 1e-4 ** (1/0.01) underflows to 0; the cutoff comes from its log
         prod = models.CanonicalProduct(models.PowerZeroRule(1.01), 0, 1e-4, 3e-300)
         assert prod.cutoff == 1
         assert prod.tail_bound == pytest.approx(6e-298, rel=1e-12)
-
-
-class TestZeroEnumeration:
-    def test_polynomial_roots(self):
-        poly = models.ExponentialSum([([1.0, -1.0], 0.0)])   # 1 - z
-        assert poly.zeros_in_disk(10.0) == [pytest.approx(1.0 + 0j)]
-
-    def test_multi_term_refuses(self, sin_model):
-        with pytest.raises(IncompleteZeroList):
-            sin_model.zeros_in_disk(10.0)
 
 
 class TestExponentialSumValidation:
