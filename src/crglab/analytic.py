@@ -17,6 +17,7 @@ from .errors import (
     BranchViolation,
     HypothesisFailure,
     NonConvergent,
+    OverflowUnrepresentable,
     SectorViolation,
     ZeroInDisk,
     require_positive,
@@ -57,9 +58,16 @@ class CircleQuadrature:
 
 
 def _circle_winding(model: FunctionModel, quad_circle: CircleQuadrature) -> complex:
-    """(1/2 pi i) oint L dz on the circle, by the periodic trapezoid rule."""
+    """(1/2 pi i) oint L dz on the circle, by the periodic trapezoid rule.
+
+    A node where f leaves the float range (log|f| of +inf) raises
+    OverflowUnrepresentable; only a near-zero of f raises ZeroInDisk."""
     phis = quad_circle.angles()
-    lvals, ok = model.log_derivative_many(quad_circle.nodes())
+    log_abs, _, lvals, ok = model.log_abs_and_derivative_many(quad_circle.nodes())
+    if np.isposinf(log_abs).any():
+        raise OverflowUnrepresentable(
+            f"f leaves the float range on the quadrature circle "
+            f"|z - {quad_circle.center}| = {quad_circle.radius:g}")
     if not ok.all():
         raise ZeroInDisk("zero of f on or next to the quadrature circle")
     return quad_circle.radius / quad_circle.node_count * np.sum(

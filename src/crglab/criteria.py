@@ -9,10 +9,12 @@ verdicts record that they are sampling certificates.
 
 Sampling is deterministic: Monte Carlo draws come from a counter-based Philox
 stream keyed by the seed, so the sample at index i is a function of
-(seed, n, i) for a plan of n samples. All samples are drawn before the work
-is split into chunks, so results are bit-identical for any CRG_THREADS.
-``annulus_density`` draws and counts for the A and B densities and for the
-escape density of ``dynamics.measure_estimate``.
+(seed, n, i) for a plan of n samples. The uniforms (or grid indices) are
+drawn serially before the work is split into chunks; each chunk then places
+its own points by elementwise arithmetic, so sample i has the same bits, and
+results are bit-identical, for any CRG_THREADS. ``annulus_density`` draws and
+counts for the A and B densities and for the escape density of
+``dynamics.measure_estimate``.
 """
 
 from __future__ import annotations
@@ -147,29 +149,40 @@ def _philox_uniforms(seed: int, n: int, dims: int) -> np.ndarray:
 
 
 def sample_points(region: Region, plan: SamplePlan) -> np.ndarray:
-    """Deterministic sample locations for the plan, area-uniform in measure.
+    """Deterministic sample locations for the plan, area-uniform in measure."""
+    return _place(region, plan, _draws(plan))
 
-    Monte Carlo on the annulus inverts the radial area CDF:
-    s = r * sqrt(1/4 + 15/4 * u) maps u ~ U[0,1) to |z| with uniform area.
-    """
-    if isinstance(region, AnnulusSpec):
-        r = region.r
-        if isinstance(plan, GridPlan):
-            i = np.arange(plan.n1)
-            j = np.arange(plan.n2)
-            thetas = (i + 0.5) * (_TWO_PI / plan.n1)
-            s = r * np.sqrt(0.25 + 3.75 * (j + 0.5) / plan.n2)
-            ss, tt = np.meshgrid(s, thetas, indexing="ij")
-            return (ss * np.exp(1j * tt)).ravel()
-        u, v = _philox_uniforms(plan.seed, plan.n, 2)
-        s = r * np.sqrt(0.25 + 3.75 * u)
-        return s * np.exp(1j * _TWO_PI * v)
+
+def _draws(plan: SamplePlan) -> np.ndarray:
+    """The serial part of sampling, one row per sample: the flat cell index
+    of a grid plan, or the (u, v) uniform pair of a Monte Carlo plan (a view
+    of the 2 x n Philox block)."""
     if isinstance(plan, GridPlan):
-        x = region.x0 + (np.arange(plan.n1) + 0.5) * (region.x1 - region.x0) / plan.n1
-        y = region.y0 + (np.arange(plan.n2) + 0.5) * (region.y1 - region.y0) / plan.n2
-        yy, xx = np.meshgrid(y, x, indexing="ij")
-        return (xx + 1j * yy).ravel()
-    u, v = _philox_uniforms(plan.seed, plan.n, 2)
+        return np.arange(plan.total)
+    return _philox_uniforms(plan.seed, plan.n, 2).T
+
+
+def _place(region: Region, plan: SamplePlan, draws: np.ndarray) -> np.ndarray:
+    """Sample locations of ``draws``, elementwise, so that any slice of the
+    draws places to the same slice of the samples.
+
+    A grid index k is cell (j, i) = divmod(k, n1). Monte Carlo on the
+    annulus inverts the radial area CDF: s = r * sqrt(1/4 + 15/4 * u) maps
+    u ~ U[0,1) to |z| with uniform area.
+    """
+    if isinstance(plan, GridPlan):
+        j, i = np.divmod(draws, plan.n1)
+        if isinstance(region, AnnulusSpec):
+            thetas = (i + 0.5) * (_TWO_PI / plan.n1)
+            s = region.r * np.sqrt(0.25 + 3.75 * (j + 0.5) / plan.n2)
+            return s * np.exp(1j * thetas)
+        x = region.x0 + (i + 0.5) * (region.x1 - region.x0) / plan.n1
+        y = region.y0 + (j + 0.5) * (region.y1 - region.y0) / plan.n2
+        return x + 1j * y
+    u, v = draws[:, 0], draws[:, 1]
+    if isinstance(region, AnnulusSpec):
+        s = region.r * np.sqrt(0.25 + 3.75 * u)
+        return s * np.exp(1j * _TWO_PI * v)
     return (region.x0 + u * (region.x1 - region.x0)
             + 1j * (region.y0 + v * (region.y1 - region.y0)))
 
@@ -231,8 +244,7 @@ def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
                         zs: np.ndarray) -> tuple[np.ndarray, ...]:
     """(mask, Re(z L), log-margin, L, L valid); L is returned so that the
     B test reuses it instead of evaluating f'/f again."""
-    log_abs, _, ok = model.log_eval_many(zs)
-    lvals, l_ok = model.log_derivative_many(zs)
+    log_abs, ok, lvals, l_ok = model.log_abs_and_derivative_many(zs)
     re_zl = np.where(l_ok, (zs * lvals).real, -np.inf)
     log_beta = beta.log_beta_many(np.abs(zs))
     margin = np.where(ok, log_abs - log_beta, -np.inf)
@@ -321,19 +333,25 @@ def annulus_density(predicate: Callable[[np.ndarray], np.ndarray],
     budget comparisons. A Monte Carlo plan gives a 95% normal-approximation
     half-width, a grid plan 0.
     """
-    zs = sample_points(region, plan)
-    mask = map_chunked(predicate, zs)
+    def count(draws: np.ndarray) -> np.ndarray:
+        # placement is elementwise, so placing per chunk keeps every bit
+        zs = _place(region, plan, draws)
+        hit = predicate(zs)
+        outside = (np.ones(zs.shape, dtype=bool) if exclude is None
+                   else exclude.mask_outside(zs))
+        return np.stack([hit & outside, outside], axis=1)
+
+    n = plan.total
+    packed = map_chunked(count, _draws(plan))
     excluded = None
     if exclude is not None:
-        outside = exclude.mask_outside(zs)
-        mask = mask & outside
-        excluded = 1.0 - float(outside.sum()) / zs.size
-    hits = int(mask.sum())
-    density = hits / zs.size
+        excluded = 1.0 - float(packed[:, 1].sum()) / n
+    hits = int(packed[:, 0].sum())
+    density = hits / n
     half = 0.0
     if isinstance(plan, MonteCarloPlan):
-        half = 1.96 * math.sqrt(max(density * (1.0 - density), 0.0) / zs.size)
-    return DensityReport(region.region_dict(), plan.plan_dict(), hits, zs.size,
+        half = 1.96 * math.sqrt(max(density * (1.0 - density), 0.0) / n)
+    return DensityReport(region.region_dict(), plan.plan_dict(), hits, n,
                          density, half, excluded)
 
 

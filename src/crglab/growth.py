@@ -379,8 +379,8 @@ class GrowthMinorant:
         slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
 
         def lb(l: np.ndarray) -> np.ndarray:
-            return np.where(l >= ls[-1], _safe_exp(lbs[-1] + slope * (l - ls[-1])),
-                            np.exp(np.interp(l, ls, lbs)))
+            return np.where(l >= ls[-1], lbs[-1] + slope * (l - ls[-1]),
+                            np.interp(l, ls, lbs))
 
         return GrowthMinorant("table", threshold_x0, lb,
                               f"table minorant on [{rs[0]:g}, {rs[-1]:g}]")

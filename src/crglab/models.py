@@ -11,7 +11,8 @@ The primary representation of a value is its logarithm: ``log_eval_many``
 returns log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such
 as |f(z)| versus beta(|z|) stay comparable long after exp() would overflow. An
 exponential sum is e^mu S with mu = max_k Re(b_k z), so log|f| = mu + log|S|
-and f'/f = S'/S come from the same scaled sums.
+and f'/f = S'/S come from the same scaled sums; ``log_abs_and_derivative_many``
+returns both from one pass.
 """
 
 from __future__ import annotations
@@ -109,14 +110,10 @@ class ExponentialSum:
         """
         zs = np.asarray(zs, dtype=np.complex128)
         mu, s, _, _ = self._scaled_sums(zs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_abs = mu + np.log(np.abs(s))
-        blown = ~np.isfinite(s)
-        valid = blown | (log_abs >= ZERO_HIT_LOG)
-        log_abs = np.where(blown, np.inf, np.where(valid, log_abs, -np.inf))
+        log_abs, valid = _log_modulus(mu, s, np.abs(s))
         phase = np.angle(s)
         phase = np.where(phase == -math.pi, math.pi, phase)
-        phase = np.where(valid & ~blown, phase, 0.0)
+        phase = np.where(valid & np.isfinite(s), phase, 0.0)
         return log_abs, phase, valid
 
     def log_derivative_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +124,38 @@ class ExponentialSum:
         """
         zs = np.asarray(zs, dtype=np.complex128)
         _, s, ds, scale = self._scaled_sums(zs)
-        ok = np.abs(s) > _NEAR_ZERO_REL * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(ok, ds / np.where(ok, s, 1.0), 0.0)
-        return ratio, ok
+        return _log_ratio(s, ds, np.abs(s), scale)
+
+    def log_abs_and_derivative_many(self, zs: np.ndarray
+                                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(log_abs, valid, L, ok) of ``log_eval_many`` and
+        ``log_derivative_many`` from one pass over the terms, without the
+        phase; bit-identical to the two separate calls."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        mu, s, ds, scale = self._scaled_sums(zs)
+        abs_s = np.abs(s)
+        return (*_log_modulus(mu, s, abs_s), *_log_ratio(s, ds, abs_s, scale))
+
+
+def _log_modulus(mu: np.ndarray, s: np.ndarray, abs_s: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(log_abs, valid) of f = e^mu S: +inf and valid where S is not finite,
+    -inf and invalid below ZERO_HIT_LOG."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = mu + np.log(abs_s)
+    blown = ~np.isfinite(s)
+    valid = blown | (log_abs >= ZERO_HIT_LOG)
+    return np.where(blown, np.inf, np.where(valid, log_abs, -np.inf)), valid
+
+
+def _log_ratio(s: np.ndarray, ds: np.ndarray, abs_s: np.ndarray,
+               scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, ok) with L = S'/S; ok is False, and L 0, where |S| is not above
+    the near-zero guard, 1e-6 of the largest |term of S|."""
+    ok = abs_s > _NEAR_ZERO_REL * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(ok, ds / np.where(ok, s, 1.0), 0.0)
+    return ratio, ok
 
 
 @dataclass(frozen=True)
@@ -307,6 +332,13 @@ class CanonicalProduct:
                 total[blk] += contrib.sum(axis=1)
         total = np.where(ok, total, 0.0)
         return total.reshape(zs.shape), ok.reshape(zs.shape)
+
+    def log_abs_and_derivative_many(self, zs: np.ndarray
+                                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(log_abs, valid, L, ok) from the two passes above, whose factor
+        chunks bound the peak memory."""
+        log_abs, _, valid = self.log_eval_many(zs)
+        return (log_abs, valid, *self.log_derivative_many(zs))
 
     def plain_values(self, zs: np.ndarray) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.complex128)

@@ -228,6 +228,16 @@ class TestExitCodes:
                     "--radii", "10,20,30", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_schwarz_overflow_is_not_a_zero(self, tmp_path, capsys):
+        # 1e308 z overflows S on the circle around 10; f has no zero there
+        out = tmp_path / "x.csv"
+        assert run(["schwarz-check", "--fn", "expsum:[1,1e308]exp(1)",
+                    "--samples", "10:0", "--t-r", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "f leaves the float range on the quadrature circle" in err
+        assert "zero" not in err
+        assert not out.exists()
+
     def test_unknown_command_is_one(self):
         assert run(["no-such-command"]) == 1
 
@@ -445,6 +455,23 @@ class TestByteDeterminismAcrossThreads:
                 blob += b"".join(read_bytes(p) for p in (ind, mea, pgm, den))
             captures.append(blob)
         assert captures[0] == captures[1] == captures[2]
+
+    def test_excluded_density_identical_for_1_and_2_workers(self, tmp_path,
+                                                             monkeypatch):
+        # disks are masked inside the chunks, next to the predicate
+        disks = tmp_path / "disks.txt"
+        disks.write_text("250 0 60\n-300 40 90\n0 320 45\n")
+        blobs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CRG_THREADS", threads)
+            den = tmp_path / f"d{threads}.json"
+            assert run(["density", "--fn", EXP, "--set", "A", "--r", "200",
+                        "--beta", "exp-power:0.5,1", "--plan", "mc:30000:7",
+                        "--exclude-disks", str(disks), "--out", str(den)]) == 0
+            blobs.append(read_bytes(den))
+        assert blobs[0] == blobs[1]
+        rep = json.loads(blobs[0])
+        assert 0.0 < rep["excluded_fraction"] < 1.0 and rep["hits"] > 0
 
     def test_invalid_thread_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRG_THREADS", "zero")

@@ -76,6 +76,31 @@ class TestSamplePlans:
         assert not np.array_equal(a, c)
 
 
+class TestChunkedPlacement:
+    """annulus_density places each chunk of draws in its worker; the chunks
+    join to sample_points bit for bit."""
+
+    @pytest.mark.parametrize("region", [
+        criteria.AnnulusSpec(200.0), criteria.Window(-3.1, 2.7, -1.3, 5.9)],
+        ids=["annulus", "window"])
+    @pytest.mark.parametrize("plan", [
+        criteria.MonteCarloPlan(20_003, 42), criteria.GridPlan(161, 131)],
+        ids=["mc", "grid"])
+    def test_chunks_join_to_sample_points(self, region, plan, monkeypatch):
+        monkeypatch.setenv("CRG_THREADS", "1")
+        chunks = []
+
+        def record(zs):
+            chunks.append(zs.copy())
+            return np.zeros(zs.shape, dtype=bool)
+
+        criteria.annulus_density(record, region, plan)
+        assert [c.size for c in chunks[:-1]] == [8192] * (len(chunks) - 1)
+        assert len(chunks) == -(-plan.total // 8192)
+        whole = criteria.sample_points(region, plan)
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
 class TestMembership:
     def test_exp_on_axis(self, exp_model, beta_half):
         v = criteria.membership_A(exp_model, beta_half, 100.0)
@@ -126,6 +151,7 @@ class _CountingModel:
         self.model = model
         self.n_eval = 0
         self.n_deriv = 0
+        self.n_fused = 0
         self.max_deriv_call = 0
 
     def log_eval_many(self, zs):
@@ -136,6 +162,14 @@ class _CountingModel:
         self.n_deriv += np.size(zs)
         self.max_deriv_call = max(self.max_deriv_call, np.size(zs))
         return self.model.log_derivative_many(zs)
+
+    def log_abs_and_derivative_many(self, zs):
+        # one f and one f'/f evaluation per point, in a single pass
+        self.n_fused += np.size(zs)
+        self.n_eval += np.size(zs)
+        self.n_deriv += np.size(zs)
+        self.max_deriv_call = max(self.max_deriv_call, np.size(zs))
+        return self.model.log_abs_and_derivative_many(zs)
 
 
 class TestSinglePass:
@@ -149,7 +183,7 @@ class TestSinglePass:
         assert 0 < k < zs.size
         counting = _CountingModel(sin_model)
         criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
-        assert counting.n_eval == zs.size
+        assert counting.n_eval == counting.n_fused == zs.size
         assert counting.n_deriv == zs.size + k * (1 + 8 * 4)
 
     def test_predicate_b_disk_calls_bounded(self, sin_model, beta_half):
@@ -166,11 +200,12 @@ class TestSinglePass:
         counting = _CountingModel(exp_model)
         v = criteria.membership_B(counting, beta_half, 100.0, disk_samples=4)
         assert v.in_A and v.in_B
-        assert (counting.n_eval, counting.n_deriv) == (1, 1 + (1 + 8 * 4))
+        assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (
+            1, 1, 1 + (1 + 8 * 4))
         counting = _CountingModel(exp_model)
         v = criteria.membership_B(counting, beta_half, 100j, disk_samples=4)
         assert not v.in_A and v.in_B is False
-        assert (counting.n_eval, counting.n_deriv) == (1, 1)
+        assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (1, 1, 1)
 
 
 class TestAnnulusDensity:

@@ -274,8 +274,8 @@ def _ref_table(rs, betas):
     def lb(l):
         if l >= ls[-1]:
             slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
-            return _ref_exp(lbs[-1] + slope * (l - ls[-1]))
-        return math.exp(float(np.interp(l, ls, lbs)))
+            return lbs[-1] + slope * (l - ls[-1])
+        return float(np.interp(l, ls, lbs))
     return lb
 
 
@@ -368,6 +368,12 @@ class TestMinorantArrays:
         alpha = growth.DensityBudget.sector_budget(2, cascade)
         assert type(alpha.alpha_of_r(50.0)) is float
 
+    def test_table_gives_log_beta(self):
+        # beta(r) = 2r through the nodes and past them
+        b = growth.GrowthMinorant.from_table([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], 0.5)
+        assert b.log_beta(3.0) == pytest.approx(math.log(6.0), rel=1e-12)
+        assert b.log_beta(10.0) == pytest.approx(math.log(20.0), rel=1e-12)
+
     def test_table_needs_two_nodes(self):
         with pytest.raises(ValueError):
             growth.GrowthMinorant.from_table([1.0], [2.0], 0.5)
@@ -386,13 +392,15 @@ class TestSeriesCondition:
         assert chk.terms[2] == pytest.approx(math.exp(10.0) ** -2, rel=1e-12)
 
     def test_slow_doubling_diverges(self):
+        # beta(r) = 2r and alpha = 1/log r: alpha(beta^n(10)) is
+        # 1/(log 10 + n log 2), a harmonic series
         b = growth.GrowthMinorant.from_table([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], 0.5)
-        # alpha = 1/log r, held at 1/709 past r = e^709
-        alpha = growth.DensityBudget(lambda r: 1 / math.log(r),
-                                     lambda l: 1 / math.log(math.exp(min(l, 709.0))))
+        alpha = growth.DensityBudget(lambda r: 1 / math.log(r), lambda l: 1 / l)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10,
                                             max_terms=2000)
         assert not chk.converges and chk.terms_used == 2000
+        assert chk.terms[1999] == pytest.approx(
+            1 / (math.log(10.0) + 1999 * math.log(2.0)), rel=1e-9)
 
     def test_zero_budget(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)

@@ -140,6 +140,45 @@ class TestLogDerivative:
             checked = 0
 
 
+class TestFusedPass:
+    """log_abs_and_derivative_many gives the bits of log_eval_many's
+    (log_abs, valid) and log_derivative_many's (L, ok)."""
+
+    POLY = models.ExponentialSum([([1.0, 1.0], 1.0), ([0.0, 0.0, 1.0], -1.0)])
+    BIG = models.ExponentialSum([([1.0, 1e308], 1.0)])      # 1e308 z overflows
+
+    @pytest.mark.parametrize("name", ["exp", "sin", "poly", "big"])
+    def test_bits_match_the_two_passes(self, name, exp_model, sin_model):
+        model = {"exp": exp_model, "sin": sin_model,
+                 "poly": self.POLY, "big": self.BIG}[name]
+        rng = np.random.default_rng(3)
+        zs = np.concatenate([
+            rng.uniform(-60, 60, 2000) + 1j * rng.uniform(-60, 60, 2000),
+            [0.0, math.pi + 1e-14, -1.0, 10.0, 1e-300, 800.0, -800j, 1e6 + 1e6j]])
+        log_abs, _, valid = model.log_eval_many(zs)
+        lvals, ok = model.log_derivative_many(zs)
+        fused = model.log_abs_and_derivative_many(zs)
+        for got, want in zip(fused, (log_abs, valid, lvals, ok)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_guards_are_exercised(self, sin_model):
+        # sin: a zero hit at 0 and a near-zero f'/f next to pi
+        log_abs, valid, _, ok = sin_model.log_abs_and_derivative_many(
+            np.array([0.0, math.pi + 1e-14]))
+        assert log_abs[0] == -math.inf and not valid[0] and not ok.any()
+        # an overflowing coefficient: log|f| of +inf, valid, f'/f refused
+        log_abs, valid, _, ok = self.BIG.log_abs_and_derivative_many(np.array([10.0]))
+        assert log_abs[0] == math.inf and valid[0] and not ok[0]
+
+    def test_product_is_the_two_passes(self, k_squared_product):
+        zs = np.array([-1.0, 4.0, 3 + 2j, 50j])
+        log_abs, _, valid = k_squared_product.log_eval_many(zs)
+        lvals, ok = k_squared_product.log_derivative_many(zs)
+        fused = k_squared_product.log_abs_and_derivative_many(zs)
+        for got, want in zip(fused, (log_abs, valid, lvals, ok)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestArgumentPrinciple:
     def test_sin_zero_count(self, sin_model):
         assert models.count_zeros_argument_principle(
