@@ -30,8 +30,7 @@ from .growth import (
     canonical_ray_order,
     scale_V,
 )
-from .models import (CanonicalProduct, FunctionModel, counting_function_n,
-                     log_derivative)
+from .models import CanonicalProduct, FunctionModel, log_derivative
 
 _TWO_PI = 2.0 * math.pi
 
@@ -258,7 +257,7 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
             raise BandViolation(
                 f"theta = {theta:g} outside [{half_band:g}, {_TWO_PI - half_band:g}]")
         v = scale_V(po, r)
-        n_r = counting_function_n(product, r)
+        n_r = product.counting_function(r)
         if abs(n_r - c * v) > declared_constant * eps * v:
             raise HypothesisFailure(
                 f"counting deviation |{n_r} - {c * v:.6g}| exceeds "

@@ -12,7 +12,9 @@ kind of input has one way in: list and pair values (``--radii`` ladders,
 argparse ``type=`` functions that report the reason a value is refused, and
 every numeric text file (points, zeros, radii, disks) is read by
 ``covering.read_columns`` with an exact column count. ``--N``, the cascade
-depth, is an option of exactly the commands that read it. Commands raise,
+depth, is an option of exactly the commands that read it, and each covering
+construction is a subcommand of ``covering`` with exactly the options it
+reads, so an option a command does not read is refused. Commands raise,
 and ``run`` is the only place that reports an error or picks an exit code.
 The argument parser is built on the first ``run`` call and reused after.
 
@@ -251,31 +253,26 @@ def _cmd_verify_crg(args: argparse.Namespace) -> int:
     return 0
 
 
-_COVERING_OPTIONS = {"besicovitch": ("points", "radii"),
-                     "fuchs": ("points", "H"),
-                     "cartan": ("zeros", "R", "eta")}
+def _read_points(path: str) -> list[complex]:
+    text = Path(path).read_text("ascii")
+    return [complex(*row) for row in covering.read_columns(text, 2)]
 
 
 def _cmd_covering(args: argparse.Namespace) -> int:
-    missing = [f"--{name}" for name in _COVERING_OPTIONS[args.construction]
-               if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"covering {args.construction} needs {' '.join(missing)}")
-    # the first option of each construction names its file of 're im' lines
-    path = Path(getattr(args, _COVERING_OPTIONS[args.construction][0]))
-    pts = [complex(*row) for row in covering.read_columns(path.read_text("ascii"), 2)]
     if args.construction == "besicovitch":
+        pts = _read_points(args.points)
         text = Path(args.radii).read_text("ascii")
         radii = [r for (r,) in covering.read_columns(text, 1)]
         disks = covering.besicovitch_cover(pts, radii)
         cert = covering.besicovitch_audit(pts, disks, args.probes)
         name = "besicovitch"
     elif args.construction == "fuchs":
-        disks, cert = covering.fuchs_macintyre_disks(pts, args.H, args.probes)
+        disks, cert = covering.fuchs_macintyre_disks(_read_points(args.points),
+                                                     args.H, args.probes)
         name = "fuchs-macintyre"
     else:
-        disks, cert = covering.cartan_levin_disks(pts, args.R, args.eta,
-                                                  args.probes)
+        disks, cert = covering.cartan_levin_disks(_read_points(args.zeros), args.R,
+                                                  args.eta, args.probes)
         name = "cartan-levin"
     write_bytes(args.out_disks, disks.to_text().encode("ascii"))
     write_json(args.out_cert,
@@ -390,18 +387,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_crg)
 
-    p = sub.add_parser("covering", help="constructive covering certificates")
-    p.add_argument("construction", choices=["besicovitch", "fuchs", "cartan"])
-    p.add_argument("--points", help="file of 're im' lines")
-    p.add_argument("--radii", help="file of radii (besicovitch)")
-    p.add_argument("--zeros", help="file of 're im' zeros (cartan)")
-    p.add_argument("--H", type=float, help="Fuchs-Macintyre scale")
-    p.add_argument("--R", type=float, help="Cartan disk radius")
-    p.add_argument("--eta", type=float, help="Cartan budget parameter")
-    p.add_argument("--probes", type=int, default=10000)
-    p.add_argument("--out-disks", required=True)
-    p.add_argument("--out-cert", required=True)
-    p.set_defaults(func=_cmd_covering)
+    constructions = sub.add_parser(
+        "covering", help="constructive covering certificates").add_subparsers(
+            dest="construction", required=True)
+
+    def add_construction(name: str, help: str) -> argparse.ArgumentParser:
+        p = constructions.add_parser(name, help=help)
+        p.add_argument("--probes", type=int, default=10000)
+        p.add_argument("--out-disks", required=True)
+        p.add_argument("--out-cert", required=True)
+        p.set_defaults(func=_cmd_covering)
+        return p
+
+    p = add_construction("besicovitch", "Besicovitch subcover")
+    p.add_argument("--points", required=True, help="file of 're im' lines")
+    p.add_argument("--radii", required=True, help="file of radii, one per point")
+
+    p = add_construction("fuchs", "Fuchs-Macintyre exceptional disks")
+    p.add_argument("--points", required=True, help="file of 're im' lines")
+    p.add_argument("--H", type=float, required=True, help="Fuchs-Macintyre scale")
+
+    p = add_construction("cartan", "Cartan-Levin exceptional disks")
+    p.add_argument("--zeros", required=True, help="file of 're im' zeros")
+    p.add_argument("--R", type=float, required=True, help="Cartan disk radius")
+    p.add_argument("--eta", type=float, required=True, help="Cartan budget parameter")
 
     p = sub.add_parser("schwarz-check", help="Schwarz reconstruction vs direct L")
     p.add_argument("--fn", required=True, help="function spec mini-language")

@@ -1,27 +1,28 @@
-"""Membership tests for the escape-criteria sets A and B, and Lebesgue
-density estimation over annuli and windows.
+"""Batch membership tests for the escape-criteria sets A and B, region
+sampling, and Lebesgue density estimation over annuli and windows.
 
 A point belongs to A when Re(z f'(z)/f(z)) > 64 and |f(z)| > beta(|z|); it
 belongs to B when additionally Re(zeta f'(zeta)/f(zeta)) > 0 throughout the
 protective disk |zeta - z| < 32 |f(z)/f'(z)|. The disk condition is certified
-by structured sampling (8 concentric circles plus the center), never proved;
-verdicts record that they are sampling certificates.
+by structured sampling (8 concentric circles plus the center), never proved:
+a B verdict is a sampling certificate.
 
 Sampling is deterministic: Monte Carlo draws come from a counter-based Philox
 stream keyed by the seed, so the sample at index i is a function of
-(seed, n, i) for a plan of n samples. The uniforms (or grid indices) are
-drawn serially before the work is split into chunks; each chunk then places
-its own points by elementwise arithmetic, so sample i has the same bits, and
-results are bit-identical, for any CRG_THREADS. ``annulus_density`` draws and
-counts for the A and B densities and for the escape density of
-``dynamics.measure_estimate``.
+(seed, n, i) for a plan of n samples. ``sweep`` is the one way a region is
+sampled: the uniforms (or grid indices) are drawn serially before the work
+is split into chunks; each chunk then places its own points by elementwise
+arithmetic, so sample i has the same bits, and results are bit-identical,
+for any CRG_THREADS. ``annulus_density`` counts through it for the A and B
+densities and for the escape density of ``dynamics.measure_estimate``, and
+``dynamics.escape_map`` draws its raster through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,7 +102,9 @@ class GridPlan:
     """Deterministic cell-center sampling; cells are equal-measure.
 
     On an annulus the axes are (n1 = angular, n2 = radial) with equal-area
-    radial bins; on a window they are (n1 = x, n2 = y) pixel centers.
+    radial bins; on a window they are (n1 = x, n2 = y) pixel centers in
+    raster order, rows counted from the top edge y1 downward, so that the
+    window grid of ``escape_map`` is this plan.
     """
 
     n1: int
@@ -166,9 +169,9 @@ def _place(region: Region, plan: SamplePlan, draws: np.ndarray) -> np.ndarray:
     """Sample locations of ``draws``, elementwise, so that any slice of the
     draws places to the same slice of the samples.
 
-    A grid index k is cell (j, i) = divmod(k, n1). Monte Carlo on the
-    annulus inverts the radial area CDF: s = r * sqrt(1/4 + 15/4 * u) maps
-    u ~ U[0,1) to |z| with uniform area.
+    A grid index k is cell (j, i) = divmod(k, n1); on a window, row j = 0 is
+    the top one. Monte Carlo on the annulus inverts the radial area CDF:
+    s = r * sqrt(1/4 + 15/4 * u) maps u ~ U[0,1) to |z| with uniform area.
     """
     if isinstance(plan, GridPlan):
         j, i = np.divmod(draws, plan.n1)
@@ -177,7 +180,7 @@ def _place(region: Region, plan: SamplePlan, draws: np.ndarray) -> np.ndarray:
             s = region.r * np.sqrt(0.25 + 3.75 * (j + 0.5) / plan.n2)
             return s * np.exp(1j * thetas)
         x = region.x0 + (i + 0.5) * (region.x1 - region.x0) / plan.n1
-        y = region.y0 + (j + 0.5) * (region.y1 - region.y0) / plan.n2
+        y = region.y1 - (j + 0.5) * (region.y1 - region.y0) / plan.n2
         return x + 1j * y
     u, v = draws[:, 0], draws[:, 1]
     if isinstance(region, AnnulusSpec):
@@ -206,50 +209,39 @@ class DensityReport:
                 **{k: v for k, v in asdict(self).items() if v is not None}}
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Escape-criteria verdict at one point.
+class VerdictsA(NamedTuple):
+    """The A test at each point of an array, elementwise."""
 
-    ``min_disk_re`` and ``disk_radius`` are populated by the B test; the disk
-    positivity is a sampling certificate over ``disk_samples`` points on each
-    of 8 concentric circles plus the center.
+    in_A: np.ndarray         # bool
+    re_zl: np.ndarray        # Re(z L(z)), -inf where L is undefined
+    margin: np.ndarray       # log|f(z)| - log beta(|z|), -inf where log f is invalid
+    L: np.ndarray            # f'/f, reused by the B test
+    l_ok: np.ndarray         # bool, L defined
+
+
+class VerdictsB(NamedTuple):
+    """The B test at each point of an array, elementwise.
+
+    Disk positivity is a sampling certificate over ``disk_samples`` points on
+    each of 8 concentric circles plus the center; points outside A get
+    ``in_B`` False and ``min_disk_re`` -inf.
     """
 
-    z: complex
-    in_A: bool
-    re_zl: float
-    log_f_margin: float              # log|f(z)| - log beta(|z|)
-    in_B: bool | None = None
-    min_disk_re: float | None = None
-    disk_radius: float | None = None
-    disk_samples: int | None = None
-    certificate: str = "pointwise"
+    in_B: np.ndarray         # bool
+    min_disk_re: np.ndarray  # min Re(zeta L(zeta)) over the disk samples
+    disk_radius: np.ndarray  # 32/|L(z)|, inf where L is undefined or 0
 
 
 def membership_A(model: FunctionModel, beta: GrowthMinorant,
-                 z: complex) -> MembershipVerdict:
-    """Strict log-space test: Re(z L(z)) > 64 and log|f(z)| > log beta(|z|)."""
-    return _verdict_A(z, _membership_A_batch(
-        model, beta, np.array([z], dtype=np.complex128)))
-
-
-def _verdict_A(z: complex, a_pass: tuple[np.ndarray, ...]) -> MembershipVerdict:
-    """The A verdict at z from the one-point pass ``_membership_A_batch([z])``."""
-    mask, re_zl, margin, _, _ = a_pass
-    return MembershipVerdict(z=complex(z), in_A=bool(mask[0]),
-                             re_zl=float(re_zl[0]), log_f_margin=float(margin[0]))
-
-
-def _membership_A_batch(model: FunctionModel, beta: GrowthMinorant,
-                        zs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(mask, Re(z L), log-margin, L, L valid); L is returned so that the
-    B test reuses it instead of evaluating f'/f again."""
+                 zs: np.ndarray) -> VerdictsA:
+    """Strict log-space test: Re(z L(z)) > 64 and log|f(z)| > log beta(|z|),
+    from one fused evaluation of log|f| and f'/f per point."""
     log_abs, ok, lvals, l_ok = model.log_abs_and_derivative_many(zs)
     re_zl = np.where(l_ok, (zs * lvals).real, -np.inf)
     log_beta = beta.log_beta_many(np.abs(zs))
     margin = np.where(ok, log_abs - log_beta, -np.inf)
-    mask = ok & l_ok & (re_zl > A_THRESHOLD) & (margin > 0.0)
-    return mask, re_zl, margin, lvals, l_ok
+    in_a = ok & l_ok & (re_zl > A_THRESHOLD) & (margin > 0.0)
+    return VerdictsA(in_a, re_zl, margin, lvals, l_ok)
 
 
 def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
@@ -260,36 +252,20 @@ def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
     return np.concatenate([[0.0 + 0.0j], rings.ravel()])
 
 
-def membership_B(model: FunctionModel, beta: GrowthMinorant, z: complex,
-                 disk_samples: int = 16) -> MembershipVerdict:
-    """A-membership plus sampled positivity of Re(zeta L(zeta)) on the disk.
-
-    The disk radius is 32 |f(z)/f'(z)| = 32/|L(z)|. A near-zero of f at any
-    sample point refutes positivity and yields in_B = False.
-    """
+def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA,
+                 disk_samples: int = 16) -> VerdictsB:
+    """Sampled positivity of Re(zeta L(zeta)) on the disk of radius
+    32 |f(z)/f'(z)| = 32/|L(z)| about each A-member of ``zs``, where ``a`` is
+    ``membership_A`` at ``zs``. A near-zero of f at any sample point refutes
+    positivity."""
     offsets = _disk_sample_offsets(disk_samples)
-    zs = np.array([z], dtype=np.complex128)
-    a_pass = _membership_A_batch(model, beta, zs)
-    base = replace(_verdict_A(z, a_pass), in_B=False, certificate="sampling")
-    if not base.in_A or not math.isfinite(base.re_zl):
-        return base
-    mask, min_re, radius = _membership_B_batch(model, zs, a_pass, offsets)
-    return replace(base, in_B=bool(mask[0]), min_disk_re=float(min_re[0]),
-                   disk_radius=float(radius[0]), disk_samples=disk_samples)
-
-
-def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
-                        a_pass: tuple[np.ndarray, ...], offsets: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Disk certificate on top of the A pass ``_membership_A_batch(zs)``."""
     # only A-members need the disk certificate; for them Re(zL) > 64 forces
     # the disk radius 32/|L| below |z|/2, keeping samples near the annulus
-    in_a, _, _, lvals, l_ok = a_pass
     with np.errstate(divide="ignore"):
-        radius = np.where(l_ok & (np.abs(lvals) > 0),
-                          B_RADIUS_FACTOR / np.abs(lvals), np.inf)
+        radius = np.where(a.l_ok & (np.abs(a.L) > 0),
+                          B_RADIUS_FACTOR / np.abs(a.L), np.inf)
     min_re = np.full(zs.shape, -np.inf)
-    idx = np.flatnonzero(in_a)
+    idx = np.flatnonzero(a.in_A)
     if idx.size:
         centers, radii = zs[idx], radius[idx]
         low = np.full(idx.shape, np.inf)
@@ -298,27 +274,39 @@ def _membership_B_batch(model: FunctionModel, zs: np.ndarray,
             lvals_d, ok_d = model.log_derivative_many(pts)
             low = np.minimum(low, np.where(ok_d, (pts * lvals_d).real, -np.inf))
         min_re[idx] = low
-    mask = in_a & (min_re > 0.0)
-    return mask, min_re, radius
+    return VerdictsB(a.in_A & (min_re > 0.0), min_re, radius)
 
 
 def predicate_A(model: FunctionModel,
                 beta: GrowthMinorant) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch predicate form of membership_A for density estimation."""
+    """The A mask of ``membership_A`` as a predicate for density estimation."""
     def pred(zs: np.ndarray) -> np.ndarray:
-        return _membership_A_batch(model, beta, zs)[0]
+        return membership_A(model, beta, zs).in_A
     return pred
 
 
 def predicate_B(model: FunctionModel, beta: GrowthMinorant,
                 disk_samples: int = 16) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch predicate form of membership_B (sampling certificate)."""
-    offsets = _disk_sample_offsets(disk_samples)
+    """The B mask of ``membership_B`` as a predicate for density estimation;
+    a bad ``disk_samples`` is refused here, before any sample is drawn."""
+    _disk_sample_offsets(disk_samples)
 
     def pred(zs: np.ndarray) -> np.ndarray:
-        a_pass = _membership_A_batch(model, beta, zs)
-        return _membership_B_batch(model, zs, a_pass, offsets)[0]
+        return membership_B(model, zs, membership_A(model, beta, zs),
+                            disk_samples).in_B
     return pred
+
+
+def sweep(fn: Callable[[np.ndarray], np.ndarray], region: Region,
+          plan: SamplePlan) -> np.ndarray:
+    """``fn`` at every sample of the plan, in sample order.
+
+    The draws are made serially; each chunk of them is placed and handed to
+    ``fn`` in a worker. ``fn`` must be elementwise (row i of its result
+    depends only on sample i), so the result has the same bits for any
+    CRG_THREADS.
+    """
+    return map_chunked(lambda draws: fn(_place(region, plan, draws)), _draws(plan))
 
 
 def annulus_density(predicate: Callable[[np.ndarray], np.ndarray],
@@ -333,16 +321,14 @@ def annulus_density(predicate: Callable[[np.ndarray], np.ndarray],
     budget comparisons. A Monte Carlo plan gives a 95% normal-approximation
     half-width, a grid plan 0.
     """
-    def count(draws: np.ndarray) -> np.ndarray:
-        # placement is elementwise, so placing per chunk keeps every bit
-        zs = _place(region, plan, draws)
+    def count(zs: np.ndarray) -> np.ndarray:
         hit = predicate(zs)
         outside = (np.ones(zs.shape, dtype=bool) if exclude is None
                    else exclude.mask_outside(zs))
         return np.stack([hit & outside, outside], axis=1)
 
     n = plan.total
-    packed = map_chunked(count, _draws(plan))
+    packed = sweep(count, region, plan)
     excluded = None
     if exclude is not None:
         excluded = 1.0 - float(packed[:, 1].sum()) / n

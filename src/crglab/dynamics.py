@@ -13,8 +13,10 @@ Indeterminate is a first-class verdict: it marks orbits whose comparison
 could not be completed (overflow to NaN, beta-track beyond float range, or a
 bailout crossing with a broken track that cannot be iterated further).
 
-``measure_estimate`` counts Escaped verdicts through the sampler and report
-of the A and B densities, ``criteria.annulus_density``.
+Both batch entry points sample through ``criteria``: ``measure_estimate``
+counts Escaped verdicts through the sampler and report of the A and B
+densities, ``criteria.annulus_density``, and ``escape_map`` classifies the
+cells of a window grid plan through ``criteria.sweep``.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import (AnnulusSpec, DensityReport, Region, SamplePlan, Window,
-                       annulus_density)
+from .criteria import (AnnulusSpec, DensityReport, GridPlan, Region, SamplePlan,
+                       Window, annulus_density, sweep)
 from .growth import GrowthMinorant, beta_log_track
 from .models import CanonicalProduct, FunctionModel
-from .parallel import map_chunked
 
 # verdict codes used by the batch classifier and the raster
 SURVIVED = 0
@@ -77,7 +78,6 @@ class EscapeMap:
     width: int
     height: int
     codes: np.ndarray        # uint8, shape (height, width)
-    steps: np.ndarray        # int32 escape step, -1 where not escaped
 
     def escaped_fraction(self) -> float:
         esc = (self.codes >= 1) & (self.codes <= 254)
@@ -187,28 +187,18 @@ def classify_orbit(model: FunctionModel, z0: complex, r0: float,
 def escape_map(model: FunctionModel, window: Window, width: int, height: int,
                r0: float, beta: GrowthMinorant, max_iter: int = 50,
                bailout_log: float = DEFAULT_BAILOUT_LOG) -> EscapeMap:
-    """Classify every pixel center of the window; deterministic raster."""
-    if width < 1 or height < 1:
-        raise ValueError("raster dimensions must be positive")
+    """Classify every pixel center of the window, the cells of
+    ``GridPlan(width, height)`` in raster order; deterministic raster."""
     track = _orbit_track(model, beta, r0, max_iter, bailout_log)
-    xs = window.x0 + (np.arange(width) + 0.5) * (window.x1 - window.x0) / width
-    ys = window.y1 - (np.arange(height) + 0.5) * (window.y1 - window.y0) / height
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    starts = (xx + 1j * yy).ravel()
 
-    def work(chunk: np.ndarray) -> np.ndarray:
-        codes, steps = _classify_batch(model, chunk, track, max_iter, bailout_log)
-        return np.stack([codes.astype(np.int32), steps], axis=1)
+    def pixels(zs: np.ndarray) -> np.ndarray:
+        codes, steps = _classify_batch(model, zs, track, max_iter, bailout_log)
+        pix = np.where(codes == ESCAPED, np.clip(steps, 1, 254), 0).astype(np.uint8)
+        pix[(codes == INDETERMINATE) | (codes == ZERO_HIT)] = 255
+        return pix
 
-    packed = map_chunked(work, starts)
-    codes, steps = packed[:, 0], packed[:, 1]
-    pix = np.zeros(codes.shape, dtype=np.uint8)
-    esc = codes == ESCAPED
-    pix[esc] = np.clip(steps[esc], 1, 254).astype(np.uint8)
-    pix[(codes == INDETERMINATE) | (codes == ZERO_HIT)] = 255
-    return EscapeMap(window=window, width=width, height=height,
-                     codes=pix.reshape(height, width),
-                     steps=np.where(esc, steps, -1).reshape(height, width).astype(np.int32))
+    pix = sweep(pixels, window, GridPlan(width, height))
+    return EscapeMap(window, width, height, pix.reshape(height, width))
 
 
 def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,

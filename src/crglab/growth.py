@@ -423,11 +423,14 @@ def _find_threshold(log_beta_of_log: Callable[[np.ndarray], np.ndarray]) -> floa
 
 @dataclass(frozen=True)
 class DensityBudget:
-    """Decreasing alpha(r) -> 0 with a log-domain twin for iterated radii."""
+    """Decreasing alpha(r) -> 0, defined once in the log domain so that it
+    reaches iterated radii beyond the float range."""
 
-    alpha_of_r: Callable[[float], float]
     alpha_of_log: Callable[[float], float]
     description: str = ""
+
+    def alpha_of_r(self, r: float) -> float:
+        return float(self.alpha_of_log(math.log(r)))
 
     @staticmethod
     def sector_budget(m_arcs: int, cascade: EpsilonCascade) -> "DensityBudget":
@@ -436,13 +439,10 @@ class DensityBudget:
             raise ValueError(f"m_arcs must be at least 1, got {m_arcs}")
         c = 6.0 * m_arcs
 
-        def a_r(r: float) -> float:
-            return c * cascade.eps3(r / 2.0)
-
         def a_l(l: float) -> float:
             return c * cascade.eps3_from_log(l - math.log(2.0))
 
-        return DensityBudget(a_r, a_l, f"alpha(r) = {c:g} * eps3(r/2)")
+        return DensityBudget(a_l, f"alpha(r) = {c:g} * eps3(r/2)")
 
 
 # ---------------------------------------------------------------------------

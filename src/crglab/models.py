@@ -251,9 +251,8 @@ class CanonicalProduct:
                 f"|z| = {r:g} exceeds the certified radius r_max = {self.r_max:g}")
 
     def counting_function(self, r: float) -> int:
-        """Exact number of generated zeros with |a_k| <= r."""
-        if r <= 0:
-            return 0
+        """n(r, 0): exact number of generated zeros with |a_k| <= r."""
+        require_positive("r", r)
         k = int((r / self.rule.scale) ** (1.0 / self.rule.exponent))
         while self.rule.modulus(k + 1) <= r:
             k += 1
@@ -362,12 +361,6 @@ def log_derivative(model: FunctionModel, z: complex) -> complex:
     if not bool(ok[0]):
         raise NearZero(f"logarithmic derivative undefined near a zero at z={z}")
     return complex(val[0])
-
-
-def counting_function_n(product: CanonicalProduct, r: float) -> int:
-    """n(r, 0): exact zero count of the product rule up to modulus r."""
-    require_positive("r", r)
-    return product.counting_function(r)
 
 
 def count_zeros_argument_principle(model: FunctionModel,

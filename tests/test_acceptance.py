@@ -243,6 +243,9 @@ def test_criterion_11_byte_determinism(tmp_path, monkeypatch):
                 (["escape-map", "--fn", SIN_SPEC, "--window", "0,6.2832,-3,3",
                   "--size", "96x96", "--r0", "2", "--out", str(base / "e.pgm")],
                  base / "e.pgm"),
+                (["escape-map", "--fn", SIN_SPEC, "--window=-1.7,4.1,-0.3,2.9",
+                  "--size", "100x77", "--r0", "2", "--out", str(base / "ea.pgm")],
+                 base / "ea.pgm"),
                 (["verify-crg", "--fn", "product:zeros=pow(2),genus=0,cut=0.2",
                   "--c", "1", "--samples", "1000:3.141592653589793",
                   "--out", str(base / "v.csv")], base / "v.csv"),

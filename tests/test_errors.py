@@ -62,7 +62,7 @@ _PARAMETERS = {
     "PowerZeroRule.scale": lambda x: models.PowerZeroRule(2.0, scale=x),
     "CanonicalProduct.tail_tol": lambda x: models.CanonicalProduct(_RULE, 0, x, 100.0),
     "CanonicalProduct.r_max": lambda x: models.CanonicalProduct(_RULE, 0, 0.05, x),
-    "counting_function_n": lambda x: models.counting_function_n(_k_squared(), x),
+    "CanonicalProduct.counting_function": lambda x: _k_squared().counting_function(x),
     "ProximateOrder.constant": growth.ProximateOrder.constant,
     "scale_V": lambda x: growth.scale_V(_PO, x),
     "log_max_modulus": lambda x: growth.log_max_modulus(_EXP, x),

@@ -382,9 +382,7 @@ class TestMinorantArrays:
 class TestSeriesCondition:
     def test_fast_tower_converges(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget(
-            lambda r: 1 / math.log(r) ** 2,
-            lambda l: 0.0 if l == math.inf else 1 / l ** 2)
+        alpha = growth.DensityBudget(lambda l: 0.0 if l == math.inf else 1 / l ** 2)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10)
         assert chk.converges and chk.terms_used <= 5
         # alpha(beta^n(10)) = beta^{n-1}(10)^{-2}
@@ -395,7 +393,7 @@ class TestSeriesCondition:
         # beta(r) = 2r and alpha = 1/log r: alpha(beta^n(10)) is
         # 1/(log 10 + n log 2), a harmonic series
         b = growth.GrowthMinorant.from_table([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], 0.5)
-        alpha = growth.DensityBudget(lambda r: 1 / math.log(r), lambda l: 1 / l)
+        alpha = growth.DensityBudget(lambda l: 1 / l)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10,
                                             max_terms=2000)
         assert not chk.converges and chk.terms_used == 2000
@@ -404,7 +402,7 @@ class TestSeriesCondition:
 
     def test_zero_budget(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget(lambda r: 0.0, lambda l: 0.0)
+        alpha = growth.DensityBudget(lambda l: 0.0)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10)
         assert chk.converges and chk.partial_sum == 0.0
 
@@ -420,7 +418,7 @@ class TestSeriesCondition:
     @pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0])
     def test_start_radius_finite_and_above_threshold(self, r0):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget(lambda r: 0.0, lambda l: 0.0)
+        alpha = growth.DensityBudget(lambda l: 0.0)
         with pytest.raises(BelowThreshold):
             growth.series_condition_check(alpha, b, r0, 1e-10)
         with pytest.raises(BelowThreshold):

@@ -212,16 +212,16 @@ class TestArgumentPrinciple:
 
 class TestCountingFunction:
     def test_squares(self, k_squared_product):
-        assert models.counting_function_n(k_squared_product, 100.0) == 10
-        assert models.counting_function_n(k_squared_product, 99.9) == 9
+        assert k_squared_product.counting_function(100.0) == 10
+        assert k_squared_product.counting_function(99.9) == 9
 
     def test_even_spacing(self):
         prod = models.CanonicalProduct(
             models.PowerZeroRule(exponent=1.0, scale=2.0), genus=1,
             tail_tol=1e-3, r_max=50.0)
-        assert models.counting_function_n(prod, 7.0) == 3
-        assert models.counting_function_n(prod, 6.0) == 3
-        assert models.counting_function_n(prod, 5.9999) == 2
+        assert prod.counting_function(7.0) == 3
+        assert prod.counting_function(6.0) == 3
+        assert prod.counting_function(5.9999) == 2
 
 
 class TestCanonicalProductContract:

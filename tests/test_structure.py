@@ -75,3 +75,11 @@ def test_every_public_name_is_reached():
             if words[name] <= own.count(name) and name not in _UNREACHED_ALLOWED:
                 unreached.append(f"{path.stem}.{qualname}")
     assert unreached == []
+
+
+def test_only_criteria_sweeps_through_the_pool():
+    """Sampling a region and evaluating every point has one path,
+    ``criteria.sweep``; no other module calls the pool directly."""
+    callers = [p.name for p in sorted(_SRC.glob("*.py"))
+               if "map_chunked" in re.findall(r"\w+", p.read_text())]
+    assert callers == ["criteria.py", "parallel.py"]
