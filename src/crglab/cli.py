@@ -157,7 +157,7 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
     thetas = growth.angle_grid(args.thetas)
     emp = growth.indicator_empirical(model, default_order(ast), thetas, args.radii)
     rows = [(float(t), float(he), float(hm))
-            for t, he, hm in zip(thetas, exact.h(thetas), emp.values)]
+            for t, he, hm in zip(thetas, exact.h(thetas), emp)]
     write_csv(args.out, ["theta", "h_exact", "h_empirical"], rows)
     return 0
 

@@ -87,13 +87,18 @@ class DiskSet:
 
 
 def read_columns(text: str, n_cols: int) -> list[tuple[float, ...]]:
-    """One record of ``n_cols`` floats per non-blank line; ValueError names
-    the first line holding another count."""
-    for i, line in enumerate(text.splitlines(), 1):
+    """One record of ``n_cols`` finite floats per non-blank line; ValueError
+    names the first line holding another count or a NaN or infinity."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines, 1):
         count = len(line.split())
         if count not in (0, n_cols):
             raise ValueError(f"line {i}: expected {n_cols} numbers, got {count}")
     values = [float(p) for p in text.split()]
+    if not all(map(math.isfinite, values)):
+        i = next(i for i, line in enumerate(lines, 1)
+                 if not all(map(math.isfinite, map(float, line.split()))))
+        raise ValueError(f"line {i}: numbers must be finite, got {lines[i - 1].strip()!r}")
     return list(zip(*[iter(values)] * n_cols))   # n_cols values a record
 
 
@@ -311,7 +316,7 @@ def fuchs_macintyre_disks(points: Sequence[complex], H: float,
     # rounded budget either
     cert = FuchsCertificate(n, len(disks), H, float(sum_sq),
                             float(budget), bound, worst, int(probes.size))
-    if worst > bound * (1.0 + 1e-12):
+    if not worst <= bound * (1.0 + 1e-12):   # a NaN probe sum fails too
         raise CertificateFailure(f"fuchs-macintyre harmonic audit failed: {cert}")
     return disks, cert
 
@@ -380,6 +385,6 @@ def cartan_levin_disks(zeros: Sequence[complex], R: float, eta: float,
     worst = float(vals.min()) if probes.size else math.inf
     cert = CartanCertificate(n, len(disks), eta, R, float(sum_r),
                              float(budget), log_m, rhs, worst, int(probes.size))
-    if probes.size and worst <= rhs:
+    if probes.size and not worst > rhs:   # NaN fails too
         raise CertificateFailure(f"cartan-levin minimum-modulus audit failed: {cert}")
     return disks, cert

@@ -62,10 +62,6 @@ class AnnulusSpec:
         # Re(zL) > 64 keeps each B disk within 1.5|z| <= 3r of 0
         return 3.1 * self.r
 
-    @property
-    def area(self) -> float:
-        return 15.0 * math.pi * self.r ** 2 / 4.0
-
     def region_dict(self) -> dict:
         return {"kind": "annulus", "r": self.r}
 
@@ -84,10 +80,6 @@ class Window:
         if not (all(map(math.isfinite, bounds))
                 and self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError(f"window must be finite and nondegenerate, got {bounds}")
-
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
 
     def region_dict(self) -> dict:
         return {"kind": "window", "x0": self.x0, "x1": self.x1,

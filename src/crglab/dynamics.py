@@ -13,10 +13,11 @@ Indeterminate is a first-class verdict: it marks orbits whose comparison
 could not be completed (overflow to NaN, beta-track beyond float range, or a
 bailout crossing with a broken track that cannot be iterated further).
 
-Both batch entry points sample through ``criteria``: ``measure_estimate``
-counts Escaped verdicts through the sampler and report of the A and B
-densities, ``criteria.annulus_density``, and ``escape_map`` classifies the
-cells of a window grid plan through ``criteria.sweep``.
+Both entry points classify batches and sample through ``criteria``:
+``measure_estimate`` counts Escaped verdicts through the sampler and report
+of the A and B densities, ``criteria.annulus_density``, and ``escape_map``
+classifies the cells of a window grid plan through ``criteria.sweep``. One
+start point is a one-pixel ``escape_map`` of a window centred on it.
 """
 
 from __future__ import annotations
@@ -58,18 +59,6 @@ def _orbit_track(model: FunctionModel, beta: GrowthMinorant, r0: float,
 
 
 @dataclass(frozen=True)
-class OrbitRecord:
-    """Full classification record for a single start point."""
-
-    start: complex
-    log_moduli: tuple[float, ...]
-    verdict: str                      # "escaped" | "survived" | "zero-hit" | "indeterminate"
-    step: int | None
-    beta_track: tuple[float, ...]
-    fast_escaping_beta: bool
-
-
-@dataclass(frozen=True)
 class EscapeMap:
     """Raster of verdict codes: 0 survived, 1..254 escape step (clamped),
     255 indeterminate or zero-hit. Row-major, top row = max imaginary part."""
@@ -89,8 +78,7 @@ class EscapeMap:
 
 
 def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
-                    max_iter: int, bailout_log: float,
-                    recorder: list | None = None
+                    max_iter: int, bailout_log: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised classifier; returns (verdict codes, step of decision).
 
@@ -98,8 +86,7 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
     When plain evaluation of the next iterate overflows, the step is redone
     through log-space evaluation: either the iterate is reconstructed as
     exp(log f), or its log-modulus is known to exceed 709 > bailout_log and
-    the point is decided on the next comparison. When ``recorder`` is a
-    list, per-step log-moduli are appended to it (scalar OrbitRecord path).
+    the point is decided on the next comparison.
     """
     z = np.array(z0s, dtype=np.complex128).ravel()
     n = z.size
@@ -112,10 +99,6 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
         lm = np.log(np.abs(z))
 
     for k in range(max_iter + 1):
-        if recorder is not None:
-            recorder.append(lm.copy())
-        if not active.any():
-            break
         bad = active & np.isnan(lm)
         codes[bad], steps[bad] = INDETERMINATE, k
         active &= ~bad
@@ -157,31 +140,6 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
         lm[idx] = lm_next
 
     return codes, steps
-
-
-def classify_orbit(model: FunctionModel, z0: complex, r0: float,
-                   beta: GrowthMinorant, max_iter: int = 50,
-                   bailout_log: float = DEFAULT_BAILOUT_LOG) -> OrbitRecord:
-    """Classify one start point, keeping the full log-modulus track.
-
-    Escaped(k) iff log|z_k| >= bailout_log and log|z_j| > log beta^j(r0) for
-    all j <= k; Survived if max_iter is reached below bailout.
-    """
-    track = _orbit_track(model, beta, r0, max_iter, bailout_log)
-    recorder: list[np.ndarray] = []
-    codes, steps = _classify_batch(model, np.array([z0]), track, max_iter,
-                                   bailout_log, recorder)
-    code, step = int(codes[0]), int(steps[0])
-    log_moduli = [float(r[0]) for r in recorder]
-    if code != SURVIVED:
-        log_moduli = log_moduli[:step + 1]
-    verdict = {SURVIVED: "survived", ESCAPED: "escaped",
-               ZERO_HIT: "zero-hit", INDETERMINATE: "indeterminate"}[code]
-    return OrbitRecord(
-        start=complex(z0), log_moduli=tuple(log_moduli), verdict=verdict,
-        step=step if code != SURVIVED else None,
-        beta_track=tuple(float(t) for t in track),
-        fast_escaping_beta=beta.fast_escaping_form)
 
 
 def escape_map(model: FunctionModel, window: Window, width: int, height: int,

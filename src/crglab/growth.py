@@ -109,9 +109,6 @@ class EpsilonCascade:
     def eps2(self, r: float) -> float:
         return float(self.eps2_from_log(_iterated_log(r, 1)))
 
-    def eps3(self, r: float) -> float:
-        return float(self.eps3_from_log(_iterated_log(r, 1)))
-
 
 # ---------------------------------------------------------------------------
 # indicators
@@ -154,30 +151,6 @@ class ExactIndicator:
         amp, phase = np.array([(a.amplitude, a.phase) for a in self.arcs]).T[:, j]
         out = amp * np.cos(self.rho * t + phase)
         return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class EmpiricalIndicator:
-    """Finite-radius limsup proxy sampled on a theta grid.
-
-    ``radii`` records the ladder the max was taken over, making the proxy
-    reproducible.
-    """
-
-    thetas: np.ndarray
-    values: np.ndarray
-    radii: tuple[float, ...]
-
-    def h(self, theta: float | np.ndarray) -> float | np.ndarray:
-        """Periodic linear interpolation; a scalar theta gives a float."""
-        grid = np.concatenate([self.thetas, [self.thetas[0] + _TWO_PI]])
-        vals = np.concatenate([self.values, [self.values[0]]])
-        t = self.thetas[0] + np.mod(np.asarray(theta) - self.thetas[0], _TWO_PI)
-        out = np.interp(t, grid, vals)
-        return out if out.ndim else float(out)
-
-
-Indicator = ExactIndicator | EmpiricalIndicator
 
 
 def _hull_ccw(points: list[complex]) -> list[complex]:
@@ -288,8 +261,9 @@ def _log_moduli(model: FunctionModel, zs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def indicator_empirical(model: FunctionModel, po: ProximateOrder,
                         theta_grid: Sequence[float],
-                        radii: Sequence[float]) -> EmpiricalIndicator:
-    """max over the radius ladder of log|f(r e^{i theta})| / V(r).
+                        radii: Sequence[float]) -> np.ndarray:
+    """The finite-radius proxy for h at each theta of the grid: the max over
+    the radius ladder of log|f(r e^{i theta})| / V(r).
 
     Zero-hit samples are skipped; a theta with every radius on a zero raises
     ZeroHit, and a log-modulus past the float range OverflowUnrepresentable.
@@ -307,7 +281,7 @@ def indicator_empirical(model: FunctionModel, po: ProximateOrder,
     if not any_ok.all():
         bad = thetas[~any_ok]
         raise ZeroHit(f"all radii hit zeros at theta = {bad[:3]}")
-    return EmpiricalIndicator(thetas=thetas, values=best, radii=tuple(radii))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +299,10 @@ class GrowthMinorant:
     to the fast-escaping regime.
     """
 
-    kind: str
     threshold_x0: float
     log_beta_of_log: Callable[[np.ndarray], np.ndarray]
     description: str
     fast_escaping_form: bool = False
-
-    def log_beta(self, r: float) -> float:
-        require_positive("r", r)
-        return float(self.log_beta_of_log(math.log(r)))
 
     def log_beta_many(self, rs: np.ndarray) -> np.ndarray:
         rs = np.asarray(rs, dtype=float)
@@ -351,7 +320,7 @@ class GrowthMinorant:
             with np.errstate(over="ignore"):   # c * exp(x) past the float range is +inf
                 return c * _safe_exp(mu * l)
 
-        return GrowthMinorant("exp-power", _find_threshold(lb), lb,
+        return GrowthMinorant(_find_threshold(lb), lb,
                               f"beta(r) = exp({c:g} * r**{mu:g})",
                               fast_escaping_form=True)
 
@@ -362,29 +331,9 @@ class GrowthMinorant:
             return _safe_exp(po.rho_of_log(l) * l) * cascade.eps1_from_log(l)
 
         return GrowthMinorant(
-            "growth-scale", _find_threshold(lb), lb,
+            _find_threshold(lb), lb,
             f"beta(r) = exp(r**rho(r) / log^{cascade.N}(r)), rho -> {po.rho_limit:g}",
             fast_escaping_form=True)
-
-    @staticmethod
-    def from_table(rs: Sequence[float], betas: Sequence[float],
-                   threshold_x0: float) -> "GrowthMinorant":
-        """Piecewise log-log linear interpolation through (r, beta(r)) pairs,
-        extrapolated past the last node with the final slope."""
-        ls = np.log(np.asarray(rs, dtype=float))
-        lbs = np.log(np.asarray(betas, dtype=float))
-        if ls.size < 2 or not ((np.diff(ls) > 0).all() and (np.diff(lbs) > 0).all()):
-            raise ValueError("table must have two or more nodes, strictly "
-                             "increasing in r and beta")
-        slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
-
-        def lb(l: np.ndarray) -> np.ndarray:
-            return np.where(l >= ls[-1], lbs[-1] + slope * (l - ls[-1]),
-                            np.interp(l, ls, lbs))
-
-        return GrowthMinorant("table", threshold_x0, lb,
-                              f"table minorant on [{rs[0]:g}, {rs[-1]:g}]")
-
 
 def _safe_exp(x: np.ndarray) -> np.ndarray:
     """exp(x) elementwise, cut to +inf at x >= 709, just below where exp

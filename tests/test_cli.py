@@ -344,6 +344,14 @@ class TestExitCodes:
          "--out-disks", "d.txt", "--out-cert", "c.json"],
         ["measure", "--fn", SIN, "--window", "0,6.2832,-3,3", "--r0", "2e6",
          "--beta", "exp-power:1e-3,0.5", "--plan", "mc:200:1", "--out", "m.json"],
+        ["covering", "fuchs", "--points", "pts-nan.txt", "--H", "0.5",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "besicovitch", "--points", "pts-nan.txt", "--radii", "radii.txt",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        ["covering", "cartan", "--zeros", "zeros-inf.txt", "--R", "1", "--eta", "0.2",
+         "--out-disks", "d.txt", "--out-cert", "c.json"],
+        _DENSITY + ["--plan", "mc:200:1", "--exclude-disks", "nan-centre-disks.txt",
+                    "--out", "d.json"],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "disk-samples-0", "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "fuchs-with-radii",
@@ -362,7 +370,9 @@ class TestExitCodes:
             "measure-bailout-nan", "verify-crg-expsum", "check-8l-product",
             "indicator-thetas-0", "indicator-thetas-negative",
             "indicator-product-radius-1e200", "indicator-N", "schwarz-check-N",
-            "points-line-of-three", "radii-line-of-two", "measure-r0-below-crossing"])
+            "points-line-of-three", "radii-line-of-two", "measure-r0-below-crossing",
+            "fuchs-point-nan", "besicovitch-point-nan", "cartan-zero-inf",
+            "exclude-disk-centre-nan"])
     def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")
@@ -370,6 +380,9 @@ class TestExitCodes:
         (tmp_path / "nan-disks.txt").write_text("0 0 nan\n")
         (tmp_path / "pts3.txt").write_text("0.2 0.1 9\n-0.4 0.3\n")
         (tmp_path / "radii2.txt").write_text("0.1 0.2\n")
+        (tmp_path / "pts-nan.txt").write_text("nan 0\n")
+        (tmp_path / "zeros-inf.txt").write_text("0.2 0.1\ninf 0\n")
+        (tmp_path / "nan-centre-disks.txt").write_text("nan 0 1\n")
         assert run(argv) == 1
 
     @pytest.mark.parametrize("argv", [

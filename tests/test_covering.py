@@ -28,6 +28,9 @@ class TestDiskSet:
             covering.read_columns("1 2\n\n0.2 0.1 9\n", 2)
         with pytest.raises(ValueError, match="line 1: expected 1 numbers, got 2"):
             covering.read_columns("0.1 0.2\n", 1)
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="line 3: numbers must be finite"):
+                covering.read_columns(f"1 2\n\n3 {bad}\n5 6\n", 2)
 
     def test_positive_radii_enforced(self):
         with pytest.raises(ValueError):
@@ -223,6 +226,13 @@ class TestFuchsMacintyre:
         with pytest.raises(ValueError):
             covering.fuchs_macintyre_disks([0j], 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_audit_fails_closed(self):
+        # a NaN point makes every probe's harmonic sum NaN
+        with pytest.raises(CertificateFailure):
+            covering.fuchs_macintyre_disks([0.2 + 0.1j, complex(math.nan, 0.0)],
+                                           0.5, 200)
+
 
 class TestCartanLevin:
     def test_linear_factor(self):
@@ -275,6 +285,13 @@ class TestCartanLevin:
             covering.cartan_levin_disks([0j], 1.0, 0.1)
         with pytest.raises(ValueError):
             covering.cartan_levin_disks([1.0], 1.0, 5.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_audit_fails_closed(self):
+        # a NaN zero makes log M(2eR, g) and the bound NaN
+        with pytest.raises(CertificateFailure):
+            covering.cartan_levin_disks([0.2 + 0.1j, complex(math.nan, 0.0)],
+                                        1.0, 0.2, 200)
 
 
 class TestDensityTransferSmoke:

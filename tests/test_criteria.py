@@ -19,14 +19,6 @@ def beta_quarter():
 
 
 class TestRegions:
-    def test_annulus_area(self):
-        ann = criteria.AnnulusSpec(200.0)
-        assert ann.area == pytest.approx(15 * math.pi * 200.0 ** 2 / 4)
-        assert ann.inner == 100.0 and ann.outer == 400.0
-
-    def test_window_area(self):
-        assert criteria.Window(0, 2, -1, 3).area == pytest.approx(8.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             criteria.AnnulusSpec(0.0)

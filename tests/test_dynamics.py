@@ -18,42 +18,41 @@ def beta_scale():
         growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
 
 
+def _one_pixel(model, z0, r0, beta, **kwargs) -> int:
+    """The code of z0 alone, as a 1x1 escape map of the unit window centred
+    on it: 0 survived, 1..254 the escape step, 255 zero hit or
+    indeterminate."""
+    window = criteria.Window(z0.real - 0.5, z0.real + 0.5, z0.imag - 0.5, z0.imag + 0.5)
+    return int(dynamics.escape_map(model, window, 1, 1, r0, beta, **kwargs).codes[0, 0])
+
+
 class TestClassifyOrbit:
     def test_exp_two_step_escape(self, exp_model, beta_half):
         # z0=100: log|z1| = 100 < 500; z2 = e^(e^100) crosses at step 2 with
         # the beta track satisfied throughout
-        rec = dynamics.classify_orbit(exp_model, 100.0, 50.0, beta_half,
-                                      max_iter=50, bailout_log=500.0)
-        assert rec.verdict == "escaped" and rec.step == 2
-        assert rec.log_moduli[1] == pytest.approx(100.0)
-        assert rec.log_moduli[2] == pytest.approx(math.exp(100.0), rel=1e-12)
-        assert rec.beta_track[1] == pytest.approx(25.0)
-        assert rec.fast_escaping_beta
+        assert _one_pixel(exp_model, 100 + 0j, 50.0, beta_half,
+                          max_iter=50, bailout_log=500.0) == 2
+        # z2 overflows, and the log-space redo decides the track: its
+        # log|z2| = e^100 = 2.69e43 falls below log beta^2(9.9) = 10 e^99
+        # = 9.89e43 under beta = exp(10 r), where +inf would escape at step 2
+        beta_ten = growth.GrowthMinorant.exp_power(10.0, 1.0)
+        assert _one_pixel(exp_model, 100 + 0j, 9.9, beta_ten,
+                          max_iter=50, bailout_log=500.0) == 255
 
     def test_sin_fixed_point_survives(self, sin_model, beta_half):
-        rec = dynamics.classify_orbit(sin_model, 0.0, 10.0, beta_half,
-                                      max_iter=50)
-        assert rec.verdict == "survived" and rec.step is None
-        assert len(rec.log_moduli) == 51
+        assert _one_pixel(sin_model, 0j, 10.0, beta_half, max_iter=50) == 0
 
     def test_sin_real_orbit_stays_bounded(self, sin_model, beta_half):
-        rec = dynamics.classify_orbit(sin_model, 1.5708, 10.0, beta_half,
-                                      max_iter=100)
-        assert rec.verdict == "survived"
-        assert all(m <= 0.1 for m in rec.log_moduli[1:])
+        # |z0| = e^0.45; crossing bailout e^0.5 in 100 steps would be a
+        # nonzero code
+        assert _one_pixel(sin_model, 1.5708 + 0j, 10.0, beta_half,
+                          max_iter=100, bailout_log=0.5) == 0
 
     def test_track_recorded_step_by_step(self, exp_model, beta_half):
-        rec = dynamics.classify_orbit(exp_model, 100.0, 50.0, beta_half,
-                                      max_iter=10)
-        assert len(rec.beta_track) == 11
-        assert rec.beta_track[0] == pytest.approx(math.log(50.0))
-
-    def test_validation(self, exp_model, beta_half):
-        with pytest.raises(ValueError):
-            dynamics.classify_orbit(exp_model, 1.0, 10.0, beta_half, max_iter=0)
-        with pytest.raises(ValueError):
-            dynamics.classify_orbit(exp_model, 1.0, 10.0, beta_half,
-                                    bailout_log=800.0)
+        # from r0 = 250 the track asks log|z1| > log beta(250) = 125, and
+        # log|z1| = 100 breaks it before z2 crosses the bailout
+        assert _one_pixel(exp_model, 100 + 0j, 250.0, beta_half, max_iter=10) == 255
+        assert _one_pixel(exp_model, 100 + 0j, 50.0, beta_half, max_iter=10) == 2
 
     @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"bailout_log": 800.0}],
                              ids=["max-iter-0", "bailout-800"])
@@ -136,9 +135,8 @@ class TestLeftHalfPlaneExp:
                 z = complex(x, y)
                 if abs(z) <= 1.0:
                     continue
-                rec = dynamics.classify_orbit(exp_model, z, 2.0, beta_half,
-                                              max_iter=40)
-                assert rec.verdict != "escaped"
+                assert not 1 <= _one_pixel(exp_model, z, 2.0, beta_half,
+                                           max_iter=40) <= 254
 
 
 class TestMeasureEstimate:

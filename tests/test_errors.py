@@ -67,7 +67,6 @@ _PARAMETERS = {
     "scale_V": lambda x: growth.scale_V(_PO, x),
     "log_max_modulus": lambda x: growth.log_max_modulus(_EXP, x),
     "zheng_ratio": lambda x: growth.zheng_ratio(_EXP, [x]),
-    "GrowthMinorant.log_beta": lambda x: _BETA.log_beta(x),
     "exp_power.c": lambda x: growth.GrowthMinorant.exp_power(x, 1.0),
     "exp_power.mu": lambda x: growth.GrowthMinorant.exp_power(0.5, x),
     "series_condition_check.tail_tol": lambda x: growth.series_condition_check(

@@ -10,6 +10,16 @@ from crglab import growth, models
 from crglab.errors import BelowThreshold
 
 
+def _eps3(cascade, r):
+    """eps3 at r, through the array primitive the larger levels square."""
+    return float(cascade.eps3_from_log(np.log(r)))
+
+
+def _log_beta(beta, r):
+    """log beta(r) from one scalar call of the log-domain closure."""
+    return float(beta.log_beta_of_log(math.log(r)))
+
+
 class TestScaleV:
     def test_constant_orders(self):
         assert growth.scale_V(growth.ProximateOrder.constant(1.0), 10.0) \
@@ -28,7 +38,7 @@ class TestEpsilonCascade:
     def test_exact_square_chain(self, cascade_one):
         for r in (10.0, 50.0, 1e4, 1e8):
             e1, e2, e3 = (cascade_one.eps1(r), cascade_one.eps2(r),
-                          cascade_one.eps3(r))
+                          _eps3(cascade_one, r))
             assert e1 == e2 * e2 == (e3 * e3) * (e3 * e3)
             assert e1 <= e2 <= e3 <= 1.0
 
@@ -177,18 +187,18 @@ class TestEmpiricalIndicator:
         thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
         emp = growth.indicator_empirical(exp_model, rho_one, thetas,
                                          [1e2, 1e3, 1e4])
-        assert np.max(np.abs(emp.values - np.cos(thetas))) < 1e-6
+        assert np.max(np.abs(emp - np.cos(thetas))) < 1e-6
 
     def test_sin_at_right_angle(self, sin_model, rho_one):
         emp = growth.indicator_empirical(sin_model, rho_one, [math.pi / 2],
                                          [10.0, 100.0, 1000.0])
         expected = 1.0 - math.log(2.0) / 1000.0
-        assert emp.values[0] == pytest.approx(expected, abs=1e-4)
+        assert emp[0] == pytest.approx(expected, abs=1e-4)
 
     def test_sin_generic_angle(self, sin_model, rho_one):
         emp = growth.indicator_empirical(sin_model, rho_one, [0.3],
                                          [1e2, 1e3, 1e4])
-        assert emp.values[0] == pytest.approx(abs(math.sin(0.3)), abs=1e-3)
+        assert emp[0] == pytest.approx(abs(math.sin(0.3)), abs=1e-3)
 
     def test_sandwich_against_exact(self, sin_model, cosh_model, rho_one):
         for model in (sin_model, cosh_model):
@@ -199,16 +209,8 @@ class TestEmpiricalIndicator:
                              for z in zeros) >= 0.3]
             emp = growth.indicator_empirical(model, rho_one, thetas,
                                              [1e2, 1e3, 1e4])
-            for t, v in zip(thetas, emp.values):
+            for t, v in zip(thetas, emp):
                 assert exact.h(t) - 0.01 <= v <= exact.h(t) + 0.01
-
-    def test_h_interpolates_across_the_wrap(self):
-        # a grid starting at 0.3: theta = 0.1 lies between its last point
-        # and 0.3 + 2 pi, not before its first
-        thetas = 0.3 + np.arange(8) * (2 * math.pi / 8)
-        emp = growth.EmpiricalIndicator(thetas, np.arange(8.0), (1.0, 2.0, 3.0))
-        assert emp.h(0.1) == pytest.approx(7.0 * 0.2 / (2 * math.pi / 8))
-        assert np.array_equal(emp.h(thetas), np.arange(8.0))
 
     def test_ladder_validation(self, exp_model, rho_one):
         with pytest.raises(ValueError):
@@ -236,16 +238,16 @@ class TestGrowthMinorant:
             assert hi > lo or (hi == lo == math.inf)
 
     def test_below_threshold(self):
-        b = growth.GrowthMinorant.from_table([1.0, 10.0], [2.0, 20.0], 5.0)
+        b = growth.GrowthMinorant.exp_power(1e-3, 0.5)   # crosses r at 3.9e8
         with pytest.raises(BelowThreshold):
-            growth.beta_log_track(b, 4.0, 1)[1]
+            growth.beta_log_track(b, 1e8, 1)[1]
 
     def test_increasing_and_above_identity(self):
         po = growth.ProximateOrder.constant(1.0)
         for b in (growth.GrowthMinorant.exp_power(0.5, 1.0),
                   growth.GrowthMinorant.growth_scale(po, growth.EpsilonCascade(1))):
             rs = np.geomspace(max(b.threshold_x0, 0.5) * 1.01 + 1.0, 1e6, 30)
-            vals = [b.log_beta(r) for r in rs]
+            vals = [_log_beta(b, r) for r in rs]
             assert all(y > x for x, y in zip(vals, vals[1:]))
             assert all(v > math.log(r) for v, r in zip(vals, rs))
 
@@ -268,28 +270,17 @@ def _ref_exp(x):
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _ref_table(rs, betas):
-    ls, lbs = [math.log(r) for r in rs], [math.log(b) for b in betas]
-
-    def lb(l):
-        if l >= ls[-1]:
-            slope = (lbs[-1] - lbs[-2]) / (ls[-1] - ls[-2])
-            return lbs[-1] + slope * (l - ls[-1])
-        return float(np.interp(l, ls, lbs))
-    return lb
-
-
 def _assert_crossing(beta, rs):
     """threshold_x0 is where beta crosses the identity: beta(t) <= t and
     beta(t (1 + 1e-9)) > t (1 + 1e-9); a threshold of 0 means beta(r) > r
     at every r of rs."""
     t = beta.threshold_x0
     if t == 0.0:
-        assert all(beta.log_beta(r) > math.log(r) for r in rs)
+        assert all(_log_beta(beta, r) > math.log(r) for r in rs)
         return
     up = t * (1 + 1e-9)
-    assert beta.log_beta(t) <= math.log(t)
-    assert beta.log_beta(up) > math.log(up)
+    assert _log_beta(beta, t) <= math.log(t)
+    assert _log_beta(beta, up) > math.log(up)
 
 
 class TestThreshold:
@@ -303,7 +294,7 @@ class TestThreshold:
         _assert_crossing(beta, [])
         # no start radius with beta(r0) <= r0 passes
         below = beta.threshold_x0 * 0.999
-        assert beta.log_beta(below) <= math.log(below)
+        assert _log_beta(beta, below) <= math.log(below)
         with pytest.raises(BelowThreshold):
             growth.beta_log_track(beta, below, 2)
 
@@ -311,8 +302,6 @@ class TestThreshold:
 class TestMinorantArrays:
     """The array path of every minorant kind against per-element scalar
     references written with math (the pre-vectorisation formulas)."""
-
-    TABLE = ([1.0, 10.0, 100.0], [3.0, 40.0, 900.0])
 
     def _cases(self):
         po_log = growth.ProximateOrder(0.5, lambda l: 0.5 + 1.0 / np.maximum(l, 1.0))
@@ -327,26 +316,24 @@ class TestMinorantArrays:
             (growth.GrowthMinorant.growth_scale(po_log, growth.EpsilonCascade(2)),
              lambda l: _ref_exp((0.5 + 1.0 / max(l, 1.0)) * l)
              * _ref_eps1_from_log(l, 2)),
-            (growth.GrowthMinorant.from_table(*self.TABLE, 1.0),
-             _ref_table(*self.TABLE)),
         ]
 
     def test_many_matches_scalar(self):
-        # below the exp^N(1) floors (e, e^e), between and past the table
-        # nodes, and far out; 1e-13 allows a few ulps of log r amplified by
-        # exp(mu log r) when math.log and np.log round differently
+        # below and past the exp^N(1) floors (e, e^e), and far out; 1e-13
+        # allows a few ulps of log r amplified by exp(mu log r) when
+        # math.log and np.log round differently
         rs = np.concatenate([[0.3, 1.0, 2.0, math.e, 10.0, 15.0, 100.0, 150.0],
                              np.geomspace(1e-3, 1e7, 300)])
         for beta, ref in self._cases():
             many = beta.log_beta_many(rs)
             assert many.shape == rs.shape
-            assert list(many) == pytest.approx([beta.log_beta(r) for r in rs],
+            assert list(many) == pytest.approx([_log_beta(beta, r) for r in rs],
                                                rel=1e-13)
             assert list(many) == pytest.approx([ref(math.log(r)) for r in rs],
                                                rel=1e-13)
             grid = beta.log_beta_many(rs[:8].reshape(2, 4))
             assert grid.shape == (2, 4)
-        for beta, _ in self._cases()[:4]:
+        for beta, _ in self._cases():
             _assert_crossing(beta, rs)
 
     def test_nonpositive_radius_rejected(self):
@@ -355,28 +342,13 @@ class TestMinorantArrays:
                 beta.log_beta_many(np.array([1.0, 0.0]))
             with pytest.raises(ValueError):
                 beta.log_beta_many(np.array([-2.0]))
-            with pytest.raises(ValueError):
-                beta.log_beta(0.0)
 
     def test_scalar_entry_points_return_float(self):
-        for beta, _ in self._cases():
-            assert type(beta.log_beta(20.0)) is float
         cascade = growth.EpsilonCascade(2)
         for r in (2.0, 1e3):
-            assert all(type(v) is float for v in
-                       (cascade.eps1(r), cascade.eps2(r), cascade.eps3(r)))
+            assert all(type(v) is float for v in (cascade.eps1(r), cascade.eps2(r)))
         alpha = growth.DensityBudget.sector_budget(2, cascade)
         assert type(alpha.alpha_of_r(50.0)) is float
-
-    def test_table_gives_log_beta(self):
-        # beta(r) = 2r through the nodes and past them
-        b = growth.GrowthMinorant.from_table([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], 0.5)
-        assert b.log_beta(3.0) == pytest.approx(math.log(6.0), rel=1e-12)
-        assert b.log_beta(10.0) == pytest.approx(math.log(20.0), rel=1e-12)
-
-    def test_table_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            growth.GrowthMinorant.from_table([1.0], [2.0], 0.5)
 
 
 class TestSeriesCondition:
@@ -392,7 +364,7 @@ class TestSeriesCondition:
     def test_slow_doubling_diverges(self):
         # beta(r) = 2r and alpha = 1/log r: alpha(beta^n(10)) is
         # 1/(log 10 + n log 2), a harmonic series
-        b = growth.GrowthMinorant.from_table([1.0, 2.0, 4.0], [2.0, 4.0, 8.0], 0.5)
+        b = growth.GrowthMinorant(0.0, lambda l: l + math.log(2.0), "beta(r) = 2r")
         alpha = growth.DensityBudget(lambda l: 1 / l)
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10,
                                             max_terms=2000)
@@ -451,6 +423,6 @@ class TestZhengRatio:
 @settings(max_examples=200, deadline=None)
 def test_cascade_identities_property(r, n):
     c = growth.EpsilonCascade(n)
-    e1, e2, e3 = c.eps1(r), c.eps2(r), c.eps3(r)
+    e1, e2, e3 = c.eps1(r), c.eps2(r), _eps3(c, r)
     assert e1 == e2 * e2 == (e3 * e3) * (e3 * e3)
     assert 0.0 < e1 <= e2 <= e3 <= 1.0
