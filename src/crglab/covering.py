@@ -22,7 +22,22 @@ part of each operation's postcondition: a failed audit raises
 CertificateFailure (a construction bug, not an input error). Probe sets are
 deterministic: all three audits use low-discrepancy (Halton) points, so
 certificates reproduce bit-for-bit. Budget inequalities are verified in
-exact rational arithmetic.
+exact rational arithmetic. Non-finite points are refused with ValueError.
+
+The greedy's densest-disk search is exact in floats: its candidates are the
+points and the centres of the radius-rho circles through close pairs, and it
+returns the first candidate of maximal float count |p - c| <= rho + tol.
+Close pairs come from one sort by real part. An angular sweep of arcs about
+each pair's first point (Chazelle & Lee, 1986), widened by
+tau = 2 tol + 32 eps (max|p| + rho), bounds every pair candidate's count
+from above, and the float test runs only on candidates in descending-bound
+order until a bound falls below the best count. Candidates left untested
+cannot match the winner, so counts, centres, disk files and certificates
+are those of testing every candidate. Cost: O(P log P) for the P pairs in
+the x-bands, plus n per tested candidate, in blocks of bounded memory.
+Disk membership (multiplicity, mask_outside, the audits, the Besicovitch
+greedy) sorts the tested points by real part once and applies the float
+test |z - c| <= r to each disk's x-band only.
 """
 
 from __future__ import annotations
@@ -39,6 +54,9 @@ from .growth import angle_grid
 
 
 BESICOVITCH_MAX_MULTIPLICITY = 256   # 4**(2n) with n = 2
+_EPS = float(np.finfo(float).eps)
+_ARC_SLACK = 1e-12      # radians: covers atan2, arccos and mod rounding
+_BAND_BLOCK = 1 << 17   # densest-disk band entries processed at once
 
 
 @dataclass(frozen=True)
@@ -51,6 +69,8 @@ class DiskSet:
         rs = self.radii()
         if not (np.isfinite(rs) & (rs > 0)).all():
             raise ValueError("disk radii must be positive and finite")
+        if not np.isfinite(self.centers()).all():
+            raise ValueError("disk centres must be finite")
 
     def __len__(self) -> int:
         return len(self.disks)
@@ -68,12 +88,17 @@ class DiskSet:
     def multiplicity(self, zs: np.ndarray) -> np.ndarray:
         """Number of (closed) disks containing each point."""
         zs = np.asarray(zs, dtype=np.complex128)
-        # bool masks add into int32 faster than into int64 (40 disks x 40000
-        # points: 5.8 -> 4.6 ms a call, numpy 2.4, 2 vCPUs); the result stays int64
-        count = np.zeros(zs.shape, dtype=np.int32)
-        for c, r in self.disks:
-            count += np.abs(zs - c) <= r
-        return count.astype(np.int64)
+        order = np.argsort(zs.real, axis=None)
+        z = zs.ravel()[order]
+        lo, hi = _x_band(z.real, self.centers().real, self.radii())
+        # each disk tests only its x-band of the points sorted by real part;
+        # bool masks add into int32 slices faster than into int64 ones
+        count = np.zeros(z.size, dtype=np.int32)
+        for (c, r), a, b in zip(self.disks, lo, hi):
+            count[a:b] += np.abs(z[a:b] - c) <= r
+        out = np.empty(z.size, dtype=np.int64)
+        out[order] = count
+        return out.reshape(zs.shape)
 
     def to_text(self) -> str:
         """One disk per line: re im radius, 17 significant digits, LF."""
@@ -100,6 +125,19 @@ def read_columns(text: str, n_cols: int) -> list[tuple[float, ...]]:
                  if not all(map(math.isfinite, map(float, line.split()))))
         raise ValueError(f"line {i}: numbers must be finite, got {lines[i - 1].strip()!r}")
     return list(zip(*[iter(values)] * n_cols))   # n_cols values a record
+
+
+def _x_band(xs: np.ndarray, cx, r) -> tuple[np.ndarray, np.ndarray]:
+    """Index range [lo, hi) of the sorted real parts xs in [cx - r, cx + r],
+    widened so that every point the float test |z - c| <= r passes is in it."""
+    pad = r + 8.0 * _EPS * (np.abs(cx) + r)
+    return np.searchsorted(xs, cx - pad, "left"), np.searchsorted(xs, cx + pad, "right")
+
+
+def _require_finite(zs: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(zs))
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} is not finite: {complex(zs[bad[0]])}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +178,23 @@ def besicovitch_cover(points: Sequence[complex],
     rs = np.asarray(radii, dtype=float)
     if zs.size == 0:
         raise ValueError("need at least one point")
+    _require_finite(zs, "point")
     if rs.shape != zs.shape:
         raise ValueError(f"{rs.size} radii for {zs.size} points")
     if not (np.isfinite(rs) & (rs > 0)).all():
         raise ValueError("radii must be positive and finite")
-    covered = np.zeros(zs.size, dtype=bool)
+    order = np.argsort(zs.real)
+    z = zs[order]
+    rank = np.empty(zs.size, dtype=np.intp)
+    rank[order] = np.arange(zs.size)
+    visit = np.argsort(-rs, kind="stable")
+    lo, hi = _x_band(z.real, zs.real[visit], rs[visit])
+    covered = np.zeros(zs.size, dtype=bool)   # in real-part order
     selected: list[int] = []
-    for i in np.argsort(-rs, kind="stable"):
-        if not covered[i]:
+    for i, k, a, b in zip(visit.tolist(), rank[visit].tolist(), lo.tolist(), hi.tolist()):
+        if not covered[k]:
             selected.append(i)
-            covered |= np.abs(zs - zs[i]) <= rs[i]
+            covered[a:b] |= np.abs(z[a:b] - zs[i]) <= rs[i]
     return DiskSet(tuple((complex(zs[i]), float(rs[i])) for i in selected))
 
 
@@ -184,31 +229,185 @@ def besicovitch_audit(points: Sequence[complex], disks: DiskSet,
 # ---------------------------------------------------------------------------
 # greedy mass concentration shared by Fuchs-Macintyre and Cartan
 
-def _densest_disk(pts: np.ndarray, rho: float) -> tuple[int, complex]:
-    """(max count, center) over disks of radius rho covering input points.
-
-    An optimal disk may be assumed to pass through two points, or to be
-    centered at a point; both candidate families are enumerated exactly.
-    """
-    n = len(pts)
-    tol = 1e-9 * max(rho, 1.0)
-    close = np.abs(pts[:, None] - pts[None, :]) <= 2.0 * rho + tol
-    iu, ju = np.nonzero(np.triu(close, k=1))   # row-major, as triu_indices
-    pi, pj = pts[iu], pts[ju]
+def _pair_centres(pi: np.ndarray, pj: np.ndarray, rho: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(plus, minus, |pj - pi|): the centres of the radius-rho circles through
+    pi and pj, in the float operations that fix each candidate's bits."""
     mid = (pi + pj) / 2.0
     d = np.abs(pj - pi)
     h = np.sqrt(np.maximum(rho * rho - (d / 2.0) ** 2, 0.0))
     perp = np.where(d > 0, 1j * (pj - pi) / np.where(d > 0, d, 1.0), 0.0)
-    cand = np.concatenate([pts, mid + h * perp, mid - h * perp])
-    rows = max(1, (1 << 20) // n)   # at most 2^20 candidate-point pairs a block
-    best, center = -1, 0j
-    for lo in range(0, cand.size, rows):
-        blk = cand[lo:lo + rows]
-        counts = (np.abs(pts[None, :] - blk[:, None]) <= rho + tol).sum(axis=1)
-        k = int(np.argmax(counts))
-        if counts[k] > best:   # strict: the first maximal candidate wins
-            best, center = int(counts[k]), complex(blk[k])
-    return best, center
+    return mid + h * perp, mid - h * perp, d
+
+
+def _densest_disk(pts: np.ndarray, rho: float) -> tuple[int, complex]:
+    """(max count, center) over disks of radius rho covering input points.
+
+    An optimal disk may be assumed to pass through two points, or to be
+    centered at a point. The candidates are, in this order, the points, the
+    plus centres and then the minus centres of the pairs with
+    |p_i - p_j| <= 2 rho + tol, pairs in row-major (i, j), i < j order; a
+    candidate c counts the points with |p - c| <= rho + tol in floats, and
+    the first maximal candidate wins.
+
+    The pairs come from one sort by real part: a point's partners lie in an
+    x-band of width 2 rho + tau about it (tau is defined below). The
+    point candidates' counts are exact from the pair distances. A pair
+    candidate c lies, up to rounding, on the radius-rho circle about its
+    pivot, the pair's first point in x order; a point q at distance D from
+    the pivot is within rho + tau of that circle's point at angle phi iff
+    cos(phi - arg(q - p)) >= (D^2 - 2 rho tau - tau^2) / (2 D rho), an arc
+    of angles. With tau = 2 tol + 32 eps (max|p| + rho), which covers the
+    float test's tol, the clamped h of nearly antipodal pairs (tol / 2) and
+    the rounding of c, one angular sweep over these arcs about each pivot
+    (Chazelle & Lee, "On a circle placement problem", Computing 36, 1986)
+    bounds every pair candidate's float count from above. Only candidates
+    whose bound beats the best point count are kept; they are tested with
+    the same float test, in descending-bound order, until a bound falls
+    below the best count found. Every candidate left untested counts less
+    than the winner, or as many but later in the order, so the winner and
+    its bits are those of testing every candidate. Pivots go in blocks of at most _BAND_BLOCK band entries, so
+    no temporary grows with n^2. Cost: O(P log P) for P band pairs, plus n
+    per tested candidate.
+    """
+    n = len(pts)
+    tol = 1e-9 * max(rho, 1.0)
+    tau = 2.0 * tol + 32.0 * _EPS * (float(np.abs(pts).max()) + rho)
+    reach = 2.0 * rho + tau
+    order = np.argsort(pts.real)
+    z = pts[order]
+    lo, hi = _x_band(z.real, z.real, reach)
+    counts = np.empty(n, dtype=np.int64)   # exact point-candidate counts
+    keys, bounds = [], []
+    floor = 0   # best point count so far: only pair bounds above it matter
+    ends = np.cumsum(hi - lo)
+    a0 = 0
+    while a0 < n:
+        start = ends[a0 - 1] if a0 else 0
+        a1 = max(a0 + 1, int(np.searchsorted(ends, start + _BAND_BLOCK, "right")))
+        piv, nb = _band_pairs(lo[a0:a1], hi[a0:a1], a0)
+        dz = z[nb] - z[piv]
+        d = np.abs(dz)
+        own = 1 + np.bincount(piv[d <= rho + tol] - a0, minlength=a1 - a0)
+        counts[order[a0:a1]] = own
+        floor = max(floor, int(own.max()))
+        near = d <= reach
+        # a pivot's candidates count at most its near points and itself
+        deg = np.bincount(piv[near] - a0, minlength=a1 - a0)
+        near &= (deg >= floor)[piv - a0]
+        piv, nb, dz, d = piv[near], nb[near], dz[near], d[near]
+        # each pair once, at its first point in x order; the close test and
+        # the centres take p_i - p_j and p_j - p_i as the candidate order did
+        fwd = nb > piv
+        i = np.minimum(order[piv[fwd]], order[nb[fwd]])
+        j = np.maximum(order[piv[fwd]], order[nb[fwd]])
+        close = np.abs(pts[i] - pts[j]) <= 2.0 * rho + tol
+        i, j, qpiv = i[close], j[close], piv[fwd][close]
+        plus, minus, dij = _pair_centres(pts[i], pts[j], rho)
+        # a repeat's centres are its point, which comes first with the same count
+        moved = dij > 0
+        i, j, qpiv = i[moved], j[moved], np.tile(qpiv[moved], 2)
+        cands = np.concatenate([plus[moved], minus[moved]])
+        bound = _sweep_bound(piv - a0, d, np.angle(dz), qpiv - a0,
+                             np.angle(cands - z[qpiv]), a1 - a0, rho, tau)
+        key = np.concatenate([n * n + i * n + j, 2 * n * n + i * n + j])
+        up = bound > floor
+        keys.append(key[up])
+        bounds.append(bound[up])
+        a0 = a1
+
+    best_key = int(np.argmax(counts))
+    best = int(counts[best_key])
+    key, bound = np.concatenate(keys), np.concatenate(bounds)
+    up = bound > best
+    key, bound = key[up], bound[up]
+    by_bound = np.lexsort((key, -bound))
+    key, bound = key[by_bound], bound[by_bound]
+    rows = max(1, (1 << 16) // n)   # at most 2^16 distances a chunk
+    pos = 0
+    while pos < key.size and bound[pos] >= best:
+        blk = key[pos:pos + rows]
+        c = _candidates(pts, blk, rho)
+        found = (np.abs(pts[None, :] - c[:, None]) <= rho + tol).sum(axis=1)
+        top = int(found.max())
+        if top >= best:
+            first = int(blk[found == top].min())
+            best_key = first if top > best else min(best_key, first)
+            best = top
+        pos += rows
+    if best_key < n:
+        return best, complex(pts[best_key])
+    return best, complex(_candidates(pts, np.array([best_key]), rho)[0])
+
+
+def _candidates(pts: np.ndarray, keys: np.ndarray, rho: float) -> np.ndarray:
+    """Pair candidate centres by order key kind * n^2 + i n + j: the plus
+    (kind 1) or minus (kind 2) centre of the pair (i, j)."""
+    n = len(pts)
+    kind, pair = np.divmod(keys, n * n)
+    i, j = np.divmod(pair, n)
+    plus, minus, _ = _pair_centres(pts[i], pts[j], rho)
+    return np.where(kind == 1, plus, minus)
+
+
+def _band_pairs(lo: np.ndarray, hi: np.ndarray, a0: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(pivot, partner) positions: pivot a0 + k with every partner in
+    [lo[k], hi[k]) but itself."""
+    width = hi - lo
+    piv = np.repeat(np.arange(a0, a0 + lo.size), width)
+    nb = np.arange(int(width.sum())) + np.repeat(lo - (np.cumsum(width) - width), width)
+    keep = nb != piv
+    return piv[keep], nb[keep]
+
+
+def _sweep_bound(piv: np.ndarray, d: np.ndarray, theta: np.ndarray,
+                 qpiv: np.ndarray, phi: np.ndarray, m: int,
+                 rho: float, tau: float) -> np.ndarray:
+    """Upper bound on each query's float count: 1 for its pivot plus the
+    points (at distance d and angle theta from pivot piv) whose widened arc
+    holds the query angle phi about pivot qpiv; pivots are 0..m-1."""
+    d_lo = d * (1.0 - 2.0 * _EPS)   # at most the exact distance
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = d_lo / (2.0 * rho)
+        t2 = (2.0 * rho * tau + tau * tau) / (2.0 * rho * d_lo)
+        x = t1 - t2 - 8.0 * _EPS * (t1 + t2)   # at most the exact cosine
+    # rho = 0 or a repeat of the pivot: every angle
+    x = np.where(rho * d_lo > 0, np.nan_to_num(x, nan=-1.0), -1.0)
+    alpha = np.arccos(np.clip(x, -1.0, 1.0)) + _ARC_SLACK
+    full = alpha >= math.pi
+    n_full = np.bincount(piv[full], minlength=m)
+    piv, theta, alpha = piv[~full], theta[~full], alpha[~full]
+    s = theta - alpha
+    s = np.where(s < 0.0, s + 2.0 * math.pi, s)
+    e = s + 2.0 * alpha
+    wrap = e > 2.0 * math.pi
+    # the arc [s, e], s in [0, 2pi], holds phi in [0, 2pi) iff s <= phi <= e,
+    # or it wraps and phi <= e - 2pi: count = #(s <= phi) - #(e < phi) + wraps
+    # - #(wraps with e - 2pi < phi), one sweep of +1 and -1 events per pivot.
+    # Each pivot's events sit in [32 g, 32 g + 19); a start or end moved out by
+    # 4 ulps of the largest key keeps its side of a query through rounding.
+    pad = 4.0 * _EPS * 32.0 * (m + 1)
+    g_arc = 32.0 * piv + 2.0 * math.pi
+    phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)
+    key = np.concatenate([g_arc + s - pad, g_arc + e + pad,
+                          (g_arc[wrap] + (e[wrap] - 2.0 * math.pi)) + pad,
+                          (32.0 * qpiv + 2.0 * math.pi) + phi])
+    n_ev = key.size - qpiv.size
+    w = np.concatenate([np.ones(piv.size, dtype=np.int64),
+                        np.full(n_ev - piv.size, -1, dtype=np.int64),
+                        np.zeros(qpiv.size, dtype=np.int64)])
+    sweep = np.argsort(key)
+    before = np.cumsum(w[sweep])
+    at = np.flatnonzero(sweep >= n_ev)   # the queries, in sweep order
+    q = sweep[at] - n_ev
+    # the cumsum runs across pivots; each earlier pivot's events sum to -wraps
+    n_wrap = np.bincount(piv[wrap], minlength=m)
+    base = n_wrap - np.cumsum(n_wrap)
+    out = np.empty(qpiv.size, dtype=np.int64)
+    g = qpiv[q]
+    out[q] = 1 + n_full[g] + n_wrap[g] + before[at] - base[g]
+    return out
 
 
 def _greedy_concentration(points: np.ndarray,
@@ -234,7 +433,7 @@ def _greedy_concentration(points: np.ndarray,
                 break
             lam = min(count, lam - 1)
             if lam < 1:
-                raise AssertionError("level-1 disk must always exist")
+                raise CertificateFailure("level-1 disk must always exist")
         lam_cap = lam
         if lam == 1:
             # no schedule(2)-disk holds two points, so singletons are maximal
@@ -244,7 +443,7 @@ def _greedy_concentration(points: np.ndarray,
         keep = np.abs(remaining - center) > rho + 1e-9 * max(rho, 1.0)
         inside = int((~keep).sum())
         if inside < lam:
-            raise AssertionError("selected disk lost its points")
+            raise CertificateFailure("selected disk lost its points")
         captured.append((center, inside))
         remaining = remaining[keep]
     return captured
@@ -293,6 +492,7 @@ def fuchs_macintyre_disks(points: Sequence[complex], H: float,
     n = len(pts)
     if n == 0:
         raise ValueError("need at least one point")
+    _require_finite(pts, "point")
     require_positive("H", H)
     budget = 4 * Fraction(H) ** 2
     disks, sum_sq = _exceptional_disks(
@@ -356,6 +556,7 @@ def cartan_levin_disks(zeros: Sequence[complex], R: float, eta: float,
     from the factorization. An empty zero list yields an empty disk set.
     """
     zks = np.asarray([complex(z) for z in zeros], dtype=np.complex128)
+    _require_finite(zks, "zero")
     if (zks == 0).any():
         raise ValueError("zeros must be nonzero so that g(0) = 1")
     require_positive("R", R)

@@ -36,6 +36,11 @@ class TestDiskSet:
         with pytest.raises(ValueError):
             covering.DiskSet(((0j, 0.0),))
 
+    @pytest.mark.parametrize("centre", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_finite_centres_enforced(self, centre):
+        with pytest.raises(ValueError, match="centres must be finite"):
+            covering.DiskSet(((0j, 1.0), (centre, 1.0)))
+
     def test_outside_means_multiplicity_zero(self):
         rng = np.random.default_rng(9)
         ds = covering.DiskSet(tuple(
@@ -49,6 +54,25 @@ class TestDiskSet:
         assert np.array_equal(ds.mask_outside(zs), ds.multiplicity(zs) == 0)
         assert not ds.mask_outside(ds.centers()).any()
         assert covering.DiskSet(()).mask_outside(zs).all()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6 + 1e6j, -3e9])
+    def test_multiplicity_matches_every_disk_test(self, offset):
+        # points exactly on the circles (3-4-5 triangles and axis points),
+        # at the centres, a hair outside, and uniform; one disk tested
+        # against every point is the reference
+        rng = np.random.default_rng(12)
+        cs = offset + rng.integers(-6, 7, 30) + 1j * rng.integers(-6, 7, 30)
+        rs = rng.choice([0.5, 1.0, 5.0, 2.5], 30)
+        ds = covering.DiskSet(tuple(zip(map(complex, cs), map(float, rs))))
+        on = np.array([5, -5, 5j, -5j, 3 + 4j, -3 + 4j, 3 - 4j, -4 - 3j]) / 5
+        rim = (cs[:, None] + rs[:, None] * on[None, :]).ravel()
+        zs = np.concatenate([rim, cs, rim * (1 + 1e-16), np.nextafter(rim.real, np.inf) + 1j * rim.imag,
+                             offset + rng.uniform(-12, 12, 6000) + 1j * rng.uniform(-12, 12, 6000),
+                             [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), 0j]])
+        ref = sum((np.abs(zs - c) <= r).astype(np.int64) for c, r in ds.disks)
+        assert np.array_equal(ds.multiplicity(zs), ref)
+        assert np.array_equal(ds.multiplicity(zs.reshape(2, -1)), ref.reshape(2, -1))
+        assert ds.multiplicity(rim).min() >= 1 and ds.multiplicity(cs).min() >= 1
 
 
 def _halton_reference(n, base):
@@ -162,6 +186,17 @@ class TestBesicovitch:
         disks = covering.besicovitch_cover([0j, 0j, 0.3 + 0j], [0.5, 0.01, 0.05])
         assert disks.disks == ((0j, 0.5),)
 
+    def test_matches_python_greedy_at_4000_points(self):
+        rng = np.random.default_rng(31)
+        pts = rng.random(4000) + 1j * rng.random(4000)
+        radius = dict(zip(map(complex, pts), rng.uniform(0.01, 0.05, 4000)))
+        disks = covering.besicovitch_cover(pts, [radius[complex(p)] for p in pts])
+        assert disks == _besicovitch_reference(pts, lambda p: radius[complex(p)])
+
+    def test_non_finite_point_refused(self):
+        with pytest.raises(ValueError, match=r"point 2 is not finite: \(nan\+0j\)"):
+            covering.besicovitch_cover([0j, 1j, complex(math.nan, 0.0)], [1.0, 1.0, 1.0])
+
 
 class TestFuchsMacintyre:
     def test_single_point(self):
@@ -213,10 +248,37 @@ class TestFuchsMacintyre:
             tracemalloc.stop()
         assert peak < 128 * 2 ** 20
 
-    @pytest.mark.parametrize("seed", range(4))
+    def test_densest_disk_memory_at_4000_points(self):
+        # a 4000 x 4000 complex distance matrix alone is 256 MB
+        rng = np.random.default_rng(3)
+        pts = rng.random(4000) + 1j * rng.random(4000)
+        tracemalloc.start()
+        try:
+            covering._densest_disk(pts, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("seed", range(24))
     def test_densest_disk_matches_triu_reference(self, seed):
+        # eleven cases a seed: a clustered cloud with repeats at four radii,
+        # a shuffled integer lattice at four radii that put many points on
+        # one circle (tied counts), exact repeats, a 1e-3 cloud offset to
+        # 1e6, and pairs 1e-10 apart at rho = 0
+        rng = np.random.default_rng(seed)
         pts, _ = _clustered_cloud(seed, n=60)
-        for rho in (0.0, 0.01, 0.05, 0.3):
+        cases = [(pts, rho) for rho in (0.0, 0.01, 0.05, 0.3)]
+        k = int(rng.integers(3, 8))
+        lattice = (np.arange(k)[:, None] + 1j * np.arange(k)[None, :]).ravel()
+        lattice = lattice[rng.permutation(k * k)[:int(rng.integers(k, k * k + 1))]]
+        cases += [(lattice, rho) for rho in (0.5, math.sqrt(2) / 2, 1.0, math.sqrt(5) / 2)]
+        base = rng.random(6) + 1j * rng.random(6)
+        cases.append((base[rng.integers(0, 6, 40)], float(rng.choice([0.0, 0.1, 0.3]))))
+        offset = 1e6 + 1e6j + 1e-3 * (rng.random(50) + 1j * rng.random(50))
+        cases.append((offset, float(rng.choice([1e-4, 2.5e-4, 5e-4]))))
+        cases.append((np.concatenate([base, base + 1e-10 * (1 + 1j)]), 0.0))
+        for pts, rho in cases:
             assert covering._densest_disk(pts, rho) \
                 == _densest_disk_reference(pts, rho)
 
@@ -226,10 +288,9 @@ class TestFuchsMacintyre:
         with pytest.raises(ValueError):
             covering.fuchs_macintyre_disks([0j], 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_audit_fails_closed(self):
-        # a NaN point makes every probe's harmonic sum NaN
-        with pytest.raises(CertificateFailure):
+        # a NaN point is refused before the search, which sorts the points
+        with pytest.raises(ValueError, match=r"point 1 is not finite"):
             covering.fuchs_macintyre_disks([0.2 + 0.1j, complex(math.nan, 0.0)],
                                            0.5, 200)
 
@@ -286,12 +347,18 @@ class TestCartanLevin:
         with pytest.raises(ValueError):
             covering.cartan_levin_disks([1.0], 1.0, 5.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_audit_fails_closed(self):
-        # a NaN zero makes log M(2eR, g) and the bound NaN
-        with pytest.raises(CertificateFailure):
-            covering.cartan_levin_disks([0.2 + 0.1j, complex(math.nan, 0.0)],
-                                        1.0, 0.2, 200)
+        # a non-finite zero is refused before log M(2eR, g) or any disk
+        for bad in (complex(math.nan, 0.0), complex(0.0, -math.inf)):
+            with pytest.raises(ValueError, match=r"zero 1 is not finite"):
+                covering.cartan_levin_disks([0.2 + 0.1j, bad], 1.0, 0.2, 200)
+
+    def test_greedy_failure_is_certificate_failure(self, monkeypatch):
+        # a search that finds no disk is a construction bug (exit 3), and
+        # stays one under python -O
+        monkeypatch.setattr(covering, "_densest_disk", lambda pts, rho: (0, 0j))
+        with pytest.raises(CertificateFailure, match="level-1 disk"):
+            covering.cartan_levin_disks([0.5, 0.5j], 1.0, 0.2, 200)
 
 
 class TestDensityTransferSmoke:
