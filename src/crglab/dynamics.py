@@ -18,6 +18,12 @@ Both entry points classify batches and sample through ``criteria``:
 of the A and B densities, ``criteria.annulus_density``, and ``escape_map``
 classifies the cells of a window grid plan through ``criteria.sweep``. One
 start point is a one-pixel ``escape_map`` of a window centred on it.
+
+``measure_estimate`` stops following an orbit at the first step with
+log|z_k| <= log beta^k(r0), since it can no longer be Escaped; ``escape_map``
+iterates it on, because its raster tells Survived (0) from a crossing on a
+broken track (255). The Escaped verdicts, and so every artifact byte, are the
+same either way.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ SURVIVED = 0
 ESCAPED = 1
 ZERO_HIT = 2
 INDETERMINATE = 3
+BELOW_TRACK = 4     # measure only: left at the first track failure
 
 DEFAULT_BAILOUT_LOG = 500.0
 
@@ -78,11 +85,17 @@ class EscapeMap:
 
 
 def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
-                    max_iter: int, bailout_log: float
+                    max_iter: int, bailout_log: float,
+                    stop_below_track: bool = False
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised classifier; returns (verdict codes, step of decision).
 
     ``track`` holds log beta^j(r0) for j = 0..max_iter (+inf sentinel allowed).
+    The loop holds only the undecided points and drops the decided ones with
+    one boolean compress per step. With ``stop_below_track`` a point leaves at
+    the first step with log|z_k| <= log beta^k(r0) as BELOW_TRACK, since it
+    can never be Escaped; without it the point is iterated on, so a later
+    bailout crossing reads Indeterminate and no crossing Survived.
     When plain evaluation of the next iterate overflows, the step is redone
     through log-space evaluation: either the iterate is reconstructed as
     exp(log f), or its log-modulus is known to exceed 709 > bailout_log and
@@ -92,52 +105,48 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
     n = z.size
     codes = np.full(n, SURVIVED, dtype=np.uint8)
     steps = np.full(n, -1, dtype=np.int32)
-    active = np.ones(n, dtype=bool)
+    idx = np.arange(n)
     track_ok = np.ones(n, dtype=bool)
     zero_hit = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore"):
         lm = np.log(np.abs(z))
 
     for k in range(max_iter + 1):
-        bad = active & np.isnan(lm)
-        codes[bad], steps[bad] = INDETERMINATE, k
-        active &= ~bad
-
-        hit = active & zero_hit
-        codes[hit], steps[hit] = ZERO_HIT, k
-        active &= ~hit
-
         # survival-track comparison; lm > +inf sentinel is False, so a point
         # whose track left the float range can never be escape-certified
-        track_ok &= ~active | (lm > track[k])
+        track_ok &= lm > track[k]
+        # later writes win: zero hit over NaN over a crossing over the track
+        verdict = np.full(idx.size, SURVIVED, dtype=np.uint8)
+        if stop_below_track:
+            verdict[~track_ok] = BELOW_TRACK
+        crossed = lm >= bailout_log
+        verdict[crossed] = np.where(track_ok[crossed], ESCAPED, INDETERMINATE)
+        verdict[np.isnan(lm)] = INDETERMINATE
+        verdict[zero_hit] = ZERO_HIT
+        decided = verdict != SURVIVED
+        if decided.any():
+            codes[idx[decided]], steps[idx[decided]] = verdict[decided], k
+            keep = ~decided
+            idx, z, lm, track_ok = idx[keep], z[keep], lm[keep], track_ok[keep]
 
-        crossed = active & (lm >= bailout_log)
-        esc = crossed & track_ok
-        codes[esc], steps[esc] = ESCAPED, k
-        ind = crossed & ~track_ok
-        codes[ind], steps[ind] = INDETERMINATE, k
-        active &= ~crossed
-
-        if k == max_iter or not active.any():
+        if k == max_iter or idx.size == 0:
             break
 
-        idx = np.flatnonzero(active)
-        znext = model.plain_values(z[idx])
+        znext = model.plain_values(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lm_next = np.log(np.abs(znext))
-        bad_local = ~np.isfinite(np.abs(znext))
-        if bad_local.any():
-            src = z[idx][bad_local]
-            la, ph, ok = model.log_eval_many(src)
+            lm = np.log(np.abs(znext))
+        bad = ~np.isfinite(np.abs(znext))
+        zero_hit = np.zeros(idx.size, dtype=bool)
+        if bad.any():
+            la, ph, ok = model.log_eval_many(z[bad])
             rebuilt = np.where(ok & (la < 709.0),
                                np.exp(np.minimum(la, 709.0)) * np.exp(1j * ph),
                                np.inf + 0.0j)
             rebuilt = np.where(ok, rebuilt, 0.0 + 0.0j)
-            znext[bad_local] = rebuilt
-            lm_next[bad_local] = np.where(ok, la, -np.inf)
-            zero_hit[idx[bad_local]] = ~ok
-        z[idx] = znext
-        lm[idx] = lm_next
+            znext[bad] = rebuilt
+            lm[bad] = np.where(ok, la, -np.inf)
+            zero_hit[bad] = ~ok
+        z = znext
 
     return codes, steps
 
@@ -167,7 +176,10 @@ def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,
     for dens(I(f), region) up to classification error.
 
     For an annulus, r0 defaults to its inner radius r/2 so the |z| > r0
-    gate is implied by the region itself.
+    gate is implied by the region itself. An orbit is no longer followed
+    once it is at or below the survival track (BELOW_TRACK), where
+    ``escape_map`` iterates it on; the Escaped verdicts, and so the report,
+    are the same.
     """
     if r0 is None:
         if isinstance(region, AnnulusSpec):
@@ -177,7 +189,9 @@ def measure_estimate(model: FunctionModel, region: Region, plan: SamplePlan,
     track = _orbit_track(model, beta, r0, max_iter, bailout_log)
 
     def escaped(chunk: np.ndarray) -> np.ndarray:
-        return _classify_batch(model, chunk, track, max_iter, bailout_log)[0] == ESCAPED
+        codes, _ = _classify_batch(model, chunk, track, max_iter, bailout_log,
+                                   stop_below_track=True)
+        return codes == ESCAPED
 
     report = annulus_density(escaped, region, plan)
     return replace(report, fast_escaping_beta=beta.fast_escaping_form)

@@ -432,12 +432,13 @@ class SeriesCheck:
 def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
                            r0: float, tail_tol: float,
                            max_terms: int = 10_000) -> SeriesCheck:
-    """Certify sum_n alpha(beta^n(r0)) < inf by ratio test plus tail tolerance.
+    """Estimate sum_n alpha(beta^n(r0)) with a ratio-and-tolerance stopping rule.
 
     Terms are summed until the current term is below ``tail_tol`` while
-    decaying at ratio <= 1/2 from its predecessor (that pair of conditions is
-    the certificate), or until ``max_terms``. Non-convergence is a result,
-    not an error. ``tail_tol`` must be positive and finite.
+    decaying at ratio <= 1/2 from its predecessor, or until ``max_terms``.
+    That stopping rule is a heuristic, not a proof of convergence: one small,
+    halving term bounds no later term. Not stopping is a result, not an
+    error. ``tail_tol`` must be positive and finite.
     """
     require_positive("tail_tol", tail_tol)
     _check_start_radius(beta, r0)
@@ -470,7 +471,9 @@ def log_max_modulus(model: FunctionModel, r: float, n_angles: int = 2048) -> flo
 
 
 def zheng_ratio(model: FunctionModel, r_list: Sequence[float]) -> float:
-    """min over the list of log M(2r) / log M(r), a d > 1 certificate."""
+    """min over the list of log M(2r) / log M(r), each log M read off a
+    finite angle grid: an estimate of d in log M(2r) >= d log M(r) at these
+    radii, evidence for d > 1 but not a certificate."""
     best = math.inf
     for r in require_increasing("r_list", r_list):
         m1 = log_max_modulus(model, r)

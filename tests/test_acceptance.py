@@ -240,6 +240,10 @@ def test_criterion_11_byte_determinism(tmp_path, monkeypatch):
                 (["measure", "--fn", SIN_SPEC, "--window", "0,6.2832,-3,3",
                   "--plan", "mc:30000:42", "--r0", "2",
                   "--out", str(base / "m.json")], base / "m.json"),
+                # the default r0 = r/2 of an annulus
+                (["measure", "--fn", SIN_SPEC, "--annulus", "40",
+                  "--plan", "mc:40000:7", "--out", str(base / "ma.json")],
+                 base / "ma.json"),
                 (["escape-map", "--fn", SIN_SPEC, "--window", "0,6.2832,-3,3",
                   "--size", "96x96", "--r0", "2", "--out", str(base / "e.pgm")],
                  base / "e.pgm"),

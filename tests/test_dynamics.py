@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from crglab import criteria, dynamics, growth, models
+from crglab.dynamics import ESCAPED, INDETERMINATE, SURVIVED, ZERO_HIT
+from crglab.models import FunctionModel
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +194,177 @@ class TestDeterminism:
                                      max_iter=30)
             outputs.append((rep, em.to_pgm()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# The full-mask classifier as it stood before the compacted loop, kept
+# verbatim as the oracle the compacted loop must reproduce.
+def _full_mask_classify(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
+                         max_iter: int, bailout_log: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised classifier; returns (verdict codes, step of decision).
+
+    ``track`` holds log beta^j(r0) for j = 0..max_iter (+inf sentinel allowed).
+    When plain evaluation of the next iterate overflows, the step is redone
+    through log-space evaluation: either the iterate is reconstructed as
+    exp(log f), or its log-modulus is known to exceed 709 > bailout_log and
+    the point is decided on the next comparison.
+    """
+    z = np.array(z0s, dtype=np.complex128).ravel()
+    n = z.size
+    codes = np.full(n, SURVIVED, dtype=np.uint8)
+    steps = np.full(n, -1, dtype=np.int32)
+    active = np.ones(n, dtype=bool)
+    track_ok = np.ones(n, dtype=bool)
+    zero_hit = np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore"):
+        lm = np.log(np.abs(z))
+
+    for k in range(max_iter + 1):
+        bad = active & np.isnan(lm)
+        codes[bad], steps[bad] = INDETERMINATE, k
+        active &= ~bad
+
+        hit = active & zero_hit
+        codes[hit], steps[hit] = ZERO_HIT, k
+        active &= ~hit
+
+        # survival-track comparison; lm > +inf sentinel is False, so a point
+        # whose track left the float range can never be escape-certified
+        track_ok &= ~active | (lm > track[k])
+
+        crossed = active & (lm >= bailout_log)
+        esc = crossed & track_ok
+        codes[esc], steps[esc] = ESCAPED, k
+        ind = crossed & ~track_ok
+        codes[ind], steps[ind] = INDETERMINATE, k
+        active &= ~crossed
+
+        if k == max_iter or not active.any():
+            break
+
+        idx = np.flatnonzero(active)
+        znext = model.plain_values(z[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lm_next = np.log(np.abs(znext))
+        bad_local = ~np.isfinite(np.abs(znext))
+        if bad_local.any():
+            src = z[idx][bad_local]
+            la, ph, ok = model.log_eval_many(src)
+            rebuilt = np.where(ok & (la < 709.0),
+                               np.exp(np.minimum(la, 709.0)) * np.exp(1j * ph),
+                               np.inf + 0.0j)
+            rebuilt = np.where(ok, rebuilt, 0.0 + 0.0j)
+            znext[bad_local] = rebuilt
+            lm_next[bad_local] = np.where(ok, la, -np.inf)
+            zero_hit[idx[bad_local]] = ~ok
+        z[idx] = znext
+        lm[idx] = lm_next
+
+    return codes, steps
+
+
+SIN_TERMS = [([-0.5j], 1j), ([0.5j], -1j)]
+
+
+def _equivalence_case(name):
+    """(model, beta, r0, bailout_log, window) of one seeded cloud."""
+    scale = growth.GrowthMinorant.growth_scale(
+        growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
+    half = growth.GrowthMinorant.exp_power(0.5, 1.0)
+    if name == "sin":
+        return models.ExponentialSum(SIN_TERMS), scale, 2.0, 500.0, (0.0, 6.3, -3.0, 3.0)
+    if name == "sin-low-bailout":
+        return models.ExponentialSum(SIN_TERMS), scale, 20.0, 60.0, (-4.0, 4.0, -40.0, 40.0)
+    if name == "exp":
+        return models.ExponentialSum([([1.0], 1.0)]), half, 2.0, 500.0, (-3.0, 6.0, -4.0, 4.0)
+    if name == "poly":       # (1 + z) e^z + z^2 e^-z
+        return (models.ExponentialSum([([1.0, 1.0], 1.0), ([0.0, 0.0, 1.0], -1.0)]),
+                scale, 2.0, 500.0, (-6.0, 6.0, -6.0, 6.0))
+    if name == "product":    # zeros at k^2, certified out to the bailout e^4
+        product = models.CanonicalProduct(models.PowerZeroRule(exponent=2.0), genus=0,
+                                          tail_tol=0.2, r_max=math.exp(4.0) * 1.01)
+        return (product, growth.GrowthMinorant.exp_power(2.0, 0.5), 2.0, 4.0,
+                (-40.0, 40.0, -40.0, 40.0))
+    # (z - 800) e^z: z = 800 overflows in plain arithmetic and is a zero of S
+    return (models.ExponentialSum([([-800.0, 1.0], 1.0)]), half, 2.0, 500.0,
+            (795.0, 805.0, -3.0, 3.0))
+
+
+# 0, NaN, the plain-overflow points +-710i (rebuilt from log space) and the
+# zero hit z = 800 of (z - 800) e^z, in every cloud
+SPECIAL_POINTS = [0j, complex(math.nan, 0.0), 710j, -710j, 800 + 0j]
+
+
+class TestCompactedClassifier:
+    @pytest.mark.parametrize("name", ["sin", "sin-low-bailout", "exp", "poly",
+                                      "product", "zero-hit"])
+    def test_matches_full_mask_loop(self, name):
+        model, beta, r0, bailout_log, (x0, x1, y0, y1) = _equivalence_case(name)
+        rng = np.random.default_rng(2024)
+        n = 600 if name == "product" else 3000
+        cloud = rng.uniform(x0, x1, n) + 1j * rng.uniform(y0, y1, n)
+        band = rng.uniform(-3.0, 3.0, 50) + 1j * (rng.choice([-1, 1], 50)
+                                                  * rng.uniform(705, 715, 50))
+        zs = np.concatenate([cloud, band, SPECIAL_POINTS])
+        max_iter = 50
+        track = dynamics._orbit_track(model, beta, r0, max_iter, bailout_log)
+        want_codes, want_steps = _full_mask_classify(model, zs, track, max_iter, bailout_log)
+
+        codes, steps = dynamics._classify_batch(model, zs, track, max_iter, bailout_log)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(steps, want_steps)
+
+        codes, steps = dynamics._classify_batch(model, zs, track, max_iter, bailout_log,
+                                                stop_below_track=True)
+        assert np.array_equal(codes == ESCAPED, want_codes == ESCAPED)
+        # a point that never fell below the track is decided as before
+        kept = codes != dynamics.BELOW_TRACK
+        assert np.array_equal(codes[kept], want_codes[kept])
+        assert np.array_equal(steps[kept], want_steps[kept])
+
+        assert want_codes[-4] == INDETERMINATE                       # NaN
+        if name.startswith("sin"):
+            # sin(+-710i) overflows; the log-space redo, log|sin| = 709.3,
+            # crosses the bailout
+            assert (want_codes[-3:-1] == ESCAPED).all()
+            assert (want_steps[-3:-1] == 1).all()
+        if name == "zero-hit":
+            assert want_codes[-1] == ZERO_HIT and want_steps[-1] == 1
+
+    def test_measure_stops_at_the_track(self, monkeypatch):
+        # ACCEPT-09: sin, r0 = 2, bailout 500, 50 steps; track[k] is +inf
+        # from k = 5, so no point may be evaluated from that step on
+        monkeypatch.setenv("CRG_THREADS", "1")
+        model = models.ExponentialSum(SIN_TERMS)
+        beta = growth.GrowthMinorant.growth_scale(
+            growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
+        plain = model.plain_values
+        batches = {"measure": [], "escape-map": []}
+        evaluated: list[list[int]] = []      # points per plain_values call
+
+        def counting(zs):
+            evaluated[-1].append(len(zs))
+            return plain(zs)
+
+        classify = dynamics._classify_batch
+
+        def in_both_modes(*args, **kwargs):
+            evaluated.append([])
+            batches["escape-map"].append(evaluated[-1])
+            classify(*args)
+            evaluated.append([])
+            batches["measure"].append(evaluated[-1])
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(model, "plain_values", counting)
+        monkeypatch.setattr(dynamics, "_classify_batch", in_both_modes)
+        dynamics.measure_estimate(model, criteria.Window(0.0, 2 * math.pi, -3.0, 3.0),
+                                  criteria.MonteCarloPlan(100_000, 42), beta,
+                                  r0=2.0, max_iter=50, bailout_log=500.0)
+        track = dynamics._orbit_track(model, beta, 2.0, 50, 500.0)
+        assert np.isinf(track[5:]).all()
+        for per_step in batches["measure"]:
+            assert np.isfinite(track[:len(per_step)]).all()
+        measured = sum(map(sum, batches["measure"]))
+        full = sum(map(sum, batches["escape-map"]))
+        assert measured < 0.1 * full
