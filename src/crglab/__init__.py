@@ -2,8 +2,8 @@
 completely regular growth.
 
 Modules:
-    models    entire-function representations with log-space evaluation
-    growth    proximate orders, indicators, minorants, density budgets
+    models    entire-function models: log-space evaluation, order, indicator
+    growth    growth scales, empirical indicators, minorants, density budgets
     analytic  Schwarz reconstruction, directional asymptotics, kernel integral
     criteria  escape-criteria sets A/B and annulus density estimation
     covering  Besicovitch / Fuchs-Macintyre / Cartan-Levin certificates

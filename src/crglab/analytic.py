@@ -22,15 +22,8 @@ from .errors import (
     ZeroInDisk,
     require_positive,
 )
-from .growth import (
-    EpsilonCascade,
-    ExactIndicator,
-    ProximateOrder,
-    angle_grid,
-    canonical_ray_order,
-    scale_V,
-)
-from .models import CanonicalProduct, FunctionModel, log_derivative
+from .growth import EpsilonCascade, angle_grid, scale_V
+from .models import CanonicalProduct, ExponentialSum, FunctionModel, log_derivative
 
 _TWO_PI = 2.0 * math.pi
 
@@ -112,14 +105,18 @@ class DirectionalSample:
     residual: float   # (re_zl - predicted) / (V(r) * eps2(r))
 
 
-def check_8l(model: FunctionModel, ind: ExactIndicator, po: ProximateOrder,
-             cascade: EpsilonCascade,
+def check_8l(model: ExponentialSum, cascade: EpsilonCascade,
              samples: Sequence[tuple[float, float]]) -> list[DirectionalSample]:
-    """Residuals of Re(z f'/f) against rho*h(theta)*V(r) in eps2 units.
+    """Residuals of Re(z f'/f) against rho*h(theta)*V(r) in eps2 units, with
+    rho and h the order and exact indicator of an exponential sum (any other
+    model raises ValueError).
 
     Every sample must keep angular distance >= 3*eps2(r) from all indicator
     breakpoints (the sector domain of validity); otherwise SectorViolation.
     """
+    if not isinstance(model, ExponentialSum):
+        raise ValueError(f"{type(model).__name__} is not an exponential sum")
+    ind = model.exact_indicator()
     out = []
     breaks = ind.breakpoints
     for r, theta in samples:
@@ -131,8 +128,8 @@ def check_8l(model: FunctionModel, ind: ExactIndicator, po: ProximateOrder,
                 f"from a breakpoint at r = {r:g}")
         z = r * complex(math.cos(theta), math.sin(theta))
         re_zl = (z * log_derivative(model, z)).real
-        v = scale_V(po, r)
-        predicted = po.rho_limit * ind.h(theta) * v
+        v = scale_V(model.order, r)
+        predicted = model.order * ind.h(theta) * v
         out.append(DirectionalSample(r, theta, re_zl, predicted,
                                      (re_zl - predicted) / (v * e2)))
     return out
@@ -220,19 +217,23 @@ class CRGComparison:
 
 
 def verify_crg_ray_product(product: CanonicalProduct, c: float,
-                         po: ProximateOrder, cascade: EpsilonCascade,
-                         samples: Sequence[tuple[float, float]],
-                         declared_constant: float = 1.0) -> list[CRGComparison]:
-    """Compare log|f(r e^{i theta})| with c*pi*cos((theta-pi)rho(r))/sin(pi rho(r)) * V(r).
+                           cascade: EpsilonCascade,
+                           samples: Sequence[tuple[float, float]],
+                           declared_constant: float = 1.0) -> list[CRGComparison]:
+    """Compare log|f(r e^{i theta})| with c*pi*cos((theta-pi)rho)/sin(pi rho) * V(r),
+    rho the product's order and V(r) = r**rho.
 
     Preconditions enforced per sample: theta inside the band
     sqrt(eps(r)) <= theta <= 2pi - sqrt(eps(r)) (else BandViolation), zeros on
     the positive ray within the angular envelope, and the counting hypothesis
     |n(r,0) - c*V(r)| <= declared_constant * eps(r) * V(r) (else
-    HypothesisFailure). Models outside ``canonical_ray_order`` and a c or
-    declared_constant that is not positive and finite raise ValueError.
+    HypothesisFailure). A model that is not a canonical product, a product
+    without an exact indicator, and a c or declared_constant that is not
+    positive and finite raise ValueError.
     """
-    canonical_ray_order(product)
+    if not isinstance(product, CanonicalProduct):
+        raise ValueError(f"{type(product).__name__} is not a canonical product")
+    rho = product.exact_indicator().rho
     require_positive("c", c)
     require_positive("declared_constant", declared_constant)
     angle = product.rule.angle
@@ -248,15 +249,14 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
         if not (half_band <= theta <= _TWO_PI - half_band):
             raise BandViolation(
                 f"theta = {theta:g} outside [{half_band:g}, {_TWO_PI - half_band:g}]")
-        v = scale_V(po, r)
+        v = scale_V(rho, r)
         n_r = product.counting_function(r)
         if abs(n_r - c * v) > declared_constant * eps * v:
             raise HypothesisFailure(
                 f"counting deviation |{n_r} - {c * v:.6g}| exceeds "
                 f"{declared_constant:g} * eps * V at r = {r:g}")
-        rho_r = po.rho_of_r(r)
-        predicted = (c * math.pi * math.cos((theta - math.pi) * rho_r)
-                     / math.sin(math.pi * rho_r) * v)
+        predicted = (c * math.pi * math.cos((theta - math.pi) * rho)
+                     / math.sin(math.pi * rho) * v)
         z = r * complex(math.cos(theta), math.sin(theta))
         log_abs, _, ok = product.log_eval_many(np.array([z]))
         if not ok[0]:

@@ -69,10 +69,9 @@ def build_model(ast: FunctionSpecAST, r_max: float) -> models.FunctionModel:
     return models.CanonicalProduct(rule, ast.genus, ast.cut, r_max)
 
 
-def default_order(ast: FunctionSpecAST) -> growth.ProximateOrder:
-    if isinstance(ast, ExpSumNode):
-        return growth.ProximateOrder.constant(1.0)
-    return growth.ProximateOrder.constant(1.0 / ast.power)
+def default_order(ast: FunctionSpecAST) -> float:
+    """The order rho of the model the AST describes."""
+    return build_model(ast, 1.0).order
 
 
 def _arg_type(parse):
@@ -131,15 +130,14 @@ def _parse_samples(text: str) -> list[tuple[float, float]]:
     return out
 
 
-def _parse_beta(text: str, po: growth.ProximateOrder,
-                cascade_n: int) -> growth.GrowthMinorant:
+def _parse_beta(text: str, rho: float, cascade_n: int) -> growth.GrowthMinorant:
     kind, _, rest = text.partition(":")
     if kind == "exp-power":
         c, mu = map(float, rest.split(","))
         return growth.GrowthMinorant.exp_power(c, mu)
     if kind == "growth-scale":
         n = int(rest) if rest else cascade_n
-        return growth.GrowthMinorant.growth_scale(po, growth.EpsilonCascade(n))
+        return growth.GrowthMinorant.growth_scale(rho, growth.EpsilonCascade(n))
     raise ValueError(
         f"beta must be 'exp-power:<c>,<mu>' or 'growth-scale[:<N>]', got {text!r}")
 
@@ -148,14 +146,10 @@ def _parse_beta(text: str, po: growth.ProximateOrder,
 # subcommands
 
 def _cmd_indicator(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
-    model = build_model(ast, max(args.radii))
-    if isinstance(ast, ExpSumNode):
-        exact = growth.indicator_exact_expsum(model)
-    else:
-        exact = growth.indicator_exact_product(model)
+    model = build_model(parse_function_spec(args.fn), max(args.radii))
+    exact = model.exact_indicator()
     thetas = growth.angle_grid(args.thetas)
-    emp = growth.indicator_empirical(model, default_order(ast), thetas, args.radii)
+    emp = growth.indicator_empirical(model, thetas, args.radii)
     rows = [(float(t), float(he), float(hm))
             for t, he, hm in zip(thetas, exact.h(thetas), emp)]
     write_csv(args.out, ["theta", "h_exact", "h_empirical"], rows)
@@ -163,10 +157,9 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
     ann = criteria.AnnulusSpec(args.r)
-    model = build_model(ast, ann.reach)
-    beta = _parse_beta(args.beta, default_order(ast), args.N)
+    model = build_model(parse_function_spec(args.fn), ann.reach)
+    beta = _parse_beta(args.beta, model.order, args.N)
     if args.set == "A":
         pred = criteria.predicate_A(model, beta)
     else:
@@ -181,11 +174,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_check14(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
-    model = build_model(ast, criteria.AnnulusSpec(max(args.r_list)).reach)
-    po = default_order(ast)
+    model = build_model(parse_function_spec(args.fn),
+                        criteria.AnnulusSpec(max(args.r_list)).reach)
     cascade = growth.EpsilonCascade(args.N)
-    beta = growth.GrowthMinorant.growth_scale(po, cascade)
+    beta = growth.GrowthMinorant.growth_scale(model.order, cascade)
     alpha = growth.DensityBudget.sector_budget(args.m_arcs, cascade)
     series = growth.series_condition_check(alpha, beta, args.r0, args.tail_tol)
     margins = criteria.hypothesis_check_14b(model, beta, alpha, args.r_list,
@@ -218,10 +210,9 @@ def _build_dynamics_model(ast: FunctionSpecAST,
 
 
 def _cmd_escape_map(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
     w = args.window
-    model = _build_dynamics_model(ast, args.bailout_log)
-    beta = _parse_beta(args.beta, default_order(ast), args.N)
+    model = _build_dynamics_model(parse_function_spec(args.fn), args.bailout_log)
+    beta = _parse_beta(args.beta, model.order, args.N)
     width, height = args.size
     emap = dynamics.escape_map(model, w, width, height, args.r0, beta,
                                args.max_iter, args.bailout_log)
@@ -230,11 +221,10 @@ def _cmd_escape_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
     region = (criteria.AnnulusSpec(args.annulus) if args.annulus is not None
               else args.window)
-    model = _build_dynamics_model(ast, args.bailout_log)
-    beta = _parse_beta(args.beta, default_order(ast), args.N)
+    model = _build_dynamics_model(parse_function_spec(args.fn), args.bailout_log)
+    beta = _parse_beta(args.beta, model.order, args.N)
     rep = dynamics.measure_estimate(model, region, args.plan, beta, args.r0,
                                     args.max_iter, args.bailout_log)
     write_json(args.out, rep.to_json_dict())
@@ -242,12 +232,11 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_crg(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
-    model = build_model(ast, max(r for r, _ in args.samples) * 1.01)
-    po = default_order(ast)
+    model = build_model(parse_function_spec(args.fn),
+                        max(r for r, _ in args.samples) * 1.01)
     cascade = growth.EpsilonCascade(args.N)
-    rows = analytic.verify_crg_ray_product(model, args.c, po, cascade, args.samples,
-                                         args.hypothesis_constant)
+    rows = analytic.verify_crg_ray_product(model, args.c, cascade, args.samples,
+                                           args.hypothesis_constant)
     write_csv(args.out, [f.name for f in fields(analytic.CRGComparison)],
               [astuple(c) for c in rows])
     return 0
@@ -281,8 +270,8 @@ def _cmd_covering(args: argparse.Namespace) -> int:
 
 
 def _cmd_schwarz_check(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
-    model = build_model(ast, max(r for r, _ in args.samples) * 1.2 + args.t_r)
+    model = build_model(parse_function_spec(args.fn),
+                        max(r for r, _ in args.samples) * 1.2 + args.t_r)
     rows = []
     for r, theta in args.samples:   # disk centers
         z = r * complex(math.cos(theta), math.sin(theta))
@@ -298,12 +287,10 @@ def _cmd_schwarz_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_8l(args: argparse.Namespace) -> int:
-    ast = parse_function_spec(args.fn)
-    model = build_model(ast, max(r for r, _ in args.samples) * 1.01)
-    po = default_order(ast)
-    ind = growth.indicator_exact_expsum(model)
+    model = build_model(parse_function_spec(args.fn),
+                        max(r for r, _ in args.samples) * 1.01)
     cascade = growth.EpsilonCascade(args.N)
-    rows = analytic.check_8l(model, ind, po, cascade, args.samples)
+    rows = analytic.check_8l(model, cascade, args.samples)
     write_csv(args.out, [f.name for f in fields(analytic.DirectionalSample)],
               [astuple(s) for s in rows])
     return 0

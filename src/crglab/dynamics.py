@@ -28,7 +28,6 @@ same either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .criteria import (AnnulusSpec, DensityReport, GridPlan, Region, SamplePlan,
                        Window, annulus_density, sweep)
 from .growth import GrowthMinorant, beta_log_track
-from .models import CanonicalProduct, FunctionModel
+from .models import FunctionModel
 
 # verdict codes used by the batch classifier and the raster
 SURVIVED = 0
@@ -51,17 +50,17 @@ DEFAULT_BAILOUT_LOG = 500.0
 def _orbit_track(model: FunctionModel, beta: GrowthMinorant, r0: float,
                  max_iter: int, bailout_log: float) -> np.ndarray:
     """log beta^j(r0), j = 0..max_iter. Orbits take 1..max_iter steps up to
-    |z| = exp(bailout_log), which must stay representable; a truncated
-    product must be certified that far out."""
+    |z| = exp(bailout_log), which must stay representable and within the
+    model's certified log radius."""
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not bailout_log <= 700.0:   # NaN fails too
         raise ValueError("bailout_log must stay exp-representable (<= 700)")
-    if isinstance(model, CanonicalProduct) and bailout_log > math.log(model.r_max):
+    if bailout_log > model.certified_log_radius:
         raise ValueError(
-            f"bailout_log = {bailout_log:g} exceeds the product's certified "
-            f"radius (log r_max = {math.log(model.r_max):.3g}); rebuild the "
-            "product with a larger r_max or lower the bailout")
+            f"bailout_log = {bailout_log:g} exceeds the model's certified "
+            f"radius (log r_max = {model.certified_log_radius:.3g}); rebuild "
+            "the product with a larger r_max or lower the bailout")
     return np.array(beta_log_track(beta, r0, max_iter))
 
 

@@ -1,5 +1,5 @@
-"""Growth scales: proximate orders, the epsilon cascade, indicators,
-growth minorants and density budgets.
+"""Growth scales: V(r) = r**rho with rho a model's order, the epsilon
+cascade, the empirical indicator, growth minorants and density budgets.
 
 Log-domain evaluation is first-class throughout: a minorant exposes
 ``log_beta_of_log`` (log beta(r) as a function of log r) so that iterates
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BelowThreshold, OverflowUnrepresentable, ZeroHit,
                      require_increasing, require_positive)
-from .models import CanonicalProduct, ExponentialSum, FunctionModel
+from .models import FunctionModel
 
 _TWO_PI = 2.0 * math.pi
 
@@ -26,40 +26,10 @@ _TWO_PI = 2.0 * math.pi
 LOG_SENTINEL = 1e300
 
 
-# ---------------------------------------------------------------------------
-# proximate orders
-
-@dataclass(frozen=True)
-class ProximateOrder:
-    """rho(r) -> rho with rho'(r) r log r -> 0; V(r) = r**rho(r).
-
-    ``rho_of_log`` evaluates rho at r = exp(l), so log-domain work never
-    forms r itself; ``rho_of_r`` is defined through it. It must accept a
-    numpy array of l and return rho elementwise (a scalar that broadcasts
-    against l is allowed), because minorants evaluate it on whole sample
-    batches.
-    """
-
-    rho_limit: float
-    rho_of_log: Callable[[np.ndarray], np.ndarray | float]
-    description: str = ""
-
-    def rho_of_r(self, r: float) -> float:
-        return float(self.rho_of_log(math.log(r)))
-
-    @staticmethod
-    def constant(rho: float) -> "ProximateOrder":
-        require_positive("order rho", rho)
-        return ProximateOrder(
-            rho_limit=rho,
-            rho_of_log=lambda l: rho,
-            description=f"constant rho = {rho:g}")
-
-
-def scale_V(po: ProximateOrder, r: float) -> float:
-    """V(r) = r**rho(r)."""
+def scale_V(rho: float, r: float) -> float:
+    """V(r) = r**rho, computed as exp(rho log r)."""
     require_positive("r", r)
-    return math.exp(po.rho_of_r(r) * math.log(r))
+    return math.exp(rho * math.log(r))
 
 
 # ---------------------------------------------------------------------------
@@ -120,133 +90,6 @@ def angle_grid(n: int) -> np.ndarray:
     return np.arange(n) * (_TWO_PI / n)
 
 
-@dataclass(frozen=True)
-class SinusoidArc:
-    """h(theta) = amplitude * cos(rho*theta + phase) on [theta_lo, theta_hi]."""
-
-    theta_lo: float
-    theta_hi: float
-    amplitude: float
-    phase: float
-
-
-@dataclass(frozen=True)
-class ExactIndicator:
-    """Piecewise-sinusoid indicator; arcs partition one full turn."""
-
-    arcs: tuple[SinusoidArc, ...]
-    rho: float = 1.0
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(a.theta_lo for a in self.arcs) + (self.arcs[-1].theta_hi,)
-
-    def h(self, theta: float | np.ndarray) -> float | np.ndarray:
-        """h elementwise; a scalar theta gives a float."""
-        lo = self.arcs[0].theta_lo
-        t = lo + np.mod(np.asarray(theta, dtype=float) - lo, _TWO_PI)
-        # the first arc ending at or past t (1e-15 slack), else the last
-        ends = np.array([a.theta_hi for a in self.arcs]) + 1e-15
-        j = np.minimum(np.searchsorted(ends, t), len(self.arcs) - 1)
-        amp, phase = np.array([(a.amplitude, a.phase) for a in self.arcs]).T[:, j]
-        out = amp * np.cos(self.rho * t + phase)
-        return out if out.ndim else float(out)
-
-
-def _hull_ccw(points: list[complex]) -> list[complex]:
-    """Convex-hull vertices in counter-clockwise order (Andrew's monotone
-    chain); points inside the hull or on an edge are not vertices."""
-    pts = sorted(set(points), key=lambda p: (p.real, p.imag))
-    if len(pts) < 3:
-        return pts
-
-    def chain(seq: list[complex]) -> list[complex]:
-        out: list[complex] = []
-        for p in seq:
-            # pop out[-1] unless out[-2] -> out[-1] -> p turns left by more
-            # than 1e-12 rad: smaller turns are rounding noise of collinear
-            # exponents. The angle, not its sine, is cut, so the hairpins
-            # that noise makes on a nearly vertical line (left turns of
-            # nearly pi) keep their vertex.
-            while len(out) >= 2:
-                c = (out[-1] - out[-2]).conjugate() * (p - out[-1])
-                if math.atan2(c.imag, c.real) > 1e-12:
-                    break
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return chain(pts) + chain(pts[::-1])
-
-
-def indicator_exact_expsum(f) -> ExactIndicator:
-    """h(theta) = max_k |b_k| cos(theta + arg b_k) for an exponential sum.
-
-    h(theta) = max_k Re(b_k e^{i theta}) is the support function of the
-    indicator diagram, the convex hull of {conj b_k} (B. Ya. Levin,
-    *Distribution of Zeros of Entire Functions*, ch. I). The hull vertices,
-    taken counter-clockwise, win in turn; the outward normal angle of the
-    edge entering a vertex starts its arc and its exterior angle is the arc
-    width, so the breakpoints are exact.
-    Each arc carries (A_j, phi_j) = (|b_k|, arg b_k) of its exponent.
-    """
-    if not isinstance(f, ExponentialSum):
-        raise ValueError(f"{type(f).__name__} is not an exponential sum")
-    verts = _hull_ccw([b.conjugate() for b in f.exponents()])
-    # edges[j] enters vertex j; the outward normal of an edge d points at
-    # angle atan2(-d.real, d.imag), and a single vertex gives d = 0 and the
-    # one arc [0, 2 pi]
-    edges = [v - u for u, v in zip(verts[-1:] + verts[:-1], verts)]
-    starts = [math.atan2(-edges[0].real, edges[0].imag) % _TWO_PI]
-    for d_in, d_out in zip(edges, edges[1:]):
-        # the arc of a vertex is its exterior angle, in [0, pi]; adding
-        # these keeps the arcs in hull order even where rounding would swap
-        # two nearly equal normal angles
-        c = d_in.conjugate() * d_out
-        starts.append(min(starts[-1] + math.atan2(abs(c.imag), c.real),
-                          starts[0] + _TWO_PI))
-    # the arcs past 2 pi, a suffix, wrap round to the front
-    k = sum(t < _TWO_PI for t in starts)
-    order = [*range(k, len(verts)), *range(k)]
-    lo = [starts[j] - _TWO_PI if j >= k else starts[j] for j in order]
-    hi = lo[1:] + [lo[0] + _TWO_PI]
-    arcs = []
-    for j, t0, t1 in zip(order, lo, hi):
-        if t1 > t0:  # a vertex whose exterior angle rounds to 0 wins nowhere
-            b = verts[j].conjugate()
-            arcs.append(SinusoidArc(t0, t1, abs(b), math.atan2(b.imag, b.real)))
-    return ExactIndicator(arcs=tuple(arcs), rho=1.0)
-
-
-def canonical_ray_order(product: CanonicalProduct) -> float:
-    """rho = 1/e for zeros |a_k| = scale * k**e on one ray. ValueError where
-    the ray indicator does not apply: a model that is not a canonical
-    product, rho within 1e-9 of an integer, or a genus other than floor(rho)
-    (a larger one multiplies f by exp(z sum 1/a_k), of order 1)."""
-    if not isinstance(product, CanonicalProduct):
-        raise ValueError(f"{type(product).__name__} is not a canonical product")
-    rho = 1.0 / product.rule.exponent
-    if abs(rho - round(rho)) <= 1e-9:
-        raise ValueError(f"order rho = {rho:g} is an integer")
-    if product.genus != math.floor(rho):
-        raise ValueError(f"genus {product.genus} is not the canonical genus "
-                         f"{math.floor(rho)} of order rho = {rho:g}")
-    return rho
-
-
-def indicator_exact_product(product: CanonicalProduct) -> ExactIndicator:
-    """h(theta) = c pi cos(rho (theta - theta0 - pi)) / sin(pi rho) on the one
-    arc [theta0, theta0 + 2 pi), for zeros on the ray of angle theta0 with
-    density c = scale**(-rho) (B. Ya. Levin, *Distribution of Zeros of
-    Entire Functions*, ch. I-II)."""
-    rho = canonical_ray_order(product)
-    rule = product.rule
-    arc = SinusoidArc(rule.angle, rule.angle + _TWO_PI,
-                      math.pi * rule.scale ** -rho / math.sin(math.pi * rho),
-                      -rho * (rule.angle + math.pi))
-    return ExactIndicator(arcs=(arc,), rho=rho)
-
-
 def _log_moduli(model: FunctionModel, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log|f|, valid) at zs. A model reports log|f| = +inf, valid, where
     its sum overflowed: an orbit there has escaped, but a growth value would
@@ -259,18 +102,17 @@ def _log_moduli(model: FunctionModel, zs: np.ndarray) -> tuple[np.ndarray, np.nd
     return log_abs, ok
 
 
-def indicator_empirical(model: FunctionModel, po: ProximateOrder,
-                        theta_grid: Sequence[float],
+def indicator_empirical(model: FunctionModel, theta_grid: Sequence[float],
                         radii: Sequence[float]) -> np.ndarray:
     """The finite-radius proxy for h at each theta of the grid: the max over
-    the radius ladder of log|f(r e^{i theta})| / V(r).
+    the radius ladder of log|f(r e^{i theta})| / V(r), V(r) = r**model.order.
 
     Zero-hit samples are skipped; a theta with every radius on a zero raises
     ZeroHit, and a log-modulus past the float range OverflowUnrepresentable.
     """
     radii = require_increasing("radius ladder", radii, at_least=3)
     thetas = np.asarray(list(theta_grid), dtype=float)
-    vs = np.array([scale_V(po, r) for r in radii])
+    vs = np.array([scale_V(model.order, r) for r in radii])
     best = np.full(thetas.shape, -np.inf)
     any_ok = np.zeros(thetas.shape, dtype=bool)
     for r, v in zip(radii, vs):
@@ -325,14 +167,17 @@ class GrowthMinorant:
                               fast_escaping_form=True)
 
     @staticmethod
-    def growth_scale(po: ProximateOrder, cascade: EpsilonCascade) -> "GrowthMinorant":
-        """beta(r) = exp(r**rho(r) * eps1(r))."""
+    def growth_scale(rho: float, cascade: EpsilonCascade) -> "GrowthMinorant":
+        """beta(r) = exp(r**rho * eps1(r)) = exp(r**rho / log^N(r)), with rho
+        a model's order."""
+        require_positive("order rho", rho)
+
         def lb(l: np.ndarray) -> np.ndarray:
-            return _safe_exp(po.rho_of_log(l) * l) * cascade.eps1_from_log(l)
+            return _safe_exp(rho * l) * cascade.eps1_from_log(l)
 
         return GrowthMinorant(
             _find_threshold(lb), lb,
-            f"beta(r) = exp(r**rho(r) / log^{cascade.N}(r)), rho -> {po.rho_limit:g}",
+            f"beta(r) = exp(r**{rho:g} / log^{cascade.N}(r))",
             fast_escaping_form=True)
 
 def _safe_exp(x: np.ndarray) -> np.ndarray:
@@ -376,7 +221,6 @@ class DensityBudget:
     reaches iterated radii beyond the float range."""
 
     alpha_of_log: Callable[[float], float]
-    description: str = ""
 
     def alpha_of_r(self, r: float) -> float:
         return float(self.alpha_of_log(math.log(r)))
@@ -391,7 +235,7 @@ class DensityBudget:
         def a_l(l: float) -> float:
             return c * cascade.eps3_from_log(l - math.log(2.0))
 
-        return DensityBudget(a_l, f"alpha(r) = {c:g} * eps3(r/2)")
+        return DensityBudget(a_l)
 
 
 # ---------------------------------------------------------------------------

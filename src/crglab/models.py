@@ -7,6 +7,9 @@ Two families are supported:
 * canonical products f(z) = prod_k E(z / a_k, p) over a rule-generated zero
   sequence a_k = c * k**e * exp(i*theta0), truncated at a certified cutoff.
 
+Each model carries its own ``order`` rho, ``exact_indicator()`` and
+``certified_log_radius``, so no caller asks which family it holds.
+
 The primary representation of a value is its logarithm: ``log_eval_many``
 returns log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such
 as |f(z)| versus beta(|z|) stay comparable long after exp() would overflow. An
@@ -37,12 +40,74 @@ _NEAR_ZERO_REL = 1e-6
 _TWO_PI = 2.0 * math.pi
 
 
+@dataclass(frozen=True)
+class SinusoidArc:
+    """h(theta) = amplitude * cos(rho*theta + phase) on [theta_lo, theta_hi]."""
+
+    theta_lo: float
+    theta_hi: float
+    amplitude: float
+    phase: float
+
+
+@dataclass(frozen=True)
+class ExactIndicator:
+    """Piecewise-sinusoid indicator; arcs partition one full turn."""
+
+    arcs: tuple[SinusoidArc, ...]
+    rho: float = 1.0
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(a.theta_lo for a in self.arcs) + (self.arcs[-1].theta_hi,)
+
+    def h(self, theta: float | np.ndarray) -> float | np.ndarray:
+        """h elementwise; a scalar theta gives a float."""
+        lo = self.arcs[0].theta_lo
+        t = lo + np.mod(np.asarray(theta, dtype=float) - lo, _TWO_PI)
+        # the first arc ending at or past t (1e-15 slack), else the last
+        ends = np.array([a.theta_hi for a in self.arcs]) + 1e-15
+        j = np.minimum(np.searchsorted(ends, t), len(self.arcs) - 1)
+        amp, phase = np.array([(a.amplitude, a.phase) for a in self.arcs]).T[:, j]
+        out = amp * np.cos(self.rho * t + phase)
+        return out if out.ndim else float(out)
+
+
+def _hull_ccw(points: list[complex]) -> list[complex]:
+    """Convex-hull vertices in counter-clockwise order (Andrew's monotone
+    chain); points inside the hull or on an edge are not vertices."""
+    pts = sorted(set(points), key=lambda p: (p.real, p.imag))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq: list[complex]) -> list[complex]:
+        out: list[complex] = []
+        for p in seq:
+            # pop out[-1] unless out[-2] -> out[-1] -> p turns left by more
+            # than 1e-12 rad: smaller turns are rounding noise of collinear
+            # exponents. The angle, not its sine, is cut, so the hairpins
+            # that noise makes on a nearly vertical line (left turns of
+            # nearly pi) keep their vertex.
+            while len(out) >= 2:
+                c = (out[-1] - out[-2]).conjugate() * (p - out[-1])
+                if math.atan2(c.imag, c.real) > 1e-12:
+                    break
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
 class ExponentialSum:
     """f(z) = sum_k P_k(z) exp(b_k z), coefficients ascending by degree.
 
     Terms whose polynomial is identically zero are dropped at construction;
     the exponents of the remaining terms must be pairwise distinct.
     """
+
+    order = 1.0
+    certified_log_radius = math.inf   # log-space evaluation holds at every radius
 
     def __init__(self, terms: Iterable[tuple[Sequence[complex], complex]]):
         cleaned: list[tuple[tuple[complex, ...], complex]] = []
@@ -65,6 +130,42 @@ class ExponentialSum:
 
     def exponents(self) -> list[complex]:
         return [b for _, b in self.terms]
+
+    def exact_indicator(self) -> ExactIndicator:
+        """h(theta) = max_k |b_k| cos(theta + arg b_k).
+
+        h(theta) = max_k Re(b_k e^{i theta}) is the support function of the
+        indicator diagram, the convex hull of {conj b_k} (B. Ya. Levin,
+        *Distribution of Zeros of Entire Functions*, ch. I). The hull
+        vertices, taken counter-clockwise, win in turn; the outward normal
+        angle of the edge entering a vertex starts its arc and its exterior
+        angle is the arc width, so the breakpoints are exact.
+        Each arc carries (A_j, phi_j) = (|b_k|, arg b_k) of its exponent.
+        """
+        verts = _hull_ccw([b.conjugate() for b in self.exponents()])
+        # edges[j] enters vertex j; the outward normal of an edge d points at
+        # angle atan2(-d.real, d.imag), and a single vertex gives d = 0 and
+        # the one arc [0, 2 pi]
+        edges = [v - u for u, v in zip(verts[-1:] + verts[:-1], verts)]
+        starts = [math.atan2(-edges[0].real, edges[0].imag) % _TWO_PI]
+        for d_in, d_out in zip(edges, edges[1:]):
+            # the arc of a vertex is its exterior angle, in [0, pi]; adding
+            # these keeps the arcs in hull order even where rounding would
+            # swap two nearly equal normal angles
+            c = d_in.conjugate() * d_out
+            starts.append(min(starts[-1] + math.atan2(abs(c.imag), c.real),
+                              starts[0] + _TWO_PI))
+        # the arcs past 2 pi, a suffix, wrap round to the front
+        k = sum(t < _TWO_PI for t in starts)
+        arc_order = [*range(k, len(verts)), *range(k)]
+        lo = [starts[j] - _TWO_PI if j >= k else starts[j] for j in arc_order]
+        hi = lo[1:] + [lo[0] + _TWO_PI]
+        arcs = []
+        for j, t0, t1 in zip(arc_order, lo, hi):
+            if t1 > t0:  # a vertex whose exterior angle rounds to 0 wins nowhere
+                b = verts[j].conjugate()
+                arcs.append(SinusoidArc(t0, t1, abs(b), math.atan2(b.imag, b.real)))
+        return ExactIndicator(arcs=tuple(arcs), rho=self.order)
 
     def plain_values(self, zs: np.ndarray) -> np.ndarray:
         """Direct complex evaluation; overflows to inf/nan silently."""
@@ -188,7 +289,14 @@ class CanonicalProduct:
     holds for every |z| <= r_max, and |z/a_{K+1}| <= 1/2 so the per-factor
     series bound applies. The resulting bound is stored in ``tail_bound``
     and never recomputed per call. A (tail_tol, r_max) pair whose cutoff
-    would exceed ``MAX_CUTOFF`` factors is refused up front.
+    would exceed ``MAX_CUTOFF`` factors is refused up front; the certified
+    log radius is log r_max.
+
+    ``order`` is rho = 1/e, the convergence exponent of the zeros
+    |a_k| = scale * k**e. It is the order of f only at the canonical genus
+    floor(rho): a larger genus multiplies the canonical product by
+    exp(z sum_k 1/a_k), so pow(1.5) with genus 1 has rho = 2/3 here but f,
+    the canonical product times e^{cz}, has order 1.
     """
 
     _CHUNK = 1 << 19
@@ -232,6 +340,27 @@ class CanonicalProduct:
                 f"{self.MAX_CUTOFF:.0e}); relax the tolerance or reduce r_max")
         self.cutoff = cutoff
         self.tail_bound = self._tail_estimate(r_max, self.cutoff)
+        self.order = 1.0 / rule.exponent
+        self.certified_log_radius = math.log(self.r_max)
+
+    def exact_indicator(self) -> ExactIndicator:
+        """h(theta) = c pi cos(rho (theta - theta0 - pi)) / sin(pi rho) on the
+        one arc [theta0, theta0 + 2 pi), for zeros on the ray of angle theta0
+        with density c = scale**(-rho) (B. Ya. Levin, *Distribution of Zeros
+        of Entire Functions*, ch. I-II). ValueError where the ray indicator
+        does not apply: rho within 1e-9 of an integer, or a genus other than
+        floor(rho)."""
+        rho = self.order
+        if abs(rho - round(rho)) <= 1e-9:
+            raise ValueError(f"order rho = {rho:g} is an integer")
+        if self.genus != math.floor(rho):
+            raise ValueError(f"genus {self.genus} is not the canonical genus "
+                             f"{math.floor(rho)} of order rho = {rho:g}")
+        rule = self.rule
+        arc = SinusoidArc(rule.angle, rule.angle + _TWO_PI,
+                          math.pi * rule.scale ** -rho / math.sin(math.pi * rho),
+                          -rho * (rule.angle + math.pi))
+        return ExactIndicator(arcs=(arc,), rho=rho)
 
     def _tail_estimate(self, r: float, k: int) -> float:
         s = self.rule.exponent * (self.genus + 1)

@@ -32,7 +32,8 @@ def k_squared_product():
 
 @pytest.fixture(scope="session")
 def rho_one():
-    return growth.ProximateOrder.constant(1.0)
+    """The order of an exponential sum, as ``growth_scale`` takes it."""
+    return 1.0
 
 
 @pytest.fixture(scope="session")

@@ -27,14 +27,14 @@ def _report(tag: str, ok: bool, detail: str, elapsed: float,
     assert elapsed < budget, f"{tag}: runtime {elapsed:.2f}s over budget"
 
 
-def test_criterion_01_indicator_oracle(sin_model, exp_model, rho_one):
+def test_criterion_01_indicator_oracle(sin_model, exp_model):
     t0 = time.perf_counter()
     band = np.concatenate([np.linspace(0.3, math.pi - 0.3, 360),
                            np.linspace(math.pi + 0.3, 2 * math.pi - 0.3, 360)])
-    emp = growth.indicator_empirical(sin_model, rho_one, band, [1e2, 1e3, 1e4])
+    emp = growth.indicator_empirical(sin_model, band, [1e2, 1e3, 1e4])
     sin_err = float(np.max(np.abs(emp - np.abs(np.sin(band)))))
     full = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    emp_e = growth.indicator_empirical(exp_model, rho_one, full, [1e2, 1e3, 1e4])
+    emp_e = growth.indicator_empirical(exp_model, full, [1e2, 1e3, 1e4])
     exp_err = float(np.max(np.abs(emp_e - np.cos(full))))
     elapsed = time.perf_counter() - t0
     ok = sin_err <= 1e-3 and exp_err <= 1e-6
@@ -47,10 +47,9 @@ def test_criterion_02_crg_ray_product_oracle(cascade_one):
     t0 = time.perf_counter()
     product = models.CanonicalProduct(models.PowerZeroRule(exponent=2.0),
                                       genus=0, tail_tol=0.05, r_max=2e5)
-    po = growth.ProximateOrder.constant(0.5)
     angles = (math.pi / 2, math.pi, 3 * math.pi / 2)
     rows = analytic.verify_crg_ray_product(
-        product, 1.0, po, cascade_one,
+        product, 1.0, cascade_one,
         [(1e4, t) for t in angles] + [(1e3, math.pi), (1e5, math.pi)])
     at_1e4 = [abs(r.normalized_residual) for r in rows[:3]]
     r_1e3 = abs(rows[3].normalized_residual)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crglab import analytic, growth, models
+from crglab import analytic, models
 from crglab.errors import (BandViolation, BranchViolation, HypothesisFailure,
                            SectorViolation, ZeroInDisk)
 from conftest import log_abs_sin
@@ -46,47 +46,42 @@ class TestSchwarz:
 
 
 class TestCheck8l:
-    def test_sin_imaginary_axis(self, sin_model, rho_one, cascade_one):
-        ind = growth.indicator_exact_expsum(sin_model)
-        rows = analytic.check_8l(sin_model, ind, rho_one, cascade_one,
-                                 [(100.0, math.pi / 2)])
+    def test_sin_imaginary_axis(self, sin_model, cascade_one):
+        rows = analytic.check_8l(sin_model, cascade_one, [(100.0, math.pi / 2)])
         s = rows[0]
         assert s.re_zl == pytest.approx(100.0 / math.tanh(100.0), rel=1e-12)
         assert abs(s.re_zl - 100.0) < 1e-24 * 1e26   # coth(100)-1 ~ 1e-87
         assert abs(s.residual) < 1e-12
 
-    def test_exp_real_axis_needs_offset(self, exp_model, rho_one, cascade_one):
+    def test_exp_real_axis_needs_offset(self, exp_model, cascade_one):
         # theta = 0 is an indicator breakpoint for e^z via the envelope arc
         # start; a sample safely inside the arc has zero residual
-        ind = growth.indicator_exact_expsum(exp_model)
-        rows = analytic.check_8l(exp_model, ind, rho_one, cascade_one,
-                                 [(100.0, 2.0)])
+        rows = analytic.check_8l(exp_model, cascade_one, [(100.0, 2.0)])
         assert abs(rows[0].residual) < 1e-10
 
-    def test_cosh_diagonal(self, cosh_model, rho_one, cascade_one):
-        ind = growth.indicator_exact_expsum(cosh_model)
-        rows = analytic.check_8l(cosh_model, ind, rho_one, cascade_one,
-                                 [(1e8, math.pi / 4)])
+    def test_cosh_diagonal(self, cosh_model, cascade_one):
+        rows = analytic.check_8l(cosh_model, cascade_one, [(1e8, math.pi / 4)])
         assert rows[0].predicted == pytest.approx(1e8 * math.sqrt(0.5), rel=1e-12)
         assert abs(rows[0].residual) <= 1.0
 
-    def test_sector_violation(self, sin_model, rho_one, cascade_one):
-        ind = growth.indicator_exact_expsum(sin_model)
+    def test_sector_violation(self, sin_model, cascade_one):
         with pytest.raises(SectorViolation):
-            analytic.check_8l(sin_model, ind, rho_one, cascade_one,
-                              [(30.0, math.pi / 2)])
+            analytic.check_8l(sin_model, cascade_one, [(30.0, math.pi / 2)])
 
-    def test_residuals_bounded_and_settling(self, sin_model, rho_one, cascade_one):
-        ind = growth.indicator_exact_expsum(sin_model)
+    def test_residuals_bounded_and_settling(self, sin_model, cascade_one):
         maxima = []
         for r in (1e2, 1e3, 1e4):
             gate = 3.0 * cascade_one.eps2(r) + 1e-6
             thetas = np.linspace(gate, math.pi - gate, 9)
-            rows = analytic.check_8l(sin_model, ind, rho_one, cascade_one,
+            rows = analytic.check_8l(sin_model, cascade_one,
                                      [(r, t) for t in thetas])
             maxima.append(max(abs(s.residual) for s in rows))
         assert all(m <= 5.0 for m in maxima)
         assert all(b <= a + 1e-9 for a, b in zip(maxima, maxima[1:]))
+
+    def test_product_refused(self, k_squared_product, cascade_one):
+        with pytest.raises(ValueError, match="CanonicalProduct is not an exponential sum"):
+            analytic.check_8l(k_squared_product, cascade_one, [(100.0, 1.0)])
 
 
 class TestKernelIntegral:
@@ -134,15 +129,10 @@ def wide_product():
                                    genus=0, tail_tol=0.05, r_max=2e5)
 
 
-@pytest.fixture(scope="module")
-def rho_half():
-    return growth.ProximateOrder.constant(0.5)
-
-
 class TestVerifyCrg:
-    def test_against_sinh_oracle(self, wide_product, rho_half, cascade_one):
+    def test_against_sinh_oracle(self, wide_product, cascade_one):
         rows = analytic.verify_crg_ray_product(
-            wide_product, 1.0, rho_half, cascade_one, [(1e4, math.pi)])
+            wide_product, 1.0, cascade_one, [(1e4, math.pi)])
         row = rows[0]
         # oracle through the closed-form identity prod(1 - z/k^2)
         oracle = (math.pi * 100.0 - math.log(2 * math.pi * 100.0)
@@ -151,24 +141,24 @@ class TestVerifyCrg:
         assert row.predicted == pytest.approx(100.0 * math.pi, rel=1e-12)
         assert abs(row.eps_residual) < 1.0
 
-    def test_residual_decreases_in_r(self, wide_product, rho_half, cascade_one):
+    def test_residual_decreases_in_r(self, wide_product, cascade_one):
         rows = analytic.verify_crg_ray_product(
-            wide_product, 1.0, rho_half, cascade_one,
+            wide_product, 1.0, cascade_one,
             [(1e3, math.pi), (1e4, math.pi), (1e5, math.pi)])
         resid = [abs(r.normalized_residual) for r in rows]
         assert resid[2] < resid[1] < resid[0]
 
-    def test_band_violation(self, wide_product, rho_half, cascade_one):
+    def test_band_violation(self, wide_product, cascade_one):
         eps = cascade_one.eps1(1e4)
         with pytest.raises(BandViolation):
-            analytic.verify_crg_ray_product(wide_product, 1.0, rho_half,
-                                          cascade_one, [(1e4, eps ** 2)])
+            analytic.verify_crg_ray_product(wide_product, 1.0, cascade_one,
+                                            [(1e4, eps ** 2)])
 
-    def test_counting_hypothesis_guard(self, wide_product, rho_half, cascade_one):
+    def test_counting_hypothesis_guard(self, wide_product, cascade_one):
         # a wrong density constant c must be rejected by the pre-check
         with pytest.raises(HypothesisFailure):
-            analytic.verify_crg_ray_product(wide_product, 3.0, rho_half,
-                                          cascade_one, [(1e4, math.pi)])
+            analytic.verify_crg_ray_product(wide_product, 3.0, cascade_one,
+                                            [(1e4, math.pi)])
 
     @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (1.5, 1)])
     def test_noncanonical_product_refused(self, exponent, genus, cascade_one):
@@ -177,10 +167,14 @@ class TestVerifyCrg:
         product = models.CanonicalProduct(
             models.PowerZeroRule(exponent=exponent), genus, tail_tol=0.1,
             r_max=200.0)
-        po = growth.ProximateOrder.constant(1.0 / exponent)
         with pytest.raises(ValueError):
-            analytic.verify_crg_ray_product(product, 1.0, po, cascade_one,
-                                          [(100.5, math.pi / 4)])
+            analytic.verify_crg_ray_product(product, 1.0, cascade_one,
+                                            [(100.5, math.pi / 4)])
+
+    def test_sum_refused(self, sin_model, cascade_one):
+        with pytest.raises(ValueError, match="ExponentialSum is not a canonical product"):
+            analytic.verify_crg_ray_product(sin_model, 1.0, cascade_one,
+                                            [(100.5, math.pi / 4)])
 
 
 def test_sin_log_modulus_oracle_self_check():

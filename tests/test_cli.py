@@ -430,8 +430,16 @@ class TestRefusalReasons:
         *[(["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", size,
             "--r0", "2", "--out", "m.pgm"], "size must be WxH")
           for size in ("3", "4x4x4")],
+        # the constructor accepts this product out to e^35; only the cap refuses
+        *[([cmd, "--fn", "product:zeros=pow(4),genus=0,cut=0.2", "--window",
+            "0,6.2832,-3,3", "--r0", "2", "--beta", "exp-power:0.5,1", *opt,
+            "--bailout-log", "35", "--out", "m.out"],
+           "product orbits need --bailout-log <= 34")
+          for cmd, opt in (("measure", ["--plan", "mc:20:1"]),
+                           ("escape-map", ["--size", "4x4"]))],
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
-            "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4"])
+            "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4",
+            "measure-product-bailout-35", "escape-map-product-bailout-35"])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

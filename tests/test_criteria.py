@@ -292,8 +292,7 @@ class TestHypothesis14b:
 
     def test_sin_default_margin_regression(self, sin_model):
         cascade = growth.EpsilonCascade(1)
-        beta = growth.GrowthMinorant.growth_scale(
-            growth.ProximateOrder.constant(1.0), cascade)
+        beta = growth.GrowthMinorant.growth_scale(1.0, cascade)
         alpha = growth.DensityBudget.sector_budget(2, cascade)
         rows = criteria.hypothesis_check_14b(
             sin_model, beta, alpha, [1000.0],

@@ -16,8 +16,7 @@ def beta_half():
 
 @pytest.fixture(scope="module")
 def beta_scale():
-    return growth.GrowthMinorant.growth_scale(
-        growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
+    return growth.GrowthMinorant.growth_scale(1.0, growth.EpsilonCascade(1))
 
 
 def _one_pixel(model, z0, r0, beta, **kwargs) -> int:
@@ -68,6 +67,25 @@ class TestClassifyOrbit:
             dynamics.measure_estimate(exp_model, window,
                                       criteria.MonteCarloPlan(10, 1),
                                       beta_half, 2.0, **kwargs)
+
+    def test_bailout_within_the_certified_radius(self, exp_model, beta_half):
+        # a product certified out to |z| = e^4 takes bailout 4 and refuses
+        # 4.5; a sum, certified at every radius, takes the largest, 700
+        product = models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 0.2,
+                                          math.exp(4.0))
+        window = criteria.Window(0.0, 1.0, 0.0, 1.0)
+        plan = criteria.MonteCarloPlan(10, 1)
+        for model, bailout_log in ((product, 4.0), (exp_model, 700.0)):
+            dynamics.escape_map(model, window, 2, 2, 2.0, beta_half,
+                                bailout_log=bailout_log)
+            dynamics.measure_estimate(model, window, plan, beta_half, 2.0,
+                                      bailout_log=bailout_log)
+        with pytest.raises(ValueError, match="certified radius"):
+            dynamics.escape_map(product, window, 2, 2, 2.0, beta_half,
+                                bailout_log=4.5)
+        with pytest.raises(ValueError, match="certified radius"):
+            dynamics.measure_estimate(product, window, plan, beta_half, 2.0,
+                                      bailout_log=4.5)
 
 
 class TestEscapeMonotonicity:
@@ -268,8 +286,7 @@ SIN_TERMS = [([-0.5j], 1j), ([0.5j], -1j)]
 
 def _equivalence_case(name):
     """(model, beta, r0, bailout_log, window) of one seeded cloud."""
-    scale = growth.GrowthMinorant.growth_scale(
-        growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
+    scale = growth.GrowthMinorant.growth_scale(1.0, growth.EpsilonCascade(1))
     half = growth.GrowthMinorant.exp_power(0.5, 1.0)
     if name == "sin":
         return models.ExponentialSum(SIN_TERMS), scale, 2.0, 500.0, (0.0, 6.3, -3.0, 3.0)
@@ -336,8 +353,7 @@ class TestCompactedClassifier:
         # from k = 5, so no point may be evaluated from that step on
         monkeypatch.setenv("CRG_THREADS", "1")
         model = models.ExponentialSum(SIN_TERMS)
-        beta = growth.GrowthMinorant.growth_scale(
-            growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
+        beta = growth.GrowthMinorant.growth_scale(1.0, growth.EpsilonCascade(1))
         plain = model.plain_values
         batches = {"measure": [], "escape-map": []}
         evaluated: list[list[int]] = []      # points per plain_values call

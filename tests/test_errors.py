@@ -40,7 +40,6 @@ class TestRequireIncreasing:
 
 
 _RULE = models.PowerZeroRule(2.0)
-_PO = growth.ProximateOrder.constant(1.0)
 _CASCADE = growth.EpsilonCascade(1)
 _BETA = growth.GrowthMinorant.exp_power(0.5, 1.0)
 _EXP = models.ExponentialSum([([1.0], 1.0)])   # e^z
@@ -52,8 +51,7 @@ def _k_squared():
 
 def _crg(c=1.0, declared=1.0):
     return analytic.verify_crg_ray_product(
-        _k_squared(), c, growth.ProximateOrder.constant(0.5), _CASCADE,
-        [(1e3, math.pi)], declared)
+        _k_squared(), c, _CASCADE, [(1e3, math.pi)], declared)
 
 
 # one entry per real parameter that must be positive; each takes the value
@@ -63,17 +61,17 @@ _PARAMETERS = {
     "CanonicalProduct.tail_tol": lambda x: models.CanonicalProduct(_RULE, 0, x, 100.0),
     "CanonicalProduct.r_max": lambda x: models.CanonicalProduct(_RULE, 0, 0.05, x),
     "CanonicalProduct.counting_function": lambda x: _k_squared().counting_function(x),
-    "ProximateOrder.constant": growth.ProximateOrder.constant,
-    "scale_V": lambda x: growth.scale_V(_PO, x),
+    "growth_scale.rho": lambda x: growth.GrowthMinorant.growth_scale(x, _CASCADE),
+    "scale_V": lambda x: growth.scale_V(1.0, x),
     "log_max_modulus": lambda x: growth.log_max_modulus(_EXP, x),
     "zheng_ratio": lambda x: growth.zheng_ratio(_EXP, [x]),
     "exp_power.c": lambda x: growth.GrowthMinorant.exp_power(x, 1.0),
     "exp_power.mu": lambda x: growth.GrowthMinorant.exp_power(0.5, x),
     "series_condition_check.tail_tol": lambda x: growth.series_condition_check(
         growth.DensityBudget.sector_budget(2, _CASCADE),
-        growth.GrowthMinorant.growth_scale(_PO, _CASCADE), 100.0, x),
+        growth.GrowthMinorant.growth_scale(1.0, _CASCADE), 100.0, x),
     "indicator_empirical.radii": lambda x: growth.indicator_empirical(
-        _EXP, _PO, [0.0, 1.0], [1e2, 1e3, x]),
+        _EXP, [0.0, 1.0], [1e2, 1e3, x]),
     "fuchs_macintyre_disks.H": lambda x: covering.fuchs_macintyre_disks([0.2 + 0.1j], x),
     "cartan_levin_disks.R": lambda x: covering.cartan_levin_disks([0.2 + 0.1j], x, 0.2),
     "DiskSet.radius": lambda x: covering.DiskSet(((0j, x),)),

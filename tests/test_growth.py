@@ -22,16 +22,8 @@ def _log_beta(beta, r):
 
 class TestScaleV:
     def test_constant_orders(self):
-        assert growth.scale_V(growth.ProximateOrder.constant(1.0), 10.0) \
-            == pytest.approx(10.0)
-        assert growth.scale_V(growth.ProximateOrder.constant(0.5), 1e4) \
-            == pytest.approx(100.0)
-
-    def test_log_corrected(self):
-        # rho(r) = 0.5 + 1/log r
-        po = growth.ProximateOrder(0.5, lambda l: 0.5 + 1.0 / np.maximum(l, 1.0))
-        assert growth.scale_V(po, math.exp(10.0)) \
-            == pytest.approx(math.exp(6.0), rel=1e-12)
+        assert growth.scale_V(1.0, 10.0) == pytest.approx(10.0)
+        assert growth.scale_V(0.5, 1e4) == pytest.approx(100.0)
 
 
 class TestEpsilonCascade:
@@ -70,7 +62,7 @@ class TestEpsilonCascade:
 
 class TestExactIndicators:
     def test_exp(self, exp_model):
-        ind = growth.indicator_exact_expsum(exp_model)
+        ind = exp_model.exact_indicator()
         assert len(ind.arcs) == 1
         assert ind.arcs[0].amplitude == pytest.approx(1.0)
         assert ind.arcs[0].phase == pytest.approx(0.0)
@@ -78,14 +70,14 @@ class TestExactIndicators:
             assert ind.h(t) == pytest.approx(math.cos(t), abs=1e-12)
 
     def test_sin(self, sin_model):
-        ind = growth.indicator_exact_expsum(sin_model)
+        ind = sin_model.exact_indicator()
         assert np.allclose(sorted(b % (2 * math.pi) for b in ind.breakpoints[:-1]),
                            [0.0, math.pi], atol=1e-12)
         for t in (0.3, 1.0, 2.5, 4.0, 5.9):
             assert ind.h(t) == pytest.approx(abs(math.sin(t)), abs=1e-12)
 
     def test_cosh(self, cosh_model):
-        ind = growth.indicator_exact_expsum(cosh_model)
+        ind = cosh_model.exact_indicator()
         bps = sorted(b % (2 * math.pi) for b in ind.breakpoints[:-1])
         assert np.allclose(bps, [math.pi / 2, 3 * math.pi / 2], atol=1e-12)
         for t in (0.2, 1.8, 3.5, 5.0):
@@ -93,7 +85,7 @@ class TestExactIndicators:
 
     def test_breakpoint_continuity(self, sin_model, cosh_model):
         for model in (sin_model, cosh_model):
-            ind = growth.indicator_exact_expsum(model)
+            ind = model.exact_indicator()
             for t in ind.breakpoints:
                 jump = abs(ind.h(t - 1e-11) - ind.h(t + 1e-11))
                 assert jump < 1e-9
@@ -109,8 +101,7 @@ class TestExactIndicators:
         rot = cmath.exp(1j * math.pi / 8192)
         bs = [cmath.exp(0.3j) * rot, cmath.exp(-0.3j) * rot,
               (math.cos(0.3) + 1e-6) * rot]
-        ind = growth.indicator_exact_expsum(
-            models.ExponentialSum([([1.0], b) for b in bs]))
+        ind = models.ExponentialSum([([1.0], b) for b in bs]).exact_indicator()
         assert len(ind.arcs) == 3
         narrow = min(ind.arcs, key=lambda a: a.theta_hi - a.theta_lo)
         assert narrow.amplitude == pytest.approx(abs(bs[2]), rel=1e-15)
@@ -139,8 +130,7 @@ class TestExactIndicators:
         ]
         thetas = np.linspace(0.0, 2 * math.pi, 2001)
         for bs, n_arcs in cases:
-            ind = growth.indicator_exact_expsum(
-                models.ExponentialSum([([1.0], b) for b in bs]))
+            ind = models.ExponentialSum([([1.0], b) for b in bs]).exact_indicator()
             arcs = ind.arcs
             assert arcs[-1].theta_hi == pytest.approx(arcs[0].theta_lo + 2 * math.pi)
             assert all(a.theta_hi > a.theta_lo for a in arcs)
@@ -162,7 +152,7 @@ class TestExactIndicatorProduct:
                              [(2.0, 0, 0.0), (2.0, 0, 1.0), (1.5, 0, -0.4),
                               (0.75, 1, 2.5)])
     def test_rotated_ray_formula(self, exponent, genus, angle):
-        ind = growth.indicator_exact_product(self._product(exponent, genus, angle))
+        ind = self._product(exponent, genus, angle).exact_indicator()
         rho = 1.0 / exponent
         assert ind.rho == rho and len(ind.arcs) == 1
         thetas = np.linspace(-7.0, 7.0, 141)
@@ -177,46 +167,44 @@ class TestExactIndicatorProduct:
     def test_integer_order_or_noncanonical_genus_refused(self, exponent, genus):
         product = self._product(exponent, genus)
         with pytest.raises(ValueError):
-            growth.indicator_exact_product(product)
-        with pytest.raises(ValueError):
-            growth.canonical_ray_order(product)
+            product.exact_indicator()
 
 
 class TestEmpiricalIndicator:
-    def test_exp_exact_everywhere(self, exp_model, rho_one):
+    def test_exp_exact_everywhere(self, exp_model):
         thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        emp = growth.indicator_empirical(exp_model, rho_one, thetas,
+        emp = growth.indicator_empirical(exp_model, thetas,
                                          [1e2, 1e3, 1e4])
         assert np.max(np.abs(emp - np.cos(thetas))) < 1e-6
 
-    def test_sin_at_right_angle(self, sin_model, rho_one):
-        emp = growth.indicator_empirical(sin_model, rho_one, [math.pi / 2],
+    def test_sin_at_right_angle(self, sin_model):
+        emp = growth.indicator_empirical(sin_model, [math.pi / 2],
                                          [10.0, 100.0, 1000.0])
         expected = 1.0 - math.log(2.0) / 1000.0
         assert emp[0] == pytest.approx(expected, abs=1e-4)
 
-    def test_sin_generic_angle(self, sin_model, rho_one):
-        emp = growth.indicator_empirical(sin_model, rho_one, [0.3],
+    def test_sin_generic_angle(self, sin_model):
+        emp = growth.indicator_empirical(sin_model, [0.3],
                                          [1e2, 1e3, 1e4])
         assert emp[0] == pytest.approx(abs(math.sin(0.3)), abs=1e-3)
 
-    def test_sandwich_against_exact(self, sin_model, cosh_model, rho_one):
+    def test_sandwich_against_exact(self, sin_model, cosh_model):
         for model in (sin_model, cosh_model):
-            exact = growth.indicator_exact_expsum(model)
+            exact = model.exact_indicator()
             zeros = exact.breakpoints   # h = |sin|, |cos| vanishes at its breaks
             thetas = [t for t in np.linspace(0, 2 * math.pi, 73)
                       if min(abs(math.remainder(t - z, 2 * math.pi))
                              for z in zeros) >= 0.3]
-            emp = growth.indicator_empirical(model, rho_one, thetas,
+            emp = growth.indicator_empirical(model, thetas,
                                              [1e2, 1e3, 1e4])
             for t, v in zip(thetas, emp):
                 assert exact.h(t) - 0.01 <= v <= exact.h(t) + 0.01
 
-    def test_ladder_validation(self, exp_model, rho_one):
+    def test_ladder_validation(self, exp_model):
         with pytest.raises(ValueError):
-            growth.indicator_empirical(exp_model, rho_one, [0.0], [10.0, 5.0, 20.0])
+            growth.indicator_empirical(exp_model, [0.0], [10.0, 5.0, 20.0])
         with pytest.raises(ValueError):
-            growth.indicator_empirical(exp_model, rho_one, [0.0], [10.0, 20.0])
+            growth.indicator_empirical(exp_model, [0.0], [10.0, 20.0])
 
 
 class TestGrowthMinorant:
@@ -229,7 +217,7 @@ class TestGrowthMinorant:
 
     def test_monotone_in_n_and_r0(self):
         b = growth.GrowthMinorant.growth_scale(
-            growth.ProximateOrder.constant(1.0), growth.EpsilonCascade(1))
+            1.0, growth.EpsilonCascade(1))
         track = growth.beta_log_track(b, 50.0, 6)
         assert all(y > x for x, y in zip(track, track[1:]) if y != math.inf)
         for n in (1, 2, 3):
@@ -243,9 +231,8 @@ class TestGrowthMinorant:
             growth.beta_log_track(b, 1e8, 1)[1]
 
     def test_increasing_and_above_identity(self):
-        po = growth.ProximateOrder.constant(1.0)
         for b in (growth.GrowthMinorant.exp_power(0.5, 1.0),
-                  growth.GrowthMinorant.growth_scale(po, growth.EpsilonCascade(1))):
+                  growth.GrowthMinorant.growth_scale(1.0, growth.EpsilonCascade(1))):
             rs = np.geomspace(max(b.threshold_x0, 0.5) * 1.01 + 1.0, 1e6, 30)
             vals = [_log_beta(b, r) for r in rs]
             assert all(y > x for x, y in zip(vals, vals[1:]))
@@ -286,7 +273,7 @@ def _assert_crossing(beta, rs):
 class TestThreshold:
     @pytest.mark.parametrize("beta, crossing", [
         (growth.GrowthMinorant.exp_power(1e-3, 0.5), 3.9146e8),
-        (growth.GrowthMinorant.growth_scale(growth.ProximateOrder.constant(0.5),
+        (growth.GrowthMinorant.growth_scale(0.5,
                                             growth.EpsilonCascade(1)), 5503.66),
     ], ids=["exp-power-1e-3-0.5", "growth-scale-rho-0.5"])
     def test_threshold_is_the_crossing(self, beta, crossing):
@@ -304,18 +291,14 @@ class TestMinorantArrays:
     references written with math (the pre-vectorisation formulas)."""
 
     def _cases(self):
-        po_log = growth.ProximateOrder(0.5, lambda l: 0.5 + 1.0 / np.maximum(l, 1.0))
         return [
             (growth.GrowthMinorant.exp_power(0.5, 1.0),
              lambda l: 0.5 * _ref_exp(l)),
             (growth.GrowthMinorant.exp_power(2.0, 60.0),     # saturates to inf
              lambda l: 2.0 * _ref_exp(60.0 * l)),
-            (growth.GrowthMinorant.growth_scale(growth.ProximateOrder.constant(1.0),
+            (growth.GrowthMinorant.growth_scale(1.0,
                                                 growth.EpsilonCascade(1)),
              lambda l: _ref_exp(l) * _ref_eps1_from_log(l, 1)),
-            (growth.GrowthMinorant.growth_scale(po_log, growth.EpsilonCascade(2)),
-             lambda l: _ref_exp((0.5 + 1.0 / max(l, 1.0)) * l)
-             * _ref_eps1_from_log(l, 2)),
         ]
 
     def test_many_matches_scalar(self):
@@ -381,8 +364,7 @@ class TestSeriesCondition:
     def test_default_pairing_certifies(self):
         # beta = exp(r eps1(r)) with alpha = 12 eps3(r/2), N = 1, from r0 = 100
         cascade = growth.EpsilonCascade(1)
-        po = growth.ProximateOrder.constant(1.0)
-        beta = growth.GrowthMinorant.growth_scale(po, cascade)
+        beta = growth.GrowthMinorant.growth_scale(1.0, cascade)
         alpha = growth.DensityBudget.sector_budget(2, cascade)
         chk = growth.series_condition_check(alpha, beta, 100.0, 1e-10)
         assert chk.converges and chk.terms_used <= 10

@@ -30,8 +30,7 @@ class TestEvalLog:
     def test_unrepresentable_log_raises(self):
         f = models.ExponentialSum([([1e308, 1e308], 0.0)])
         with pytest.raises(OverflowUnrepresentable):
-            growth.indicator_empirical(f, growth.ProximateOrder.constant(1.0),
-                                       [0.0], [1e80, 2e80, 3e80])
+            growth.indicator_empirical(f, [0.0], [1e80, 2e80, 3e80])
         with pytest.raises(OverflowUnrepresentable):
             growth.log_max_modulus(f, 1e80)
 

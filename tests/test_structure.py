@@ -133,3 +133,54 @@ def test_only_criteria_sweeps_through_the_pool():
     callers = [p.name for p in sorted(_SRC.glob("*.py"))
                if "map_chunked" in re.findall(r"\w+", p.read_text())]
     assert callers == ["criteria.py", "parallel.py"]
+
+
+# The model kinds, and the one function each where code may still ask which
+# kind it holds: the AST-to-model boundary, the product --bailout-log cap,
+# rendering a spec, and the guards of the two single-kind commands.
+_KINDS = {"ExponentialSum", "CanonicalProduct", "ExpSumNode", "ProductNode"}
+_KIND_TESTS_ALLOWED = {"cli.build_model", "cli._build_dynamics_model", "parser.render",
+                       "analytic.check_8l", "analytic.verify_crg_ray_product"}
+
+
+def _kind_tests(label: str, tree: ast.Module) -> list[str]:
+    """'label.function' of each ``isinstance`` call in ``tree`` whose class
+    argument names a model kind, by name or attribute, alone or in a tuple."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            names = {k.id if isinstance(k, ast.Name) else getattr(k, "attr", None)
+                     for k in kinds}
+            if names & _KINDS:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, label)
+    return found
+
+
+def test_kind_check_finds_names_attributes_and_tuples():
+    source = '''
+def f(m, ast):
+    return isinstance(m, models.CanonicalProduct) or isinstance(ast, (int, ExpSumNode))
+
+class Box:
+    def g(self, m):
+        return isinstance(m, ExponentialSum), isinstance(m, float)
+'''
+    assert _kind_tests("m", ast.parse(source)) == ["m.f", "m.f", "m.Box.g"]
+
+
+def test_no_kind_dispatch_outside_the_boundaries():
+    """Code outside the allowed sites reads a model's ``order``,
+    ``exact_indicator()`` and ``certified_log_radius`` instead of asking
+    which kind of model it holds."""
+    found = [site for p in sorted(_SRC.glob("*.py"))
+             for site in _kind_tests(p.stem, ast.parse(p.read_text(), str(p)))]
+    assert [s for s in found if s not in _KIND_TESTS_ALLOWED] == []
