@@ -3,9 +3,13 @@ sampling, and Lebesgue density estimation over annuli and windows.
 
 A point belongs to A when Re(z f'(z)/f(z)) > 64 and |f(z)| > beta(|z|); it
 belongs to B when additionally Re(zeta f'(zeta)/f(zeta)) > 0 throughout the
-protective disk |zeta - z| < 32 |f(z)/f'(z)|. The disk condition is certified
-by structured sampling (8 concentric circles plus the center), never proved:
-a B verdict is a sampling certificate.
+protective disk |zeta - z| < 32 |f(z)/f'(z)|. Where one term of an
+exponential sum dominates the disk, a closed-form bound proves the disk
+condition (the model's ``disk_re_zl_lower_bound``). Every other disk is
+tested by structured sampling (8 concentric circles plus the center), and
+there a B verdict is a sampling certificate, never a proof. The bound accepts
+only disks that the samples accept too, so the verdicts are those of
+sampling alone.
 
 Sampling is deterministic: Monte Carlo draws come from a counter-based Philox
 stream keyed by the seed, so the sample at index i is a function of
@@ -214,13 +218,15 @@ class VerdictsA(NamedTuple):
 class VerdictsB(NamedTuple):
     """The B test at each point of an array, elementwise.
 
-    Disk positivity is a sampling certificate over ``disk_samples`` points on
-    each of 8 concentric circles plus the center; points outside A get
-    ``in_B`` False and ``min_disk_re`` -inf.
+    ``min_disk_re`` is the closed-form lower bound of Re(zeta L) on the disk
+    where that bound is > 0 and decides it; elsewhere it is the minimum over
+    ``disk_samples`` points on each of 8 concentric circles plus the center,
+    a sampling certificate. Points outside A get ``in_B`` False and
+    ``min_disk_re`` -inf.
     """
 
     in_B: np.ndarray         # bool
-    min_disk_re: np.ndarray  # min Re(zeta L(zeta)) over the disk samples
+    min_disk_re: np.ndarray  # the bound, or min Re(zeta L(zeta)) over the disk samples
     disk_radius: np.ndarray  # 32/|L(z)|, inf where L is undefined or 0
 
 
@@ -246,10 +252,23 @@ def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
 
 def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA,
                  disk_samples: int = 16) -> VerdictsB:
-    """Sampled positivity of Re(zeta L(zeta)) on the disk of radius
+    """Positivity of Re(zeta L(zeta)) on the disk of radius
     32 |f(z)/f'(z)| = 32/|L(z)| about each A-member of ``zs``, where ``a`` is
-    ``membership_A`` at ``zs``. A near-zero of f at any sample point refutes
-    positivity."""
+    ``membership_A`` at ``zs``.
+
+    Each disk is first given the model's closed-form lower bound
+    (``disk_re_zl_lower_bound``); a disk whose bound is > 0 is in B. The
+    other disks are sampled at the centre and on 8 circles of
+    ``disk_samples`` points, and a near-zero of f at any sample point
+    refutes positivity.
+
+    The bound decides no disk differently from the samples. Where it is
+    > 0, one term T_j dominates the disk with sum_(k != j) |T_k/T_j| <= 1/2,
+    so |S| >= max_k |term of S| / 2 at every sample point and the 1e-6
+    near-zero guard cannot fire. The bound lies below Re(zeta L) by at least
+    its slack, 1e-9 |zeta| (|b_j| + delta), far more than the rounding of a
+    sampled Re(zeta L), so every sample reads > 0 in floats too.
+    """
     offsets = _disk_sample_offsets(disk_samples)
     # only A-members need the disk certificate; for them Re(zL) > 64 forces
     # the disk radius 32/|L| below |z|/2, keeping samples near the annulus
@@ -258,14 +277,17 @@ def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA,
                           B_RADIUS_FACTOR / np.abs(a.L), np.inf)
     min_re = np.full(zs.shape, -np.inf)
     idx = np.flatnonzero(a.in_A)
-    if idx.size:
-        centers, radii = zs[idx], radius[idx]
-        low = np.full(idx.shape, np.inf)
+    low = model.disk_re_zl_lower_bound(zs[idx], radius[idx])
+    undecided = np.flatnonzero(~(low > 0.0))
+    if undecided.size:
+        centers, radii = zs[idx[undecided]], radius[idx[undecided]]
+        sampled = np.full(undecided.shape, np.inf)
         for off in offsets:   # O(k) memory per call
             pts = centers + radii * off
             lvals_d, ok_d = model.log_derivative_many(pts)
-            low = np.minimum(low, np.where(ok_d, (pts * lvals_d).real, -np.inf))
-        min_re[idx] = low
+            sampled = np.minimum(sampled, np.where(ok_d, (pts * lvals_d).real, -np.inf))
+        low[undecided] = sampled
+    min_re[idx] = low
     return VerdictsB(a.in_A & (min_re > 0.0), min_re, radius)
 
 

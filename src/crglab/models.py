@@ -237,6 +237,78 @@ class ExponentialSum:
         abs_s = np.abs(s)
         return (*_log_modulus(mu, s, abs_s), *_log_ratio(s, ds, abs_s, scale))
 
+    def disk_re_zl_lower_bound(self, centers: np.ndarray,
+                               radii: np.ndarray) -> np.ndarray:
+        """A lower bound of Re(zeta L(zeta)) on each closed disk
+        |zeta - z| <= R, or -inf where no term dominates the disk.
+
+        Term k is T_k = P_k e^(b_k zeta), P_k = sum_i c_ki zeta^i of degree
+        d_k. On the disk rho- <= |zeta| <= rho+ with rho+ = |z| + R and
+        rho- = max(|z| - R, 0), so |P_k| <= U_k = sum_i |c_ki| rho+^i,
+        |P_k'| <= U'_k = sum_i i |c_ki| rho+^(i-1) and
+        |P_k| >= l_k = |c_kd| rho-^d - sum_(i<d) |c_ki| rho+^i. The dominant
+        term j maximises Re(b_k z) + log l_k, and every other term has
+        |T_k/T_j| <= q_k = (U_k/l_j) exp(Re((b_k - b_j) z) + |b_k - b_j| R).
+        Where l_j > 0 and Q = sum_k q_k <= 1/2, f = T_j (1 + E) with
+        |E| <= Q has no zero on the disk, and
+
+            |L - b_j| <= delta = U'_j/l_j
+                + sum_k q_k (U'_k/U_k + |b_k - b_j| + U'_j/l_j) / (1 - Q),
+
+        so Re(zeta L) >= Re(b_j z) - |b_j| R - rho+ delta. The bound returned
+        is that less a rounding slack of 1e-9 rho+ (|b_j| + delta). It is
+        -inf where l_j <= 0, Q > 1/2 or any step overflows or is NaN. The
+        work is O(terms^2) per disk, with no evaluation of f.
+        """
+        centers = np.asarray(centers, dtype=np.complex128)
+        radii = np.asarray(radii, dtype=np.float64)
+        abs_z = np.abs(centers)
+        hi, lo = abs_z + radii, np.maximum(abs_z - radii, 0.0)
+        exps = self.exponents()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                         under="ignore"):
+            # the dominant term: the first of the largest Re(b_k z) + log l_k
+            j = np.zeros(hi.shape, dtype=np.intp)
+            best = l_j = d_up_j = re_j = np.full(hi.shape, -np.inf)
+            for k, (coeffs, b) in enumerate(self.terms):
+                _, d_up, low = _poly_bounds(coeffs, hi, lo)
+                re_bz = (b * centers).real
+                score = re_bz + np.log(np.where(low > 0.0, low, 0.0))
+                wins = score > best
+                best, j, l_j, d_up_j, re_j = (
+                    np.where(wins, new, old) for new, old in
+                    ((score, best), (k, j), (low, l_j), (d_up, d_up_j), (re_bz, re_j)))
+            rel_j = d_up_j / l_j
+            q, dq = np.zeros(hi.shape), np.zeros(hi.shape)
+            for k, (coeffs, b) in enumerate(self.terms):
+                up, d_up, _ = _poly_bounds(coeffs, hi, lo)
+                gap = np.array([abs(b - c) for c in exps])[j]   # |b_k - b_j|
+                ratio = np.exp((b * centers).real - re_j + gap * radii) / l_j
+                other = j != k
+                q += np.where(other, ratio * up, 0.0)
+                dq += np.where(other, ratio * (d_up + up * (gap + rel_j)), 0.0)
+            abs_b_j = np.array([abs(c) for c in exps])[j]
+            delta = rel_j + dq / (1.0 - q)
+            bound = (re_j - abs_b_j * radii - hi * delta
+                     - 1e-9 * hi * (abs_b_j + delta))   # the rounding slack
+        ok = (l_j > 0.0) & (q <= 0.5) & np.isfinite(bound)
+        return np.where(ok, bound, -np.inf)
+
+
+def _poly_bounds(coeffs: Sequence[complex], hi: np.ndarray, lo: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, U', l) for P = sum_i c_i zeta^i of degree d on lo <= |zeta| <= hi:
+    U = sum_i |c_i| hi^i >= |P|, U' = sum_i i |c_i| hi^(i-1) >= |P'| and
+    l = |c_d| lo^d - sum_(i<d) |c_i| hi^i <= |P|."""
+    mags = [abs(c) for c in coeffs]
+    rest, d_up = np.zeros(hi.shape), np.zeros(hi.shape)
+    for m in reversed(mags[:-1]):   # sum_(i<d) |c_i| hi^i
+        rest = rest * hi + m
+    for i in range(len(mags) - 1, 0, -1):
+        d_up = d_up * hi + i * mags[i]
+    top, deg = mags[-1], len(mags) - 1
+    return rest + top * hi ** deg, d_up, top * lo ** deg - rest
+
 
 def _log_modulus(mu: np.ndarray, s: np.ndarray, abs_s: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -467,6 +539,12 @@ class CanonicalProduct:
         chunks bound the peak memory."""
         log_abs, _, valid = self.log_eval_many(zs)
         return (log_abs, valid, *self.log_derivative_many(zs))
+
+    def disk_re_zl_lower_bound(self, centers: np.ndarray,
+                               radii: np.ndarray) -> np.ndarray:
+        """-inf on every disk: no closed-form bound of Re(zeta L) on a disk
+        of a product yet, so each one is decided by sampling."""
+        return np.full(np.shape(centers), -np.inf)
 
     def plain_values(self, zs: np.ndarray) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.complex128)

@@ -150,6 +150,14 @@ class TestMembership:
                 assert b8.in_B[0] == b16.in_B[0]
 
 
+# the two sums of ROADMAP item 3, whose zeros lie on several rays
+THREE_TERM = models.ExponentialSum(
+    [([1.0], 1.0), ([1.0], complex(-0.5, 0.866)), ([1.0], complex(-0.5, -0.866))])
+FOUR_TERM = models.ExponentialSum(
+    [([1.0], 1.0), ([2.0], 1j), ([3.0], -1.0), ([1.0, 1.0], -1j)])
+POLY = models.ExponentialSum([([1.0, 1.0], 1.0), ([0.0, 0.0, 1.0], -1.0)])  # (1+z)e^z + z^2 e^-z
+
+
 class _CountingModel:
     """Delegates to a model and counts the points each evaluator sees."""
 
@@ -177,10 +185,23 @@ class _CountingModel:
         self.max_deriv_call = max(self.max_deriv_call, np.size(zs))
         return self.model.log_abs_and_derivative_many(zs)
 
+    def disk_re_zl_lower_bound(self, centers, radii):
+        # closed form: evaluates f nowhere
+        return self.model.disk_re_zl_lower_bound(centers, radii)
+
+
+def _declined(model, beta, zs):
+    """The number of A-members of zs whose disk the closed-form bound leaves
+    to sampling."""
+    a = criteria.membership_A(model, beta, zs)
+    radii = 32.0 / np.abs(a.L[a.in_A])
+    return int(np.sum(~(model.disk_re_zl_lower_bound(zs[a.in_A], radii) > 0.0)))
+
 
 class TestSinglePass:
-    """f and f'/f are evaluated once per sample point; only the B disk adds
-    f'/f evaluations, 1 + 8 * disk_samples per A-member."""
+    """f and f'/f are evaluated once per sample point; only a B disk that
+    the closed-form bound does not decide adds f'/f evaluations,
+    1 + 8 * disk_samples of them."""
 
     def test_predicate_b_point_counts(self, sin_model, beta_half):
         zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
@@ -189,15 +210,26 @@ class TestSinglePass:
         assert 0 < k < zs.size
         counting = _CountingModel(sin_model)
         criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
+        # the bound decides every disk of sin here
+        assert counting.n_eval == counting.n_fused == zs.size
+        assert counting.n_deriv == zs.size
+
+    def test_predicate_b_declined_disk_counts(self, beta_half):
+        zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
+                                    criteria.MonteCarloPlan(500, 11))
+        k = _declined(THREE_TERM, beta_half, zs)
+        assert k > 0
+        counting = _CountingModel(THREE_TERM)
+        criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
         assert counting.n_eval == counting.n_fused == zs.size
         assert counting.n_deriv == zs.size + k * (1 + 8 * 4)
 
-    def test_predicate_b_disk_calls_bounded(self, sin_model, beta_half):
+    def test_predicate_b_disk_calls_bounded(self, beta_half):
         # the B disk is swept one offset at a time, so no f'/f call sees
         # more points than the chunk itself
         zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
                                     criteria.MonteCarloPlan(500, 11))
-        counting = _CountingModel(sin_model)
+        counting = _CountingModel(THREE_TERM)
         criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
         assert counting.n_deriv > zs.size
         assert counting.max_deriv_call <= zs.size
@@ -208,14 +240,107 @@ class TestSinglePass:
         a = criteria.membership_A(counting, beta_half, zs)
         b = criteria.membership_B(counting, zs, a, disk_samples=4)
         assert a.in_A[0] and b.in_B[0]
-        assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (
-            1, 1, 1 + (1 + 8 * 4))
+        assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (1, 1, 1)
         counting = _CountingModel(exp_model)
         zs = _one(100j)
         a = criteria.membership_A(counting, beta_half, zs)
         b = criteria.membership_B(counting, zs, a, disk_samples=4)
         assert not a.in_A[0] and not b.in_B[0]
         assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (1, 1, 1)
+        # z - 100 vanishes in the disk about 110, so that disk is sampled
+        counting = _CountingModel(models.ExponentialSum([([-100.0, 1.0], 1.0)]))
+        zs = _one(110.0)
+        a = criteria.membership_A(counting, beta_half, zs)
+        b = criteria.membership_B(counting, zs, a, disk_samples=4)
+        assert a.in_A[0] and not b.in_B[0]
+        assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (
+            1, 1, 1 + (1 + 8 * 4))
+
+
+def _dense_min_re(model, centers, radii):
+    """min Re(zeta L(zeta)) over the centre and 48 rings x 512 angles of
+    each disk, -inf where the near-zero guard refuses a point."""
+    unit = np.exp(1j * growth.angle_grid(512))
+    low = (centers * model.log_derivative_many(centers)[0]).real
+    for ring in np.arange(1, 49) / 48.0:
+        pts = centers[:, None] + radii[:, None] * ring * unit
+        lvals, ok = model.log_derivative_many(pts)
+        low = np.minimum(low, np.where(ok, (pts * lvals).real, -np.inf).min(axis=1))
+    return low
+
+
+def _reference_in_b(model, zs, a, disk_samples=16):
+    """B by the centre and 8 rings of ``disk_samples`` points alone."""
+    offsets = np.concatenate([[0.0], (np.arange(1, 9)[:, None] / 8.0 * np.exp(
+        1j * growth.angle_grid(disk_samples))).ravel()])
+    in_b = a.in_A.copy()
+    for i in np.flatnonzero(a.in_A):
+        pts = zs[i] + 32.0 / abs(a.L[i]) * offsets
+        lvals, ok = model.log_derivative_many(pts)
+        in_b[i] = bool(ok.all() and ((pts * lvals).real > 0.0).all())
+    return in_b
+
+
+class TestDiskBound:
+    """The closed-form lower bound of Re(zeta L) on a B disk."""
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(models.ExponentialSum([([-0.5j], 1j), ([0.5j], -1j)]), id="sin"),
+        pytest.param(POLY, id="poly"),
+        pytest.param(THREE_TERM, id="three-term"),
+        pytest.param(FOUR_TERM, id="four-term")])
+    def test_accepted_disks_hold_on_a_dense_grid(self, model, beta_half):
+        zs = criteria.sample_points(criteria.AnnulusSpec(300.0),
+                                    criteria.MonteCarloPlan(80, 5))
+        a = criteria.membership_A(model, beta_half, zs)
+        centers = zs[a.in_A]
+        radii = 32.0 / np.abs(a.L[a.in_A])
+        bound = model.disk_re_zl_lower_bound(centers, radii)
+        assert not np.isnan(bound).any()
+        accepted = bound > 0.0
+        assert accepted.sum() > 0.8 * centers.size
+        dense = _dense_min_re(model, centers[accepted], radii[accepted])
+        assert (dense >= bound[accepted]).all()
+
+    def test_root_of_the_dominant_polynomial_declines(self):
+        # z - 100 vanishes inside the disk of radius 29 about 110
+        model = models.ExponentialSum([([-100.0, 1.0], 1.0)])
+        out = model.disk_re_zl_lower_bound(_one(110.0), np.array([29.0]))
+        assert out[0] == -np.inf
+
+    def test_overflow_declines(self, sin_model):
+        # exp(|b_k - b_j| R) overflows on sin; rho+^2 overflows on POLY
+        for model, z, r in ((sin_model, 100j, 1000.0), (POLY, 1e200, 1.0),
+                            (POLY, 300.0, 1e300)):
+            out = model.disk_re_zl_lower_bound(_one(z), np.array([r]))
+            assert out[0] == -np.inf
+
+    def test_product_declines_every_disk(self, k_squared_product):
+        out = k_squared_product.disk_re_zl_lower_bound(
+            np.array([50.0 + 10j, -40.0]), np.array([1.0, 2.0]))
+        assert (out == -np.inf).all()
+
+
+class TestVerdictIdentity:
+    """The bound decides no disk differently from the sampled test."""
+
+    @pytest.mark.parametrize("model, hits", [
+        pytest.param(THREE_TERM, 19_135, id="three-term"),
+        pytest.param(FOUR_TERM, 19_237, id="four-term")])
+    def test_item_3_sums_b_hits(self, model, hits, beta_half):
+        rep = criteria.annulus_density(criteria.predicate_B(model, beta_half),
+                                       criteria.AnnulusSpec(300.0),
+                                       criteria.MonteCarloPlan(20_000, 7))
+        assert rep.hits == hits
+
+    def test_in_b_matches_a_sampled_reference(self, exp_model, sin_model, beta_half):
+        for model in (sin_model, exp_model, POLY):
+            zs = criteria.sample_points(criteria.AnnulusSpec(150.0),
+                                        criteria.MonteCarloPlan(2000, 3))
+            a = criteria.membership_A(model, beta_half, zs)
+            b = criteria.membership_B(model, zs, a)
+            assert b.in_B.sum() > 0
+            np.testing.assert_array_equal(b.in_B, _reference_in_b(model, zs, a))
 
 
 class TestAnnulusDensity:
