@@ -90,7 +90,10 @@ def _arg_type(parse):
 def _parse_plan(text: str) -> criteria.SamplePlan:
     parts = text.split(":")
     if parts[0] == "mc" and len(parts) == 3:
-        return criteria.MonteCarloPlan(int(float(parts[1])), int(parts[2]))
+        n = float(parts[1])
+        if not n.is_integer():
+            raise ValueError(f"sample count must be an integer, got {parts[1]!r}")
+        return criteria.MonteCarloPlan(int(n), int(parts[2]))
     if parts[0] == "grid" and len(parts) == 3:
         return criteria.GridPlan(int(parts[1]), int(parts[2]))
     raise ValueError(

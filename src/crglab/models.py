@@ -14,8 +14,9 @@ The primary representation of a value is its logarithm: ``log_eval_many``
 returns log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such
 as |f(z)| versus beta(|z|) stay comparable long after exp() would overflow. An
 exponential sum is e^mu S with mu = max_k Re(b_k z), so log|f| = mu + log|S|
-and f'/f = S'/S come from the same scaled sums; ``log_abs_and_derivative_many``
-returns both from one pass.
+and f'/f = S'/S come from the same scaled sums; a product sums log E(z/a_k, p)
+and its derivative over the same chunks of zeros. Either way
+``log_abs_and_derivative_many`` returns both from one pass.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ class ExponentialSum:
         """(mu, S, S', largest |term of S|): mu = max_k Re(b_k z),
         S = sum_k P_k e^(b_k z - mu), S' = sum_k (P_k' + b_k P_k) e^(b_k z - mu);
         f = e^mu S and f' = e^mu S'."""
+        zs = np.asarray(zs, dtype=np.complex128)
         bz = [b * zs for _, b in self.terms]
         mu = np.maximum.reduce([w.real for w in bz])
         s = np.zeros(zs.shape, dtype=np.complex128)
@@ -209,7 +211,6 @@ class ExponentialSum:
         not finite (mu or a coefficient overflowed), and -inf and invalid
         below ZERO_HIT_LOG, an exact zero of S included.
         """
-        zs = np.asarray(zs, dtype=np.complex128)
         mu, s, _, _ = self._scaled_sums(zs)
         log_abs, valid = _log_modulus(mu, s, np.abs(s))
         phase = np.angle(s)
@@ -223,7 +224,6 @@ class ExponentialSum:
         Returns (L, ok); ok is False where S cancels below the near-zero
         guard, 1e-6 of its largest term.
         """
-        zs = np.asarray(zs, dtype=np.complex128)
         _, s, ds, scale = self._scaled_sums(zs)
         return _log_ratio(s, ds, np.abs(s), scale)
 
@@ -232,7 +232,6 @@ class ExponentialSum:
         """(log_abs, valid, L, ok) of ``log_eval_many`` and
         ``log_derivative_many`` from one pass over the terms, without the
         phase; bit-identical to the two separate calls."""
-        zs = np.asarray(zs, dtype=np.complex128)
         mu, s, ds, scale = self._scaled_sums(zs)
         abs_s = np.abs(s)
         return (*_log_modulus(mu, s, abs_s), *_log_ratio(s, ds, abs_s, scale))
@@ -267,12 +266,13 @@ class ExponentialSum:
         exps = self.exponents()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                          under="ignore"):
+            # per term k: (U_k, U'_k, l_k), Re(b_k z) and the row |b_k - b_.|
+            terms = [(*_poly_bounds(coeffs, hi, lo), (b * centers).real,
+                      np.array([abs(b - c) for c in exps])) for coeffs, b in self.terms]
             # the dominant term: the first of the largest Re(b_k z) + log l_k
             j = np.zeros(hi.shape, dtype=np.intp)
             best = l_j = d_up_j = re_j = np.full(hi.shape, -np.inf)
-            for k, (coeffs, b) in enumerate(self.terms):
-                _, d_up, low = _poly_bounds(coeffs, hi, lo)
-                re_bz = (b * centers).real
+            for k, (_, d_up, low, re_bz, _) in enumerate(terms):
                 score = re_bz + np.log(np.where(low > 0.0, low, 0.0))
                 wins = score > best
                 best, j, l_j, d_up_j, re_j = (
@@ -280,10 +280,9 @@ class ExponentialSum:
                     ((score, best), (k, j), (low, l_j), (d_up, d_up_j), (re_bz, re_j)))
             rel_j = d_up_j / l_j
             q, dq = np.zeros(hi.shape), np.zeros(hi.shape)
-            for k, (coeffs, b) in enumerate(self.terms):
-                up, d_up, _ = _poly_bounds(coeffs, hi, lo)
-                gap = np.array([abs(b - c) for c in exps])[j]   # |b_k - b_j|
-                ratio = np.exp((b * centers).real - re_j + gap * radii) / l_j
+            for k, (up, d_up, _, re_bz, gaps) in enumerate(terms):
+                gap = gaps[j]   # |b_k - b_j|
+                ratio = np.exp(re_bz - re_j + gap * radii) / l_j
                 other = j != k
                 q += np.where(other, ratio * up, 0.0)
                 dq += np.where(other, ratio * (d_up + up * (gap + rel_j)), 0.0)
@@ -362,7 +361,8 @@ class CanonicalProduct:
     series bound applies. The resulting bound is stored in ``tail_bound``
     and never recomputed per call. A (tail_tol, r_max) pair whose cutoff
     would exceed ``MAX_CUTOFF`` factors is refused up front; the certified
-    log radius is log r_max.
+    log radius is log r_max. Evaluation walks the zeros in chunks of 2^19,
+    and each step builds arrays of at most 2^20 point-by-zero entries.
 
     ``order`` is rho = 1/e, the convergence exponent of the zeros
     |a_k| = scale * k**e. It is the order of f only at the canonical genus
@@ -446,11 +446,6 @@ class CanonicalProduct:
         return (2.0 * r ** p / self.rule.scale ** (p + 1)
                 * self.cutoff ** (1.0 - s) / (s - 1.0))
 
-    def _check_radius(self, r: float) -> None:
-        if r > self.r_max * (1 + 1e-12):
-            raise ValueError(
-                f"|z| = {r:g} exceeds the certified radius r_max = {self.r_max:g}")
-
     def counting_function(self, r: float) -> int:
         """n(r, 0): exact number of generated zeros with |a_k| <= r."""
         require_positive("r", r)
@@ -461,84 +456,52 @@ class CanonicalProduct:
             k -= 1
         return k
 
-    def _z_blocks(self, flat: np.ndarray):
-        """Yield index slices so block_size * zero_chunk stays bounded."""
-        zero_chunk = min(self._CHUNK, self.cutoff)
-        block = max(1, (1 << 22) // zero_chunk)
-        for lo in range(0, flat.size, block):
-            yield slice(lo, min(lo + block, flat.size))
+    def _factor_sums(self, zs: np.ndarray, log: bool, phase: bool, deriv: bool
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(log_abs, valid, L, ok, arg) from one pass over the chunks of zeros,
+        with only the parts asked for: log|f|, f'/f and the unwrapped sum of
+        arg E(z/a_k, p) (``phase`` needs ``log``). Each chunk meets the points
+        in blocks of at most 2^20 entries; no bit depends on the block size."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        flat = zs.ravel()
+        r = float(np.max(np.abs(flat))) if flat.size else 0.0
+        if r > self.r_max * (1 + 1e-12):
+            raise ValueError(f"|z| = {r:g} exceeds the certified radius r_max = {self.r_max:g}")
+        log_abs, arg, total = (np.zeros(flat.shape, dtype=t) for t in (float, float, complex))
+        ok = np.ones(flat.shape, dtype=bool)
+        block = max(1, (1 << 20) // min(self._CHUNK, self.cutoff))
+        p = self.genus
+        for lo in range(1, self.cutoff + 1, self._CHUNK):
+            a = self.rule.zeros(lo, min(lo + self._CHUNK - 1, self.cutoff))
+            if deriv:   # the guard 1e-9 |a| and a**p, made once per chunk
+                guard, a_p = 1e-9 * np.abs(a), a ** p if p else None
+            for start in range(0, flat.size, block):
+                rows = slice(start, start + block)
+                if log:
+                    _add_log_factors(flat[rows], a, p, log_abs[rows], arg[rows] if phase else None)
+                if deriv:
+                    _add_log_derivative_factors(flat[rows], a, p, guard, a_p,
+                                                total[rows], ok[rows])
+        valid = log_abs >= ZERO_HIT_LOG   # a zero factor makes its row -inf or NaN
+        return tuple(x.reshape(zs.shape) for x in (
+            np.where(valid, log_abs, -np.inf), valid, np.where(ok, total, 0.0), ok, arg))
 
     def log_eval_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Truncated sum of log E(z/a_k, p); accurate to within tail_bound."""
-        zs = np.asarray(zs, dtype=np.complex128)
-        flat = zs.ravel()
-        if flat.size:
-            self._check_radius(float(np.max(np.abs(flat))))
-        p = self.genus
-        log_abs = np.zeros(flat.shape)
-        phase = np.zeros(flat.shape)
-        hit = np.zeros(flat.shape, dtype=bool)
-        for blk in self._z_blocks(flat):
-            zb = flat[blk]
-            for lo in range(1, self.cutoff + 1, self._CHUNK):
-                hi = min(lo + self._CHUNK - 1, self.cutoff)
-                a = self.rule.zeros(lo, hi)
-                u = zb[:, None] / a[None, :]
-                one_m = 1.0 - u
-                mag = np.abs(one_m)
-                hit[blk] |= (mag == 0.0).any(axis=1)
-                with np.errstate(divide="ignore"):
-                    term_log = np.log(mag)
-                term_arg = np.angle(one_m)
-                if p > 0:
-                    upow = u.copy()
-                    for j in range(1, p + 1):
-                        term_log = term_log + upow.real / j
-                        term_arg = term_arg + upow.imag / j
-                        if j < p:
-                            upow = upow * u
-                log_abs[blk] += term_log.sum(axis=1)
-                phase[blk] += term_arg.sum(axis=1)
-        valid = ~hit & (log_abs >= ZERO_HIT_LOG)
-        log_abs = np.where(valid, log_abs, -np.inf)
+        log_abs, valid, _, _, phase = self._factor_sums(zs, log=True, phase=True, deriv=False)
         phase = np.remainder(phase + math.pi, _TWO_PI) - math.pi
         phase = np.where(phase == -math.pi, math.pi, phase)
-        phase = np.where(valid, phase, 0.0)
-        return (log_abs.reshape(zs.shape), phase.reshape(zs.shape),
-                valid.reshape(zs.shape))
+        return log_abs, np.where(valid, phase, 0.0), valid
 
     def log_derivative_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_k z**p / (a_k**p (z - a_k)) over the stored cutoff."""
-        zs = np.asarray(zs, dtype=np.complex128)
-        flat = zs.ravel()
-        if flat.size:
-            self._check_radius(float(np.max(np.abs(flat))))
-        p = self.genus
-        total = np.zeros(flat.shape, dtype=np.complex128)
-        ok = np.ones(flat.shape, dtype=bool)
-        for blk in self._z_blocks(flat):
-            zb = flat[blk]
-            for lo in range(1, self.cutoff + 1, self._CHUNK):
-                hi = min(lo + self._CHUNK - 1, self.cutoff)
-                a = self.rule.zeros(lo, hi)
-                diff = zb[:, None] - a[None, :]
-                ok[blk] &= (np.abs(diff) > 1e-9 * np.abs(a)[None, :]).all(axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    if p == 0:
-                        contrib = 1.0 / diff
-                    else:
-                        contrib = zb[:, None] ** p / (a[None, :] ** p * diff)
-                    contrib = np.where(np.isfinite(contrib), contrib, 0.0)
-                total[blk] += contrib.sum(axis=1)
-        total = np.where(ok, total, 0.0)
-        return total.reshape(zs.shape), ok.reshape(zs.shape)
+        return self._factor_sums(zs, log=False, phase=False, deriv=True)[2:4]
 
     def log_abs_and_derivative_many(self, zs: np.ndarray
                                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(log_abs, valid, L, ok) from the two passes above, whose factor
-        chunks bound the peak memory."""
-        log_abs, _, valid = self.log_eval_many(zs)
-        return (log_abs, valid, *self.log_derivative_many(zs))
+        """(log_abs, valid, L, ok) from one pass over the factor chunks, without
+        the phase; bit-identical to ``log_eval_many`` and ``log_derivative_many``."""
+        return self._factor_sums(zs, log=True, phase=False, deriv=True)[:4]
 
     def disk_re_zl_lower_bound(self, centers: np.ndarray,
                                radii: np.ndarray) -> np.ndarray:
@@ -547,7 +510,6 @@ class CanonicalProduct:
         return np.full(np.shape(centers), -np.inf)
 
     def plain_values(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=np.complex128)
         log_abs, phase, valid = self.log_eval_many(zs)
         with np.errstate(over="ignore"):
             mag = np.exp(log_abs)
@@ -557,6 +519,42 @@ class CanonicalProduct:
     def __repr__(self) -> str:
         return (f"CanonicalProduct(rule={self.rule}, genus={self.genus}, "
                 f"cutoff={self.cutoff}, tail_bound={self.tail_bound:.3e})")
+
+
+def _add_log_factors(zb: np.ndarray, a: np.ndarray, p: int, log_abs: np.ndarray,
+                     arg: np.ndarray | None) -> None:
+    """Add to each row's log_abs the sum over one chunk of zeros a of
+    log|E(z/a, p)|, and to its arg, unless None, the sum of arg E(z/a, p)."""
+    u = zb[:, None] / a[None, :]
+    one_m = np.subtract(1.0, u, out=None if p else u)   # u is read again only if p > 0
+    term_arg = None if arg is None else np.angle(one_m)
+    term_log = np.abs(one_m)
+    with np.errstate(divide="ignore"):
+        np.log(term_log, out=term_log)
+    for j in range(1, p + 1):
+        upow = u if j == 1 else upow * u
+        term_log += upow.real / j
+        if arg is not None:
+            term_arg += upow.imag / j
+    log_abs += term_log.sum(axis=1)
+    if arg is not None:
+        arg += term_arg.sum(axis=1)
+
+
+def _add_log_derivative_factors(zb: np.ndarray, a: np.ndarray, p: int,
+                                guard: np.ndarray, a_p: np.ndarray | None,
+                                total: np.ndarray, ok: np.ndarray) -> None:
+    """Add to each row's total the sum over one chunk of zeros a of the finite
+    z**p / (a_p (z - a)), with a_p = a**p for p > 0; clear ok unless
+    |z - a| > guard = 1e-9 |a| at every a."""
+    diff = zb[:, None] - a[None, :]
+    ok &= (np.abs(diff) > guard[None, :]).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):   # diff turns into the terms
+        if p:
+            np.multiply(a_p[None, :], diff, out=diff)
+        np.divide(zb[:, None] ** p if p else 1.0, diff, out=diff)
+    diff[~np.isfinite(diff)] = 0.0
+    total += diff.sum(axis=1)
 
 
 FunctionModel = Union[ExponentialSum, CanonicalProduct]

@@ -81,6 +81,12 @@ class TestDensityCommand:
         assert code == 0
         assert json.loads(read_bytes(out))["total"] == 50
 
+    def test_sample_count_in_float_notation(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert run(["density", "--fn", EXP, "--r", "200", "--plan", "mc:1e3:1",
+                    "--out", str(out)]) == 0
+        assert json.loads(read_bytes(out))["plan"]["n"] == 1000
+
 
 class TestCheck14Command:
     def test_sin_default_pairing(self, tmp_path):
@@ -437,9 +443,12 @@ class TestRefusalReasons:
            "product orbits need --bailout-log <= 34")
           for cmd, opt in (("measure", ["--plan", "mc:20:1"]),
                            ("escape-map", ["--size", "4x4"]))],
+        (["density", "--fn", EXP, "--r", "200", "--plan", "mc:2.7:1", "--out", "d.json"],
+         "sample count must be an integer"),
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
             "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4",
-            "measure-product-bailout-35", "escape-map-product-bailout-35"])
+            "measure-product-bailout-35", "escape-map-product-bailout-35",
+            "plan-count-2.7"])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,12 +1,14 @@
 import cmath
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crglab import growth, models
+from crglab import criteria, growth, models
 from crglab.errors import (ContourTooClose, NearZero, NonIntegerResidue,
                            OverflowUnrepresentable)
 
@@ -258,3 +260,192 @@ class TestExponentialSumValidation:
     def test_all_zero_polynomials_rejected(self):
         with pytest.raises(ValueError):
             models.ExponentialSum([([0.0], 1.0)])
+
+
+# The product evaluation as it stood before the single factor pass: two
+# copies of the point-block and factor-chunk loops, kept verbatim as the
+# oracle whose bits the single pass must reproduce.
+ZERO_HIT_LOG, _TWO_PI = models.ZERO_HIT_LOG, 2.0 * math.pi
+
+
+class _TwoLoopProduct(models.CanonicalProduct):
+    def _check_radius(self, r: float) -> None:
+        if r > self.r_max * (1 + 1e-12):
+            raise ValueError(
+                f"|z| = {r:g} exceeds the certified radius r_max = {self.r_max:g}")
+
+    def _z_blocks(self, flat: np.ndarray):
+        """Yield index slices so block_size * zero_chunk stays bounded."""
+        zero_chunk = min(self._CHUNK, self.cutoff)
+        block = max(1, (1 << 22) // zero_chunk)
+        for lo in range(0, flat.size, block):
+            yield slice(lo, min(lo + block, flat.size))
+
+    def log_eval_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Truncated sum of log E(z/a_k, p); accurate to within tail_bound."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        flat = zs.ravel()
+        if flat.size:
+            self._check_radius(float(np.max(np.abs(flat))))
+        p = self.genus
+        log_abs = np.zeros(flat.shape)
+        phase = np.zeros(flat.shape)
+        hit = np.zeros(flat.shape, dtype=bool)
+        for blk in self._z_blocks(flat):
+            zb = flat[blk]
+            for lo in range(1, self.cutoff + 1, self._CHUNK):
+                hi = min(lo + self._CHUNK - 1, self.cutoff)
+                a = self.rule.zeros(lo, hi)
+                u = zb[:, None] / a[None, :]
+                one_m = 1.0 - u
+                mag = np.abs(one_m)
+                hit[blk] |= (mag == 0.0).any(axis=1)
+                with np.errstate(divide="ignore"):
+                    term_log = np.log(mag)
+                term_arg = np.angle(one_m)
+                if p > 0:
+                    upow = u.copy()
+                    for j in range(1, p + 1):
+                        term_log = term_log + upow.real / j
+                        term_arg = term_arg + upow.imag / j
+                        if j < p:
+                            upow = upow * u
+                log_abs[blk] += term_log.sum(axis=1)
+                phase[blk] += term_arg.sum(axis=1)
+        valid = ~hit & (log_abs >= ZERO_HIT_LOG)
+        log_abs = np.where(valid, log_abs, -np.inf)
+        phase = np.remainder(phase + math.pi, _TWO_PI) - math.pi
+        phase = np.where(phase == -math.pi, math.pi, phase)
+        phase = np.where(valid, phase, 0.0)
+        return (log_abs.reshape(zs.shape), phase.reshape(zs.shape),
+                valid.reshape(zs.shape))
+
+    def log_derivative_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_k z**p / (a_k**p (z - a_k)) over the stored cutoff."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        flat = zs.ravel()
+        if flat.size:
+            self._check_radius(float(np.max(np.abs(flat))))
+        p = self.genus
+        total = np.zeros(flat.shape, dtype=np.complex128)
+        ok = np.ones(flat.shape, dtype=bool)
+        for blk in self._z_blocks(flat):
+            zb = flat[blk]
+            for lo in range(1, self.cutoff + 1, self._CHUNK):
+                hi = min(lo + self._CHUNK - 1, self.cutoff)
+                a = self.rule.zeros(lo, hi)
+                diff = zb[:, None] - a[None, :]
+                ok[blk] &= (np.abs(diff) > 1e-9 * np.abs(a)[None, :]).all(axis=1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    if p == 0:
+                        contrib = 1.0 / diff
+                    else:
+                        contrib = zb[:, None] ** p / (a[None, :] ** p * diff)
+                    contrib = np.where(np.isfinite(contrib), contrib, 0.0)
+                total[blk] += contrib.sum(axis=1)
+        total = np.where(ok, total, 0.0)
+        return total.reshape(zs.shape), ok.reshape(zs.shape)
+
+    def log_abs_and_derivative_many(self, zs: np.ndarray
+                                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(log_abs, valid, L, ok) from the two passes above, whose factor
+        chunks bound the peak memory."""
+        log_abs, _, valid = self.log_eval_many(zs)
+        return (log_abs, valid, *self.log_derivative_many(zs))
+
+    def plain_values(self, zs: np.ndarray) -> np.ndarray:
+        zs = np.asarray(zs, dtype=np.complex128)
+        log_abs, phase, valid = self.log_eval_many(zs)
+        with np.errstate(over="ignore"):
+            mag = np.exp(log_abs)
+        vals = mag * (np.cos(phase) + 1j * np.sin(phase))
+        return np.where(valid, vals, 0.0)
+
+
+class TestOneFactorPass:
+    """Each product evaluation makes one pass over the factor chunks, with the
+    bits of the two-loop reference and at most 2^20 entries per step."""
+
+    @pytest.mark.parametrize("rule,genus,tol,r_max,n", [
+        (models.PowerZeroRule(2.0), 0, 1e-3, 300.0, 5),      # two chunks, 3 blocks
+        (models.PowerZeroRule(1.5, angle=0.1), 1, 1e-4, 100.0, 56),
+        (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 50 zeros, 3 blocks
+        (models.PowerZeroRule(1.0, scale=0.7), 2, 1e-3, 30.0, 56),
+    ], ids=["genus0-two-chunks", "genus1-angle", "genus1-many-blocks", "genus2"])
+    def test_bits_match_the_two_loop_reference(self, rule, genus, tol, r_max, n):
+        model = models.CanonicalProduct(rule, genus, tol, r_max)
+        ref = _TwoLoopProduct(rule, genus, tol, r_max)
+        rng = np.random.default_rng(19)
+        zs = r_max * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        a_3 = rule.zeros(3, 3)[0]
+        zs[:3] = [0.0, a_3, a_3 + 1e-12]
+        for name in ("log_eval_many", "log_derivative_many",
+                     "log_abs_and_derivative_many", "plain_values"):
+            got, want = getattr(model, name)(zs), getattr(ref, name)(zs)
+            if name == "plain_values":
+                got, want = (got,), (want,)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes(), name
+        # the guards are exercised: a zero hit at a_3, f'/f refused next to it
+        _, valid, _, ok = model.log_abs_and_derivative_many(zs[:3])
+        assert valid.tolist() == [True, False, True] and ok.tolist() == [True, False, False]
+
+    def test_fused_call_makes_each_chunk_once(self, monkeypatch):
+        model = models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 1e-3, 300.0)
+        chunk = models.CanonicalProduct._CHUNK
+        assert model.cutoff > chunk     # two chunks of zeros
+        calls = collections.Counter()
+        zeros = models.PowerZeroRule.zeros
+
+        def counting(rule, k_lo, k_hi):
+            calls[k_lo, k_hi] += 1
+            return zeros(rule, k_lo, k_hi)
+
+        monkeypatch.setattr(models.PowerZeroRule, "zeros", counting)
+        chunks = [(lo, min(lo + chunk - 1, model.cutoff))
+                  for lo in range(1, model.cutoff + 1, chunk)]
+        # 2 points x 2^19 zeros fill one block of 2^20 entries, 5 points three
+        # blocks; either way each chunk is made once, for both parts of f
+        for n in (2, 5):
+            calls.clear()
+            model.log_abs_and_derivative_many(np.linspace(1.0 + 1j, 250.0, n))
+            assert calls == {c: 1 for c in chunks}
+
+    def test_each_view_does_only_the_work_it_reads(self, k_squared_product, monkeypatch):
+        seen = []
+        add_log, add_deriv = models._add_log_factors, models._add_log_derivative_factors
+
+        def log_part(zb, a, p, log_abs, arg):
+            seen.append("log" if arg is None else "log+phase")
+            add_log(zb, a, p, log_abs, arg)
+
+        def deriv_part(*args):
+            seen.append("deriv")
+            add_deriv(*args)
+
+        monkeypatch.setattr(models, "_add_log_factors", log_part)
+        monkeypatch.setattr(models, "_add_log_derivative_factors", deriv_part)
+        zs = np.array([3.0 + 1j, -50.0])
+        for name, parts in (("log_eval_many", ["log+phase"]),
+                            ("log_derivative_many", ["deriv"]),
+                            ("log_abs_and_derivative_many", ["log", "deriv"]),
+                            ("plain_values", ["log+phase"])):
+            seen.clear()
+            getattr(k_squared_product, name)(zs)
+            assert seen == parts, name
+
+    def test_fused_call_peak_memory(self):
+        # the genus-1 product of perfbench's product workload, on ann(200)
+        model = models.CanonicalProduct(models.PowerZeroRule(1.5, angle=0.1), 1,
+                                        1e-4, 620.0)
+        zs = criteria.sample_points(criteria.AnnulusSpec(200.0),
+                                    criteria.MonteCarloPlan(60, 1))
+        tracemalloc.start()
+        try:
+            model.log_abs_and_derivative_many(zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
