@@ -28,27 +28,6 @@ from .models import CanonicalProduct, ExponentialSum, FunctionModel, log_derivat
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CircleQuadrature:
-    """Equispaced nodes gamma(phi) = center + radius * e^{i phi}."""
-
-    center: complex
-    radius: float
-    node_count: int
-
-    def __post_init__(self) -> None:
-        require_positive("radius", self.radius)
-        m = self.node_count
-        if m < 16 or (m & (m - 1)) != 0:
-            raise ValueError("node_count must be a power of two, at least 16")
-
-    def angles(self) -> np.ndarray:
-        return angle_grid(self.node_count)
-
-    def nodes(self) -> np.ndarray:
-        return self.center + self.radius * np.exp(1j * self.angles())
-
-
 def schwarz_log_derivative(model: FunctionModel, z: complex, t_r: float,
                            node_count: int = 256) -> complex:
     """Reconstruct L(z) = f'(z)/f(z) from boundary values of log|f|.
@@ -60,25 +39,28 @@ def schwarz_log_derivative(model: FunctionModel, z: complex, t_r: float,
     circle; spectral accuracy of the periodic trapezoid rule is certified by
     node doubling.
 
-    One pass evaluates log|f| and L on 2m nodes. Its even nodes are the
-    m-node circle bit for bit: the winding number and the m-node sum read
-    them, and the 2m-node sum reads all. A node where f leaves the float
-    range (log|f| of +inf) raises OverflowUnrepresentable; only a near-zero
-    of f raises ZeroInDisk.
+    The radius t_r must be positive and finite, and the node count m a power
+    of two, at least 16. One pass evaluates log|f| and L on the 2m equispaced
+    nodes z + t_r e^{i phi}. Its even nodes are the m-node circle bit for
+    bit: the winding number and the m-node sum read them, and the 2m-node
+    sum reads all. A node where f leaves the float range (log|f| of +inf)
+    raises OverflowUnrepresentable; only a near-zero of f raises ZeroInDisk.
     """
-    circle = CircleQuadrature(complex(z), float(t_r), int(node_count))
-    m = circle.node_count
-    doubled = CircleQuadrature(circle.center, circle.radius, 2 * m)
-    phis = doubled.angles()
-    log_abs, valid, lvals, ok = model.log_abs_and_derivative_many(doubled.nodes())
+    z, t_r, m = complex(z), float(t_r), int(node_count)
+    require_positive("radius", t_r)
+    if m < 16 or (m & (m - 1)) != 0:
+        raise ValueError("node_count must be a power of two, at least 16")
+    phis = angle_grid(2 * m)
+    log_abs, valid, lvals, ok = model.log_abs_and_derivative_many(
+        z + t_r * np.exp(1j * phis))
     if np.isposinf(log_abs).any():
         raise OverflowUnrepresentable(
             f"f leaves the float range on the quadrature circle "
-            f"|z - {circle.center}| = {circle.radius:g}")
+            f"|z - {z}| = {t_r:g}")
     if not ok[::2].all():
         raise ZeroInDisk("zero of f on or next to the quadrature circle")
     # (1/2 pi i) oint L dz by the periodic trapezoid rule on the even nodes
-    winding = circle.radius / m * np.sum(lvals[::2] * np.exp(1j * phis[::2]))
+    winding = t_r / m * np.sum(lvals[::2] * np.exp(1j * phis[::2]))
     if abs(winding) > 0.25:
         raise ZeroInDisk(
             f"argument-principle count {winding:.3f} != 0 on D({z}, {t_r})")
@@ -227,9 +209,12 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
     sqrt(eps(r)) <= theta <= 2pi - sqrt(eps(r)) (else BandViolation), zeros on
     the positive ray within the angular envelope, and the counting hypothesis
     |n(r,0) - c*V(r)| <= declared_constant * eps(r) * V(r) (else
-    HypothesisFailure). A model that is not a canonical product, a product
-    without an exact indicator, and a c or declared_constant that is not
-    positive and finite raise ValueError.
+    HypothesisFailure), and no sample on a zero (else ZeroInDisk), checked
+    sample by sample in that order. A model that is not a canonical product,
+    a product without an exact indicator, a c or declared_constant that is
+    not positive and finite, and a sample beyond the product's r_max raise
+    ValueError before any sample is checked. All samples are evaluated in
+    one call.
     """
     if not isinstance(product, CanonicalProduct):
         raise ValueError(f"{type(product).__name__} is not a canonical product")
@@ -242,8 +227,10 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
         if abs(angle) > lim:
             raise HypothesisFailure(
                 f"zero ray angle {angle:g} exceeds the envelope eps = {lim:g}")
+    zs = np.array([r * complex(math.cos(theta), math.sin(theta)) for r, theta in samples])
+    log_abs, _, valid = product.log_eval_many(zs)
     out = []
-    for r, theta in samples:
+    for (r, theta), z, measured, ok in zip(samples, zs, log_abs.tolist(), valid):
         eps = cascade.eps1(r)
         half_band = math.sqrt(eps)
         if not (half_band <= theta <= _TWO_PI - half_band):
@@ -257,11 +244,8 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
                 f"{declared_constant:g} * eps * V at r = {r:g}")
         predicted = (c * math.pi * math.cos((theta - math.pi) * rho)
                      / math.sin(math.pi * rho) * v)
-        z = r * complex(math.cos(theta), math.sin(theta))
-        log_abs, _, ok = product.log_eval_many(np.array([z]))
-        if not ok[0]:
-            raise ZeroInDisk(f"sample point {z} hit a zero of the product")
-        measured = float(log_abs[0])
+        if not ok:
+            raise ZeroInDisk(f"sample point {complex(z)} hit a zero of the product")
         resid = (measured - predicted) / v
         out.append(CRGComparison(r, theta, measured, predicted, resid,
                                  resid / eps ** 0.25))

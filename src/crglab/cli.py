@@ -11,8 +11,11 @@ kind of input has one way in: list and pair values (``--radii`` ladders,
 ``--r-list``, ``--size``, ``--samples``, ``--plan``, ``--window``) are
 argparse ``type=`` functions that report the reason a value is refused, and
 every numeric text file (points, zeros, radii, disks) is read by
-``covering.read_columns`` with an exact column count. ``--N``, the cascade
-depth, is an option of exactly the commands that read it, and each covering
+``covering.read_columns`` with an exact column count. Each parameter has one
+way in: ``--beta`` carries the whole minorant spec, the cascade depth N of
+``growth-scale:N`` included, and is parsed before any model is built;
+``--N`` sets the cascade of alpha and eps on exactly the three commands that
+read it (``check-14``, ``verify-crg``, ``check-8l``); and each covering
 construction is a subcommand of ``covering`` with exactly the options it
 reads, so an option a command does not read is refused. Commands raise,
 and ``run`` is the only place that reports an error or picks an exit code.
@@ -33,7 +36,7 @@ import math
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import analytic, criteria, covering, dynamics, growth, models
 from .errors import CertificateFailure, CrgLabError, require_positive
@@ -133,14 +136,24 @@ def _parse_samples(text: str) -> list[tuple[float, float]]:
     return out
 
 
-def _parse_beta(text: str, rho: float, cascade_n: int) -> growth.GrowthMinorant:
+@_arg_type
+def _parse_beta(text: str) -> Callable[[float], growth.GrowthMinorant]:
+    """The minorant of a ``--beta`` spec as a function of the model's order
+    rho, which only ``growth-scale`` reads; c and mu, or N, are checked here."""
     kind, _, rest = text.partition(":")
     if kind == "exp-power":
-        c, mu = map(float, rest.split(","))
-        return growth.GrowthMinorant.exp_power(c, mu)
+        params = _parse_floats(rest)
+        if len(params) != 2:
+            raise ValueError(f"exp-power takes two numbers <c>,<mu>, got {rest!r}")
+        beta = growth.GrowthMinorant.exp_power(*params)
+        return lambda rho: beta
     if kind == "growth-scale":
-        n = int(rest) if rest else cascade_n
-        return growth.GrowthMinorant.growth_scale(rho, growth.EpsilonCascade(n))
+        try:
+            cascade = growth.EpsilonCascade(int(rest or 1))
+        except ValueError as exc:
+            raise ValueError(f"growth-scale depth N must be a positive integer, "
+                             f"got {rest!r}") from exc
+        return lambda rho: growth.GrowthMinorant.growth_scale(rho, cascade)
     raise ValueError(
         f"beta must be 'exp-power:<c>,<mu>' or 'growth-scale[:<N>]', got {text!r}")
 
@@ -162,7 +175,7 @@ def _cmd_indicator(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     ann = criteria.AnnulusSpec(args.r)
     model = build_model(parse_function_spec(args.fn), ann.reach)
-    beta = _parse_beta(args.beta, model.order, args.N)
+    beta = args.beta(model.order)
     if args.set == "A":
         pred = criteria.predicate_A(model, beta)
     else:
@@ -215,7 +228,7 @@ def _build_dynamics_model(ast: FunctionSpecAST,
 def _cmd_escape_map(args: argparse.Namespace) -> int:
     w = args.window
     model = _build_dynamics_model(parse_function_spec(args.fn), args.bailout_log)
-    beta = _parse_beta(args.beta, model.order, args.N)
+    beta = args.beta(model.order)
     width, height = args.size
     emap = dynamics.escape_map(model, w, width, height, args.r0, beta,
                                args.max_iter, args.bailout_log)
@@ -227,7 +240,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     region = (criteria.AnnulusSpec(args.annulus) if args.annulus is not None
               else args.window)
     model = _build_dynamics_model(parse_function_spec(args.fn), args.bailout_log)
-    beta = _parse_beta(args.beta, model.order, args.N)
+    beta = args.beta(model.order)
     rep = dynamics.measure_estimate(model, region, args.plan, beta, args.r0,
                                     args.max_iter, args.bailout_log)
     write_json(args.out, rep.to_json_dict())
@@ -310,72 +323,66 @@ def _build_parser() -> argparse.ArgumentParser:
                     "completely regular growth")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, help: str, func, cascade: bool = False
+                    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--fn", required=True, help="function spec mini-language")
-        p.add_argument("--N", type=int, default=1,
-                       help="iterated-log depth for the epsilon cascade")
+        p.add_argument("--out", required=True)
+        if cascade:
+            p.add_argument("--N", type=int, default=1,
+                           help="iterated-log depth of the cascade of alpha and eps")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("indicator", help="CSV of theta, exact and empirical h")
-    p.add_argument("--fn", required=True, help="function spec mini-language")
+    def add_disk_samples(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--disk-samples", type=int, default=16,
+                       help="points per circle on a B disk left to sampling")
+
+    p = add_command("indicator", "CSV of theta, exact and empirical h", _cmd_indicator)
     p.add_argument("--thetas", type=int, default=360)
     p.add_argument("--radii", type=_parse_floats, required=True, help="r1,r2,r3,...")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_indicator)
 
-    p = sub.add_parser("density", help="density of A or B over an annulus")
-    add_common(p)
+    p = add_command("density", "density of A or B over an annulus", _cmd_density)
     p.add_argument("--set", choices=["A", "B"], default="A")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--beta", default="exp-power:0.5,1")
+    p.add_argument("--beta", type=_parse_beta, default="exp-power:0.5,1")
     p.add_argument("--plan", type=_parse_plan, required=True)
-    p.add_argument("--disk-samples", type=int, default=16)
+    add_disk_samples(p)
     p.add_argument("--exclude-disks",
                    help="disk-set text file (re im radius per line) to remove")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("check-14", help="series condition plus density margins")
-    add_common(p)
+    p = add_command("check-14", "series condition plus density margins", _cmd_check14,
+                    cascade=True)
     p.add_argument("--r0", type=float, required=True)
     p.add_argument("--r-list", type=_parse_floats, required=True)
     p.add_argument("--m-arcs", type=int, default=2)
     p.add_argument("--tail-tol", type=float, default=1e-10)
     p.add_argument("--plan", type=_parse_plan, required=True)
-    p.add_argument("--disk-samples", type=int, default=8)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_check14)
+    add_disk_samples(p)
 
-    p = sub.add_parser("escape-map", help="PGM raster of escape verdicts")
-    add_common(p)
+    p = add_command("escape-map", "PGM raster of escape verdicts", _cmd_escape_map)
     p.add_argument("--window", type=_parse_window, required=True, help="x0,x1,y0,y1")
     p.add_argument("--size", type=_parse_size, default="256x256", help="WxH pixels")
     p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--beta", default="growth-scale")
+    p.add_argument("--beta", type=_parse_beta, default="growth-scale")
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--bailout-log", type=float, default=500.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_escape_map)
 
-    p = sub.add_parser("measure", help="escape density over a region")
-    add_common(p)
+    p = add_command("measure", "escape density over a region", _cmd_measure)
     region = p.add_mutually_exclusive_group(required=True)
     region.add_argument("--window", type=_parse_window, help="x0,x1,y0,y1")
     region.add_argument("--annulus", type=float)
     p.add_argument("--r0", type=float)
-    p.add_argument("--beta", default="growth-scale")
+    p.add_argument("--beta", type=_parse_beta, default="growth-scale")
     p.add_argument("--plan", type=_parse_plan, required=True)
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--bailout-log", type=float, default=500.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("verify-crg", help="CSV of measured vs predicted log|f|")
-    add_common(p)
+    p = add_command("verify-crg", "CSV of measured vs predicted log|f|", _cmd_verify_crg,
+                    cascade=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--samples", type=_parse_samples, required=True, help="r:theta;...")
     p.add_argument("--hypothesis-constant", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_verify_crg)
 
     constructions = sub.add_parser(
         "covering", help="constructive covering certificates").add_subparsers(
@@ -402,20 +409,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, required=True, help="Cartan disk radius")
     p.add_argument("--eta", type=float, required=True, help="Cartan budget parameter")
 
-    p = sub.add_parser("schwarz-check", help="Schwarz reconstruction vs direct L")
-    p.add_argument("--fn", required=True, help="function spec mini-language")
+    p = add_command("schwarz-check", "Schwarz reconstruction vs direct L",
+                    _cmd_schwarz_check)
     p.add_argument("--samples", type=_parse_samples, required=True,
                    help="disk centers r:theta;...")
     p.add_argument("--t-r", type=float, default=1.0)
     p.add_argument("--nodes", type=int, default=512)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_schwarz_check)
 
-    p = sub.add_parser("check-8l", help="CSV of Re(zL) residuals in eps2 units")
-    add_common(p)
+    p = add_command("check-8l", "CSV of Re(zL) residuals in eps2 units", _cmd_check_8l,
+                    cascade=True)
     p.add_argument("--samples", type=_parse_samples, required=True, help="r:theta;...")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_check_8l)
 
     return top
 

@@ -140,13 +140,6 @@ class MonteCarloPlan:
 SamplePlan = GridPlan | MonteCarloPlan
 
 
-def _philox_uniforms(seed: int, n: int, dims: int) -> np.ndarray:
-    """dims x n uniforms; entry (d, i) is draw d*n + i of the seed's stream,
-    so it depends on n as well as on (seed, d, i)."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.random((dims, n))
-
-
 def sample_points(region: Region, plan: SamplePlan) -> np.ndarray:
     """Deterministic sample locations for the plan, area-uniform in measure."""
     return _place(region, plan, _draws(plan))
@@ -154,11 +147,12 @@ def sample_points(region: Region, plan: SamplePlan) -> np.ndarray:
 
 def _draws(plan: SamplePlan) -> np.ndarray:
     """The serial part of sampling, one row per sample: the flat cell index
-    of a grid plan, or the (u, v) uniform pair of a Monte Carlo plan (a view
-    of the 2 x n Philox block)."""
+    of a grid plan, or the (u, v) uniform pair of a Monte Carlo plan, a view
+    of the 2 x n Philox block whose entry (d, i) is draw d*n + i of the
+    seed's stream, so that it depends on n as well as on (seed, d, i)."""
     if isinstance(plan, GridPlan):
         return np.arange(plan.total)
-    return _philox_uniforms(plan.seed, plan.n, 2).T
+    return np.random.Generator(np.random.Philox(key=plan.seed)).random((2, plan.n)).T
 
 
 def _place(region: Region, plan: SamplePlan, draws: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ Two families are supported:
 * exponential sums  f(z) = sum_k P_k(z) * exp(b_k z)  with polynomial
   coefficients P_k and pairwise distinct exponents b_k;
 * canonical products f(z) = prod_k E(z / a_k, p) over a rule-generated zero
-  sequence a_k = c * k**e * exp(i*theta0), truncated at a certified cutoff.
+  sequence a_k = k**e * exp(i*theta0), truncated at a certified cutoff.
 
 Each model carries its own ``order`` rho, ``exact_indicator()`` and
 ``certified_log_radius``, so no caller asks which family it holds.
@@ -332,22 +332,20 @@ def _log_ratio(s: np.ndarray, ds: np.ndarray, abs_s: np.ndarray,
 
 @dataclass(frozen=True)
 class PowerZeroRule:
-    """Zero modulus rule |a_k| = scale * k**exponent on the ray of ``angle``."""
+    """Zero modulus rule |a_k| = k**exponent on the ray of ``angle``."""
 
     exponent: float
-    scale: float = 1.0
     angle: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive("zero-rule exponent", self.exponent)
-        require_positive("zero-rule scale", self.scale)
 
     def modulus(self, k: float) -> float:
-        return self.scale * k ** self.exponent
+        return k ** self.exponent
 
     def zeros(self, k_lo: int, k_hi: int) -> np.ndarray:
         ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-        return (self.scale * ks ** self.exponent) * cmath.exp(1j * self.angle)
+        return ks ** self.exponent * cmath.exp(1j * self.angle)
 
 
 class CanonicalProduct:
@@ -365,7 +363,7 @@ class CanonicalProduct:
     and each step builds arrays of at most 2^20 point-by-zero entries.
 
     ``order`` is rho = 1/e, the convergence exponent of the zeros
-    |a_k| = scale * k**e. It is the order of f only at the canonical genus
+    |a_k| = k**e. It is the order of f only at the canonical genus
     floor(rho): a larger genus multiplies the canonical product by
     exp(z sum_k 1/a_k), so pow(1.5) with genus 1 has rho = 2/3 here but f,
     the canonical product times e^{cz}, has order 1.
@@ -392,14 +390,14 @@ class CanonicalProduct:
         # float range is refused before a power can overflow; its factor 2 of
         # slack lets the exact check below decide every cutoff near the limit
         log_k_tol = (math.log(2.0 / (genus + 1)) - math.log(s - 1.0)
-                     + (genus + 1) * math.log(r_max / rule.scale)
+                     + (genus + 1) * math.log(r_max)
                      - math.log(tail_tol)) / (s - 1.0)
-        log_cutoff = max(math.log(2.0 * r_max / rule.scale) / rule.exponent,
+        log_cutoff = max(math.log(2.0 * r_max) / rule.exponent,
                          log_k_tol)
         cutoff = math.inf
         if log_cutoff <= math.log(2 * self.MAX_CUTOFF):
-            k_half = math.ceil((2.0 * r_max / rule.scale) ** (1.0 / rule.exponent))
-            c = (2.0 / (genus + 1)) * (r_max / rule.scale) ** (genus + 1) / (s - 1.0)
+            k_half = math.ceil((2.0 * r_max) ** (1.0 / rule.exponent))
+            c = (2.0 / (genus + 1)) * r_max ** (genus + 1) / (s - 1.0)
             root = tail_tol ** (1.0 / (s - 1.0))
             # a root below the normal floats has lost its digits, or is 0
             k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / root if root >= sys.float_info.min
@@ -416,12 +414,12 @@ class CanonicalProduct:
         self.certified_log_radius = math.log(self.r_max)
 
     def exact_indicator(self) -> ExactIndicator:
-        """h(theta) = c pi cos(rho (theta - theta0 - pi)) / sin(pi rho) on the
-        one arc [theta0, theta0 + 2 pi), for zeros on the ray of angle theta0
-        with density c = scale**(-rho) (B. Ya. Levin, *Distribution of Zeros
-        of Entire Functions*, ch. I-II). ValueError where the ray indicator
-        does not apply: rho within 1e-9 of an integer, or a genus other than
-        floor(rho)."""
+        """h(theta) = pi cos(rho (theta - theta0 - pi)) / sin(pi rho) on the
+        one arc [theta0, theta0 + 2 pi), for zeros |a_k| = k**e on the ray of
+        angle theta0, whose counting function is n(r) ~ r**rho (B. Ya. Levin,
+        *Distribution of Zeros of Entire Functions*, ch. I-II). ValueError
+        where the ray indicator does not apply: rho within 1e-9 of an integer,
+        or a genus other than floor(rho)."""
         rho = self.order
         if abs(rho - round(rho)) <= 1e-9:
             raise ValueError(f"order rho = {rho:g} is an integer")
@@ -430,26 +428,25 @@ class CanonicalProduct:
                              f"{math.floor(rho)} of order rho = {rho:g}")
         rule = self.rule
         arc = SinusoidArc(rule.angle, rule.angle + _TWO_PI,
-                          math.pi * rule.scale ** -rho / math.sin(math.pi * rho),
+                          math.pi / math.sin(math.pi * rho),
                           -rho * (rule.angle + math.pi))
         return ExactIndicator(arcs=(arc,), rho=rho)
 
     def _tail_estimate(self, r: float, k: int) -> float:
         s = self.rule.exponent * (self.genus + 1)
         p1 = self.genus + 1
-        return (2.0 / p1) * (r / self.rule.scale) ** p1 * k ** (1.0 - s) / (s - 1.0)
+        return (2.0 / p1) * r ** p1 * k ** (1.0 - s) / (s - 1.0)
 
     def derivative_tail_bound(self, r: float) -> float:
         """Certified truncation bound for f'/f at |z| = r <= r_max."""
         s = self.rule.exponent * (self.genus + 1)
         p = self.genus
-        return (2.0 * r ** p / self.rule.scale ** (p + 1)
-                * self.cutoff ** (1.0 - s) / (s - 1.0))
+        return 2.0 * r ** p * self.cutoff ** (1.0 - s) / (s - 1.0)
 
     def counting_function(self, r: float) -> int:
         """n(r, 0): exact number of generated zeros with |a_k| <= r."""
         require_positive("r", r)
-        k = int((r / self.rule.scale) ** (1.0 / self.rule.exponent))
+        k = int(r ** (1.0 / self.rule.exponent))
         while self.rule.modulus(k + 1) <= r:
             k += 1
         while k > 0 and self.rule.modulus(k) > r:

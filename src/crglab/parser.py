@@ -10,13 +10,13 @@ Grammar (whitespace insignificant, floats decimal or scientific):
     cnum    := float | "(" float "," float ")"
 
 The grammar deliberately forbids nested arithmetic so every AST is canonical:
-render(parse(s)) reparses to an identical AST (spans excluded from equality).
+render(parse(s)) reparses to an equal AST.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -25,24 +25,14 @@ _INT_RE = re.compile(r"[+-]?\d+")
 
 
 @dataclass(frozen=True)
-class Span:
-    """Source range [start, end) in offsets, for diagnostics."""
-
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class ExpTermNode:
     coeffs: tuple[complex, ...]
     exponent: complex
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
 class ExpSumNode:
     terms: tuple[ExpTermNode, ...]
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,6 @@ class ProductNode:
     angle: float
     genus: int
     cut: float
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 FunctionSpecAST = ExpSumNode | ProductNode
@@ -135,13 +124,12 @@ def _read_poly(cur: _Cursor) -> tuple[complex, ...]:
 
 
 def _read_term(cur: _Cursor) -> ExpTermNode:
-    start = cur.pos
     coeffs = _read_poly(cur)
     cur.eat("exp")
     cur.eat("(")
     b = _read_cnum(cur)
     cur.eat(")")
-    return ExpTermNode(coeffs, b, Span(start, cur.pos))
+    return ExpTermNode(coeffs, b)
 
 
 def parse_function_spec(text: str) -> FunctionSpecAST:
@@ -152,20 +140,20 @@ def parse_function_spec(text: str) -> FunctionSpecAST:
     start = cur.pos
     if cur.try_eat("expsum"):
         cur.eat(":")
-        terms = [_read_term(cur)]
+        starts, terms = [cur.pos], [_read_term(cur)]
         while cur.try_eat(";"):
+            starts.append(cur.pos)
             terms.append(_read_term(cur))
         if not cur.at_end():
             raise cur.fail("trailing input after expsum terms", expected=(";", "end"))
         seen: set[complex] = set()
-        for t in terms:
+        for pos, t in zip(starts, terms):
             if t.exponent in seen:
                 raise ParseError(
                     f"duplicate exponent {format_cnum(t.exponent)}; exponents "
-                    "must be pairwise distinct",
-                    *cur._line_col(t.span.start))
+                    "must be pairwise distinct", *cur._line_col(pos))
             seen.add(t.exponent)
-        return ExpSumNode(tuple(terms), Span(start, cur.pos))
+        return ExpSumNode(tuple(terms))
     if cur.try_eat("product"):
         cur.eat(":")
         cur.eat("zeros")
@@ -196,7 +184,7 @@ def parse_function_spec(text: str) -> FunctionSpecAST:
         if cut <= 0:
             raise ParseError("cut (tail tolerance) must be positive",
                              *cur._line_col(start))
-        return ProductNode(power, angle, genus, cut, Span(start, cur.pos))
+        return ProductNode(power, angle, genus, cut)
     raise cur.fail("spec must start with 'expsum:' or 'product:'",
                    expected=("expsum:", "product:"))
 

@@ -160,6 +160,28 @@ class TestVerifyCrg:
             analytic.verify_crg_ray_product(wide_product, 3.0, cascade_one,
                                             [(1e4, math.pi)])
 
+    def test_one_evaluation_for_all_samples(self, wide_product, cascade_one, monkeypatch):
+        calls = []
+        log_eval_many = models.CanonicalProduct.log_eval_many
+
+        def counting(self, zs):
+            calls.append(np.size(zs))
+            return log_eval_many(self, zs)
+
+        monkeypatch.setattr(models.CanonicalProduct, "log_eval_many", counting)
+        samples = [(r, t) for r in (1e3, 1e4) for t in (2.0, math.pi, 4.0)]
+        rows = analytic.verify_crg_ray_product(wide_product, 1.0, cascade_one, samples)
+        assert calls == [6] and [(row.r, row.theta) for row in rows] == samples
+
+    @pytest.mark.parametrize("c,samples,error", [
+        (3.0, [(1e4, 1e-3)], BandViolation),           # band before the hypothesis
+        (3.0, [(1e4, math.pi), (1e4, 1e-3)], HypothesisFailure),
+        (1.0, [(1e4, math.pi), (1e4, 1e-3)], BandViolation),
+    ], ids=["band-first", "first-sample-first", "second-sample"])
+    def test_refusals_in_sample_order(self, wide_product, cascade_one, c, samples, error):
+        with pytest.raises(error):
+            analytic.verify_crg_ray_product(wide_product, c, cascade_one, samples)
+
     @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (1.5, 1)])
     def test_noncanonical_product_refused(self, exponent, genus, cascade_one):
         # integer order, and a genus above the canonical one, are refused

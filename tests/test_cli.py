@@ -423,6 +423,8 @@ class TestExitCodes:
 class TestRefusalReasons:
     _MEASURE = ["measure", "--fn", SIN, "--r0", "2", "--plan", "mc:200:1",
                 "--out", "m.json"]
+    _DENSITY = ["density", "--fn", EXP, "--r", "200", "--plan", "mc:200:1",
+                "--out", "d.json"]
 
     @pytest.mark.parametrize("argv,reason", [
         (_MEASURE + ["--window", "0,inf,-3,3"],
@@ -445,17 +447,61 @@ class TestRefusalReasons:
                            ("escape-map", ["--size", "4x4"]))],
         (["density", "--fn", EXP, "--r", "200", "--plan", "mc:2.7:1", "--out", "d.json"],
          "sample count must be an integer"),
+        # the cascade depth of the minorant comes only from --beta growth-scale:N
+        (_DENSITY + ["--N", "2"], "unrecognized arguments: --N 2"),
+        (_MEASURE + ["--window", "0,6.2832,-3,3", "--N", "2"],
+         "unrecognized arguments: --N 2"),
+        (["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4x4",
+          "--r0", "2", "--N", "2", "--out", "m.pgm"], "unrecognized arguments: --N 2"),
+        (_DENSITY + ["--beta", "exp-power:1"], "exp-power takes two numbers <c>,<mu>"),
+        (_DENSITY + ["--beta", "exp-power:1,2,3"], "exp-power takes two numbers <c>,<mu>"),
+        (_DENSITY + ["--beta", "growth-scale:x"],
+         "growth-scale depth N must be a positive integer"),
+        (_DENSITY + ["--beta", "growth-scale:0"],
+         "growth-scale depth N must be a positive integer"),
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
             "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4",
             "measure-product-bailout-35", "escape-map-product-bailout-35",
-            "plan-count-2.7"])
+            "plan-count-2.7", "density-N", "measure-N", "escape-map-N",
+            "beta-exp-power-one-number", "beta-exp-power-three-numbers",
+            "beta-growth-scale-x", "beta-growth-scale-0"])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert reason in err and "_parse" not in err
+        assert "unpack" not in err and "invalid literal" not in err
         assert not list(tmp_path.iterdir())
+
+
+class TestOneWayIn:
+    """Each parameter of f and beta has one way in, and one default."""
+
+    # a sum whose B disks at ann(300) are left to sampling
+    THREE_TERMS = "expsum:[1]exp(1);[1]exp((-0.5,0.866));[1]exp((-0.5,-0.866))"
+
+    def test_check14_margin_density_is_density_b(self, tmp_path):
+        check, dens = tmp_path / "c.json", tmp_path / "d.json"
+        assert run(["check-14", "--fn", self.THREE_TERMS, "--r0", "100", "--r-list", "300",
+                    "--plan", "mc:4000:7", "--out", str(check)]) == 0
+        assert run(["density", "--fn", self.THREE_TERMS, "--set", "B", "--r", "300",
+                    "--beta", "growth-scale", "--plan", "mc:4000:7",
+                    "--out", str(dens)]) == 0
+        margin = json.loads(read_bytes(check))["margins"][0]
+        assert margin["density"] == json.loads(read_bytes(dens))["density"]
+
+    def test_growth_scale_depth_reaches_the_minorant(self, tmp_path):
+        outs = {}
+        for beta in ("growth-scale", "growth-scale:1", "growth-scale:2"):
+            out = tmp_path / f"{beta}.json"
+            assert run(["measure", "--fn", SIN, "--annulus", "30", "--beta", beta,
+                        "--plan", "mc:2000:1", "--out", str(out)]) == 0
+            outs[beta] = read_bytes(out)
+        assert outs["growth-scale"] == outs["growth-scale:1"]
+        # exp(r / log log r) exceeds exp(r / log r): fewer orbits escape it
+        hits = {b: json.loads(o)["hits"] for b, o in outs.items()}
+        assert hits["growth-scale:2"] < hits["growth-scale:1"]
 
 
 class TestImportCost:

@@ -57,7 +57,6 @@ def _crg(c=1.0, declared=1.0):
 # one entry per real parameter that must be positive; each takes the value
 _PARAMETERS = {
     "PowerZeroRule.exponent": lambda x: models.PowerZeroRule(x),
-    "PowerZeroRule.scale": lambda x: models.PowerZeroRule(2.0, scale=x),
     "CanonicalProduct.tail_tol": lambda x: models.CanonicalProduct(_RULE, 0, x, 100.0),
     "CanonicalProduct.r_max": lambda x: models.CanonicalProduct(_RULE, 0, 0.05, x),
     "CanonicalProduct.counting_function": lambda x: _k_squared().counting_function(x),
@@ -75,7 +74,7 @@ _PARAMETERS = {
     "fuchs_macintyre_disks.H": lambda x: covering.fuchs_macintyre_disks([0.2 + 0.1j], x),
     "cartan_levin_disks.R": lambda x: covering.cartan_levin_disks([0.2 + 0.1j], x, 0.2),
     "DiskSet.radius": lambda x: covering.DiskSet(((0j, x),)),
-    "CircleQuadrature.radius": lambda x: analytic.CircleQuadrature(0j, x, 16),
+    "schwarz_log_derivative.t_r": lambda x: analytic.schwarz_log_derivative(_EXP, 0j, x, 16),
     "AnnulusSpec": criteria.AnnulusSpec,
     "verify_crg_ray_product.c": lambda x: _crg(c=x),
     "verify_crg_ray_product.declared_constant": lambda x: _crg(declared=x),

@@ -218,11 +218,10 @@ class TestCountingFunction:
 
     def test_even_spacing(self):
         prod = models.CanonicalProduct(
-            models.PowerZeroRule(exponent=1.0, scale=2.0), genus=1,
-            tail_tol=1e-3, r_max=50.0)
-        assert prod.counting_function(7.0) == 3
-        assert prod.counting_function(6.0) == 3
-        assert prod.counting_function(5.9999) == 2
+            models.PowerZeroRule(exponent=1.0), genus=1, tail_tol=1e-3, r_max=25.0)
+        assert prod.counting_function(3.5) == 3
+        assert prod.counting_function(3.0) == 3
+        assert prod.counting_function(2.9999) == 2
 
 
 class TestCanonicalProductContract:
@@ -370,7 +369,7 @@ class TestOneFactorPass:
         (models.PowerZeroRule(2.0), 0, 1e-3, 300.0, 5),      # two chunks, 3 blocks
         (models.PowerZeroRule(1.5, angle=0.1), 1, 1e-4, 100.0, 56),
         (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 50 zeros, 3 blocks
-        (models.PowerZeroRule(1.0, scale=0.7), 2, 1e-3, 30.0, 56),
+        (models.PowerZeroRule(1.0), 2, 1e-3, 30.0, 56),
     ], ids=["genus0-two-chunks", "genus1-angle", "genus1-many-blocks", "genus2"])
     def test_bits_match_the_two_loop_reference(self, rule, genus, tol, r_max, n):
         model = models.CanonicalProduct(rule, genus, tol, r_max)

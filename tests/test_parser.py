@@ -128,6 +128,17 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="duplicate exponent"):
             parse_function_spec("expsum:[1]exp(1);[2]exp(1)")
 
+    def test_duplicate_exponent_position_is_its_term_start(self):
+        # the offset just after the ';' that opens the repeated term
+        with pytest.raises(ParseError, match="duplicate exponent") as info:
+            parse_function_spec("expsum:[1]exp(1);\n[2]exp(2);[3]exp(1)")
+        assert (info.value.line, info.value.column) == (2, 11)
+
+    def test_trailing_input_reported_before_a_duplicate(self):
+        with pytest.raises(ParseError, match="trailing input") as info:
+            parse_function_spec("expsum:[1]exp(1);[2]exp(1) trailing")
+        assert (info.value.line, info.value.column) == (1, 28)
+
     def test_line_column_reported(self):
         try:
             parse_function_spec("expsum:\n[1]exp(,)")
