@@ -43,8 +43,9 @@ def schwarz_log_derivative(model: FunctionModel, z: complex, t_r: float,
     of two, at least 16. One pass evaluates log|f| and L on the 2m equispaced
     nodes z + t_r e^{i phi}. Its even nodes are the m-node circle bit for
     bit: the winding number and the m-node sum read them, and the 2m-node
-    sum reads all. A node where f leaves the float range (log|f| of +inf)
-    raises OverflowUnrepresentable; only a near-zero of f raises ZeroInDisk.
+    sum reads all. A node where f or f'/f leaves the float range, or a sum
+    that does, raises OverflowUnrepresentable; only a near-zero of f raises
+    ZeroInDisk. Every comparison is written so that NaN fails it.
     """
     z, t_r, m = complex(z), float(t_r), int(node_count)
     require_positive("radius", t_r)
@@ -53,23 +54,30 @@ def schwarz_log_derivative(model: FunctionModel, z: complex, t_r: float,
     phis = angle_grid(2 * m)
     log_abs, valid, lvals, ok = model.log_abs_and_derivative_many(
         z + t_r * np.exp(1j * phis))
+    circle = f"the quadrature circle |z - {z}| = {t_r:g}"
     if np.isposinf(log_abs).any():
-        raise OverflowUnrepresentable(
-            f"f leaves the float range on the quadrature circle "
-            f"|z - {z}| = {t_r:g}")
+        raise OverflowUnrepresentable(f"f leaves the float range on {circle}")
     if not ok[::2].all():
         raise ZeroInDisk("zero of f on or next to the quadrature circle")
+    if not np.isfinite(lvals[::2]).all():
+        raise OverflowUnrepresentable(f"f'/f leaves the float range on {circle}")
     # (1/2 pi i) oint L dz by the periodic trapezoid rule on the even nodes
     winding = t_r / m * np.sum(lvals[::2] * np.exp(1j * phis[::2]))
-    if abs(winding) > 0.25:
+    if not np.isfinite(winding):
+        raise OverflowUnrepresentable(
+            f"the argument-principle sum leaves the float range on {circle}")
+    if not abs(winding) <= 0.25:
         raise ZeroInDisk(
             f"argument-principle count {winding:.3f} != 0 on D({z}, {t_r})")
     if not valid.all():
         raise ZeroInDisk("zero hit on the quadrature circle")
     coarse = complex(2.0 / (m * t_r) * np.sum(log_abs[::2] * np.exp(-1j * phis[::2])))
     fine = complex(2.0 / (2 * m * t_r) * np.sum(log_abs * np.exp(-1j * phis)))
+    if not (np.isfinite(coarse) and np.isfinite(fine)):
+        raise OverflowUnrepresentable(
+            f"the Schwarz quadrature sum leaves the float range on {circle}")
     scale = max(abs(fine), 1e-30)
-    if abs(fine - coarse) > 1e-6 * scale:
+    if not abs(fine - coarse) <= 1e-6 * scale:
         raise NonConvergent(
             f"Schwarz quadrature changed by {abs(fine - coarse) / scale:.2e} "
             "under node doubling")

@@ -89,6 +89,13 @@ def _arg_type(parse):
     return typed
 
 
+def _int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 @_arg_type
 def _parse_plan(text: str) -> criteria.SamplePlan:
     parts = text.split(":")
@@ -96,9 +103,10 @@ def _parse_plan(text: str) -> criteria.SamplePlan:
         n = float(parts[1])
         if not n.is_integer():
             raise ValueError(f"sample count must be an integer, got {parts[1]!r}")
-        return criteria.MonteCarloPlan(int(n), int(parts[2]))
+        return criteria.MonteCarloPlan(int(n), _int("seed", parts[2]))
     if parts[0] == "grid" and len(parts) == 3:
-        return criteria.GridPlan(int(parts[1]), int(parts[2]))
+        return criteria.GridPlan(_int("grid dimension n1", parts[1]),
+                                 _int("grid dimension n2", parts[2]))
     raise ValueError(
         f"plan must be 'mc:<n>:<seed>' or 'grid:<n1>:<n2>', got {text!r}")
 
@@ -121,7 +129,7 @@ def _parse_size(text: str) -> tuple[int, int]:
     dims = text.split("x")
     if len(dims) != 2:
         raise ValueError(f"size must be WxH, two integers joined by x, got {text!r}")
-    return int(dims[0]), int(dims[1])
+    return _int("width", dims[0]), _int("height", dims[1])
 
 
 @_arg_type
@@ -179,7 +187,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.set == "A":
         pred = criteria.predicate_A(model, beta)
     else:
-        pred = criteria.predicate_B(model, beta, disk_samples=args.disk_samples)
+        pred = criteria.predicate_B(model, beta)
     disks = None
     if args.exclude_disks:
         disks = covering.DiskSet.from_text(Path(args.exclude_disks).read_text("ascii"))
@@ -194,11 +202,10 @@ def _cmd_check14(args: argparse.Namespace) -> int:
                         criteria.AnnulusSpec(max(args.r_list)).reach)
     cascade = growth.EpsilonCascade(args.N)
     beta = growth.GrowthMinorant.growth_scale(model.order, cascade)
-    alpha = growth.DensityBudget.sector_budget(args.m_arcs, cascade)
+    alpha = growth.sector_budget(args.m_arcs, cascade)
     series = growth.series_condition_check(alpha, beta, args.r0, args.tail_tol)
     margins = criteria.hypothesis_check_14b(model, beta, alpha, args.r_list,
-                                            args.plan,
-                                            disk_samples=args.disk_samples)
+                                            args.plan)
     write_json(args.out, {
         "format_version": 1,
         "series": {
@@ -334,10 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def add_disk_samples(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--disk-samples", type=int, default=16,
-                       help="points per circle on a B disk left to sampling")
-
     p = add_command("indicator", "CSV of theta, exact and empirical h", _cmd_indicator)
     p.add_argument("--thetas", type=int, default=360)
     p.add_argument("--radii", type=_parse_floats, required=True, help="r1,r2,r3,...")
@@ -347,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--beta", type=_parse_beta, default="exp-power:0.5,1")
     p.add_argument("--plan", type=_parse_plan, required=True)
-    add_disk_samples(p)
     p.add_argument("--exclude-disks",
                    help="disk-set text file (re im radius per line) to remove")
 
@@ -358,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-arcs", type=int, default=2)
     p.add_argument("--tail-tol", type=float, default=1e-10)
     p.add_argument("--plan", type=_parse_plan, required=True)
-    add_disk_samples(p)
 
     p = add_command("escape-map", "PGM raster of escape verdicts", _cmd_escape_map)
     p.add_argument("--window", type=_parse_window, required=True, help="x0,x1,y0,y1")

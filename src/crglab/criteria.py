@@ -6,10 +6,10 @@ belongs to B when additionally Re(zeta f'(zeta)/f(zeta)) > 0 throughout the
 protective disk |zeta - z| < 32 |f(z)/f'(z)|. Where one term of an
 exponential sum dominates the disk, a closed-form bound proves the disk
 condition (the model's ``disk_re_zl_lower_bound``). Every other disk is
-tested by structured sampling (8 concentric circles plus the center), and
-there a B verdict is a sampling certificate, never a proof. The bound accepts
-only disks that the samples accept too, so the verdicts are those of
-sampling alone.
+tested by structured sampling at one fixed pattern (16 points on each of 8
+concentric circles plus the center), and there a B verdict is a sampling
+certificate, never a proof. The bound accepts only disks that the samples
+accept too, so the verdicts are those of sampling alone.
 
 Sampling is deterministic: Monte Carlo draws come from a counter-based Philox
 stream keyed by the seed, so the sample at index i is a function of
@@ -32,7 +32,7 @@ import numpy as np
 
 from .covering import DiskSet
 from .errors import require_increasing, require_positive
-from .growth import DensityBudget, GrowthMinorant, angle_grid
+from .growth import GrowthMinorant, angle_grid
 from .models import FunctionModel
 from .parallel import map_chunked
 
@@ -214,9 +214,8 @@ class VerdictsB(NamedTuple):
 
     ``min_disk_re`` is the closed-form lower bound of Re(zeta L) on the disk
     where that bound is > 0 and decides it; elsewhere it is the minimum over
-    ``disk_samples`` points on each of 8 concentric circles plus the center,
-    a sampling certificate. Points outside A get ``in_B`` False and
-    ``min_disk_re`` -inf.
+    16 points on each of 8 concentric circles plus the center, a sampling
+    certificate. Points outside A get ``in_B`` False and ``min_disk_re`` -inf.
     """
 
     in_B: np.ndarray         # bool
@@ -236,25 +235,20 @@ def membership_A(model: FunctionModel, beta: GrowthMinorant,
     return VerdictsA(in_a, re_zl, margin, lvals, l_ok)
 
 
-def _disk_sample_offsets(disk_samples: int) -> np.ndarray:
-    """Unit-disk sample pattern: center plus 8 circles at radii j/8."""
-    if disk_samples < 1:
-        raise ValueError(f"disk_samples must be at least 1, got {disk_samples}")
-    rings = np.arange(1, 9)[:, None] / 8.0 * np.exp(1j * angle_grid(disk_samples))
-    return np.concatenate([[0.0 + 0.0j], rings.ravel()])
+# unit-disk sample pattern: the center plus 16 points on each circle of radius j/8
+_DISK_OFFSETS = np.concatenate([[0.0 + 0.0j], (
+    np.arange(1, 9)[:, None] / 8.0 * np.exp(1j * angle_grid(16))).ravel()])
 
 
-def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA,
-                 disk_samples: int = 16) -> VerdictsB:
+def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA) -> VerdictsB:
     """Positivity of Re(zeta L(zeta)) on the disk of radius
     32 |f(z)/f'(z)| = 32/|L(z)| about each A-member of ``zs``, where ``a`` is
     ``membership_A`` at ``zs``.
 
     Each disk is first given the model's closed-form lower bound
     (``disk_re_zl_lower_bound``); a disk whose bound is > 0 is in B. The
-    other disks are sampled at the centre and on 8 circles of
-    ``disk_samples`` points, and a near-zero of f at any sample point
-    refutes positivity.
+    other disks are sampled at the centre and at 16 points on each of 8
+    circles, and a near-zero of f at any sample point refutes positivity.
 
     The bound decides no disk differently from the samples. Where it is
     > 0, one term T_j dominates the disk with sum_(k != j) |T_k/T_j| <= 1/2,
@@ -263,7 +257,6 @@ def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA,
     its slack, 1e-9 |zeta| (|b_j| + delta), far more than the rounding of a
     sampled Re(zeta L), so every sample reads > 0 in floats too.
     """
-    offsets = _disk_sample_offsets(disk_samples)
     # only A-members need the disk certificate; for them Re(zL) > 64 forces
     # the disk radius 32/|L| below |z|/2, keeping samples near the annulus
     with np.errstate(divide="ignore"):
@@ -276,7 +269,7 @@ def membership_B(model: FunctionModel, zs: np.ndarray, a: VerdictsA,
     if undecided.size:
         centers, radii = zs[idx[undecided]], radius[idx[undecided]]
         sampled = np.full(undecided.shape, np.inf)
-        for off in offsets:   # O(k) memory per call
+        for off in _DISK_OFFSETS:   # O(k) memory per call
             pts = centers + radii * off
             lvals_d, ok_d = model.log_derivative_many(pts)
             sampled = np.minimum(sampled, np.where(ok_d, (pts * lvals_d).real, -np.inf))
@@ -293,15 +286,11 @@ def predicate_A(model: FunctionModel,
     return pred
 
 
-def predicate_B(model: FunctionModel, beta: GrowthMinorant,
-                disk_samples: int = 16) -> Callable[[np.ndarray], np.ndarray]:
-    """The B mask of ``membership_B`` as a predicate for density estimation;
-    a bad ``disk_samples`` is refused here, before any sample is drawn."""
-    _disk_sample_offsets(disk_samples)
-
+def predicate_B(model: FunctionModel,
+                beta: GrowthMinorant) -> Callable[[np.ndarray], np.ndarray]:
+    """The B mask of ``membership_B`` as a predicate for density estimation."""
     def pred(zs: np.ndarray) -> np.ndarray:
-        return membership_B(model, zs, membership_A(model, beta, zs),
-                            disk_samples).in_B
+        return membership_B(model, zs, membership_A(model, beta, zs)).in_B
     return pred
 
 
@@ -359,15 +348,15 @@ class MarginRow:
 
 
 def hypothesis_check_14b(model: FunctionModel, beta: GrowthMinorant,
-                         alpha: DensityBudget, r_list: Sequence[float],
-                         plan: SamplePlan,
-                         disk_samples: int = 16) -> list[MarginRow]:
-    """margin(r) = dens(B, ann(r)) - (1 - alpha(r)); negative margins flagged."""
-    pred = predicate_B(model, beta, disk_samples)
+                         alpha: Callable[[float], float], r_list: Sequence[float],
+                         plan: SamplePlan) -> list[MarginRow]:
+    """margin(r) = dens(B, ann(r)) - (1 - alpha(r)), with ``alpha`` a
+    function of log r; negative margins flagged."""
+    pred = predicate_B(model, beta)
     rows = []
     for r in require_increasing("r_list", r_list):
         rep = annulus_density(pred, AnnulusSpec(r), plan)
-        a_r = alpha.alpha_of_r(r)
+        a_r = float(alpha(math.log(r)))
         margin = rep.density - (1.0 - a_r)
         rows.append(MarginRow(r, rep.density, a_r, margin, margin < 0.0))
     return rows

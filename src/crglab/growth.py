@@ -4,7 +4,7 @@ cascade, the empirical indicator, growth minorants and density budgets.
 Log-domain evaluation is first-class throughout: a minorant exposes
 ``log_beta_of_log`` (log beta(r) as a function of log r) so that iterates
 beta^n(r0) can be followed far beyond the floating-point range, and a
-density budget exposes the matching ``alpha_of_log``.
+density budget alpha is likewise a function of l = log r.
 """
 
 from __future__ import annotations
@@ -215,27 +215,18 @@ def _find_threshold(log_beta_of_log: Callable[[np.ndarray], np.ndarray]) -> floa
             hi = mid
 
 
-@dataclass(frozen=True)
-class DensityBudget:
-    """Decreasing alpha(r) -> 0, defined once in the log domain so that it
-    reaches iterated radii beyond the float range."""
+def sector_budget(m_arcs: int, cascade: EpsilonCascade) -> Callable[[float], float]:
+    """The density budget alpha(r) = 6 * m * eps3(r/2), one wedge allowance
+    per sector edge, as a function of l = log r so that it reaches iterated
+    radii beyond the float range."""
+    if m_arcs < 1:
+        raise ValueError(f"m_arcs must be at least 1, got {m_arcs}")
+    c = 6.0 * m_arcs
 
-    alpha_of_log: Callable[[float], float]
+    def a_l(l: float) -> float:
+        return c * cascade.eps3_from_log(l - math.log(2.0))
 
-    def alpha_of_r(self, r: float) -> float:
-        return float(self.alpha_of_log(math.log(r)))
-
-    @staticmethod
-    def sector_budget(m_arcs: int, cascade: EpsilonCascade) -> "DensityBudget":
-        """alpha(r) = 6 * m * eps3(r/2), one wedge allowance per sector edge."""
-        if m_arcs < 1:
-            raise ValueError(f"m_arcs must be at least 1, got {m_arcs}")
-        c = 6.0 * m_arcs
-
-        def a_l(l: float) -> float:
-            return c * cascade.eps3_from_log(l - math.log(2.0))
-
-        return DensityBudget(a_l)
+    return a_l
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +264,11 @@ class SeriesCheck:
     terms: tuple[float, ...]
 
 
-def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
+def series_condition_check(alpha: Callable[[float], float], beta: GrowthMinorant,
                            r0: float, tail_tol: float,
                            max_terms: int = 10_000) -> SeriesCheck:
-    """Estimate sum_n alpha(beta^n(r0)) with a ratio-and-tolerance stopping rule.
+    """Estimate sum_n alpha(beta^n(r0)) with a ratio-and-tolerance stopping
+    rule, ``alpha`` a function of l = log r.
 
     Terms are summed until the current term is below ``tail_tol`` while
     decaying at ratio <= 1/2 from its predecessor, or until ``max_terms``.
@@ -291,7 +283,7 @@ def series_condition_check(alpha: DensityBudget, beta: GrowthMinorant,
     terms: list[float] = []
     prev = math.inf
     for n in range(max_terms):
-        term = float(alpha.alpha_of_log(l))
+        term = float(alpha(l))
         total += term
         terms.append(term)
         decayed = (term == 0.0) or (term <= 0.5 * prev)

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ContourTooClose, NearZero, NonIntegerResidue, require_positive
+from .errors import (ContourTooClose, NearZero, NonIntegerResidue,
+                     OverflowUnrepresentable, require_positive)
 
 # A value whose log-modulus falls below this is treated as a zero hit:
 # log of the smallest positive normal double, plus 50 for slack.
@@ -558,10 +559,13 @@ FunctionModel = Union[ExponentialSum, CanonicalProduct]
 
 
 def log_derivative(model: FunctionModel, z: complex) -> complex:
-    """L(z) = f'(z)/f(z); raises NearZero within the guard distance of a zero."""
+    """L(z) = f'(z)/f(z); raises NearZero within the guard distance of a zero
+    and OverflowUnrepresentable where L leaves the float range."""
     val, ok = model.log_derivative_many(np.array([z], dtype=np.complex128))
     if not bool(ok[0]):
         raise NearZero(f"logarithmic derivative undefined near a zero at z={z}")
+    if not cmath.isfinite(val[0]):
+        raise OverflowUnrepresentable(f"f'/f leaves the float range at z={z}")
     return complex(val[0])
 
 

@@ -177,7 +177,7 @@ def test_criterion_07_density_geometry(exp_model):
 def test_criterion_08_series_condition(rho_one, cascade_one):
     t0 = time.perf_counter()
     beta = growth.GrowthMinorant.growth_scale(rho_one, cascade_one)
-    alpha = growth.DensityBudget.sector_budget(2, cascade_one)
+    alpha = growth.sector_budget(2, cascade_one)
     chk = growth.series_condition_check(alpha, beta, 100.0, 1e-10)
     elapsed = time.perf_counter() - t0
     ok = chk.converges and chk.terms_used <= 10 and chk.terms[-1] < 1e-10

@@ -259,6 +259,16 @@ class TestExitCodes:
         assert "zero" not in err
         assert not out.exists()
 
+    def test_schwarz_infinite_log_derivative_is_two(self, tmp_path, capsys):
+        # f'/f is +-inf on the circle although f is finite and zero-free
+        # there; the row used to be written with NaN Schwarz values
+        out = tmp_path / "x.csv"
+        assert run(["schwarz-check", "--samples", "1e8:0.5", "--fn",
+                    "expsum:[(2.9,-1e+300)]exp(0.0447);[(1.35,0),1.88]exp(1e+300)",
+                    "--out", str(out)]) == 2
+        assert "f'/f leaves the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_one(self):
         assert run(["no-such-command"]) == 1
 
@@ -270,8 +280,6 @@ class TestExitCodes:
         _DENSITY + ["--plan", "mc:200:1", "--exclude-disks", "missing.txt",
                     "--out", "d.json"],
         _DENSITY + ["--plan", "mc:200:1", "--out", "missing/d.json"],
-        _DENSITY + ["--set", "B", "--plan", "mc:200:1", "--disk-samples", "0",
-                    "--out", "d.json"],
         ["covering", "fuchs", "--points", "missing.txt", "--H", "0.1",
          "--out-disks", "d.txt", "--out-cert", "c.json"],
         ["covering", "besicovitch", "--points", "pts.txt",
@@ -359,7 +367,7 @@ class TestExitCodes:
         _DENSITY + ["--plan", "mc:200:1", "--exclude-disks", "nan-centre-disks.txt",
                     "--out", "d.json"],
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
-            "disk-samples-0", "missing-points", "missing-radii-file",
+            "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "fuchs-with-radii",
             "cartan-with-points", "covering-without-construction", "measure-bailout-800",
             "measure-max-iter-0", "escape-map-bailout-800", "escape-map-size-0",
@@ -459,12 +467,25 @@ class TestRefusalReasons:
          "growth-scale depth N must be a positive integer"),
         (_DENSITY + ["--beta", "growth-scale:0"],
          "growth-scale depth N must be a positive integer"),
+        # the B disk pattern is fixed: 16 points on each of 8 circles
+        (_DENSITY + ["--set", "B", "--disk-samples", "16"],
+         "unrecognized arguments: --disk-samples 16"),
+        (["check-14", "--fn", SIN, "--r0", "100", "--r-list", "1000",
+          "--plan", "mc:200:1", "--disk-samples", "16", "--out", "c.json"],
+         "unrecognized arguments: --disk-samples 16"),
+        (["density", "--fn", EXP, "--r", "200", "--plan", "grid:2.5:3", "--out", "d.json"],
+         "grid dimension n1 must be an integer, got '2.5'"),
+        (["density", "--fn", EXP, "--r", "200", "--plan", "mc:10:x", "--out", "d.json"],
+         "seed must be an integer, got 'x'"),
+        (["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4xa",
+          "--r0", "2", "--out", "m.pgm"], "height must be an integer, got 'a'"),
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
             "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4",
             "measure-product-bailout-35", "escape-map-product-bailout-35",
             "plan-count-2.7", "density-N", "measure-N", "escape-map-N",
             "beta-exp-power-one-number", "beta-exp-power-three-numbers",
-            "beta-growth-scale-x", "beta-growth-scale-0"])
+            "beta-growth-scale-x", "beta-growth-scale-0", "density-disk-samples",
+            "check-14-disk-samples", "plan-grid-2.5", "plan-seed-x", "size-4xa"])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

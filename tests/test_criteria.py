@@ -134,20 +134,20 @@ class TestMembership:
             for _ in range(40):
                 zs = _one(complex(rng.uniform(-150, 150), rng.uniform(-150, 150)))
                 a = criteria.membership_A(model, beta_half, zs)
-                b = criteria.membership_B(model, zs, a, disk_samples=8)
+                b = criteria.membership_B(model, zs, a)
                 if b.in_B[0]:
                     assert a.in_A[0]
 
     def test_disk_sample_doubling_stability(self, exp_model, sin_model, beta_half):
-        # regression point set: verdicts must not flip under doubling
+        # regression point set: verdicts must not flip when the 16 points
+        # per circle are doubled
         pts = [100.0, 100j, 120 + 30j, 80 - 90j, -100.0, 90 + 90j]
         for model in (exp_model, sin_model):
             for z in pts:
                 zs = _one(z)
                 a = criteria.membership_A(model, beta_half, zs)
-                b8 = criteria.membership_B(model, zs, a, disk_samples=8)
-                b16 = criteria.membership_B(model, zs, a, disk_samples=16)
-                assert b8.in_B[0] == b16.in_B[0]
+                b = criteria.membership_B(model, zs, a)
+                assert b.in_B[0] == _reference_in_b(model, zs, a, disk_samples=32)[0]
 
 
 # the two sums of ROADMAP item 3, whose zeros lie on several rays
@@ -201,7 +201,7 @@ def _declined(model, beta, zs):
 class TestSinglePass:
     """f and f'/f are evaluated once per sample point; only a B disk that
     the closed-form bound does not decide adds f'/f evaluations,
-    1 + 8 * disk_samples of them."""
+    1 + 8 * 16 = 129 of them."""
 
     def test_predicate_b_point_counts(self, sin_model, beta_half):
         zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
@@ -209,7 +209,7 @@ class TestSinglePass:
         k = int(criteria.predicate_A(sin_model, beta_half)(zs).sum())
         assert 0 < k < zs.size
         counting = _CountingModel(sin_model)
-        criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
+        criteria.predicate_B(counting, beta_half)(zs)
         # the bound decides every disk of sin here
         assert counting.n_eval == counting.n_fused == zs.size
         assert counting.n_deriv == zs.size
@@ -220,9 +220,9 @@ class TestSinglePass:
         k = _declined(THREE_TERM, beta_half, zs)
         assert k > 0
         counting = _CountingModel(THREE_TERM)
-        criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
+        criteria.predicate_B(counting, beta_half)(zs)
         assert counting.n_eval == counting.n_fused == zs.size
-        assert counting.n_deriv == zs.size + k * (1 + 8 * 4)
+        assert counting.n_deriv == zs.size + k * (1 + 8 * 16)
 
     def test_predicate_b_disk_calls_bounded(self, beta_half):
         # the B disk is swept one offset at a time, so no f'/f call sees
@@ -230,7 +230,7 @@ class TestSinglePass:
         zs = criteria.sample_points(criteria.AnnulusSpec(100.0),
                                     criteria.MonteCarloPlan(500, 11))
         counting = _CountingModel(THREE_TERM)
-        criteria.predicate_B(counting, beta_half, disk_samples=4)(zs)
+        criteria.predicate_B(counting, beta_half)(zs)
         assert counting.n_deriv > zs.size
         assert counting.max_deriv_call <= zs.size
 
@@ -238,23 +238,23 @@ class TestSinglePass:
         counting = _CountingModel(exp_model)
         zs = _one(100.0)
         a = criteria.membership_A(counting, beta_half, zs)
-        b = criteria.membership_B(counting, zs, a, disk_samples=4)
+        b = criteria.membership_B(counting, zs, a)
         assert a.in_A[0] and b.in_B[0]
         assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (1, 1, 1)
         counting = _CountingModel(exp_model)
         zs = _one(100j)
         a = criteria.membership_A(counting, beta_half, zs)
-        b = criteria.membership_B(counting, zs, a, disk_samples=4)
+        b = criteria.membership_B(counting, zs, a)
         assert not a.in_A[0] and not b.in_B[0]
         assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (1, 1, 1)
         # z - 100 vanishes in the disk about 110, so that disk is sampled
         counting = _CountingModel(models.ExponentialSum([([-100.0, 1.0], 1.0)]))
         zs = _one(110.0)
         a = criteria.membership_A(counting, beta_half, zs)
-        b = criteria.membership_B(counting, zs, a, disk_samples=4)
+        b = criteria.membership_B(counting, zs, a)
         assert a.in_A[0] and not b.in_B[0]
         assert (counting.n_fused, counting.n_eval, counting.n_deriv) == (
-            1, 1, 1 + (1 + 8 * 4))
+            1, 1, 1 + (1 + 8 * 16))
 
 
 def _dense_min_re(model, centers, radii):
@@ -408,30 +408,29 @@ class TestExclusions:
 
 class TestHypothesis14b:
     def test_exp_fails_as_it_must(self, exp_model, beta_half):
-        alpha = growth.DensityBudget(lambda l: 0.5)
         rows = criteria.hypothesis_check_14b(
-            exp_model, beta_half, alpha, [200.0],
-            criteria.MonteCarloPlan(20_000, 3), disk_samples=8)
+            exp_model, beta_half, lambda l: 0.5, [200.0],
+            criteria.MonteCarloPlan(20_000, 3))
         assert rows[0].flagged
         assert rows[0].margin == pytest.approx(-0.17, abs=0.03)
 
     def test_sin_default_margin_regression(self, sin_model):
         cascade = growth.EpsilonCascade(1)
         beta = growth.GrowthMinorant.growth_scale(1.0, cascade)
-        alpha = growth.DensityBudget.sector_budget(2, cascade)
+        alpha = growth.sector_budget(2, cascade)
         rows = criteria.hypothesis_check_14b(
             sin_model, beta, alpha, [1000.0],
-            criteria.MonteCarloPlan(4000, 11), disk_samples=8)
+            criteria.MonteCarloPlan(4000, 11))
         assert not rows[0].flagged and rows[0].margin > 0
         # regression baseline from the first verified run
         assert rows[0].density == pytest.approx(0.914, abs=0.02)
 
     def test_always_true_stub_margin_equals_alpha(self):
-        alpha = growth.DensityBudget(lambda l: 0.25)
+        alpha = lambda l: 0.25
         rep = criteria.annulus_density(lambda zs: np.ones(zs.shape, bool),
                                        criteria.AnnulusSpec(50.0),
                                        criteria.MonteCarloPlan(1000, 5))
-        margin = rep.density - (1.0 - alpha.alpha_of_r(50.0))
+        margin = rep.density - (1.0 - alpha(math.log(50.0)))
         assert margin == pytest.approx(0.25)
 
 

@@ -35,7 +35,7 @@ class TestRequireIncreasing:
             growth.zheng_ratio(sin_model, [])
         with pytest.raises(ValueError, match="r_list"):
             criteria.hypothesis_check_14b(
-                sin_model, _BETA, growth.DensityBudget.sector_budget(2, _CASCADE),
+                sin_model, _BETA, growth.sector_budget(2, _CASCADE),
                 [], criteria.MonteCarloPlan(10, 1))
 
 
@@ -67,7 +67,7 @@ _PARAMETERS = {
     "exp_power.c": lambda x: growth.GrowthMinorant.exp_power(x, 1.0),
     "exp_power.mu": lambda x: growth.GrowthMinorant.exp_power(0.5, x),
     "series_condition_check.tail_tol": lambda x: growth.series_condition_check(
-        growth.DensityBudget.sector_budget(2, _CASCADE),
+        growth.sector_budget(2, _CASCADE),
         growth.GrowthMinorant.growth_scale(1.0, _CASCADE), 100.0, x),
     "indicator_empirical.radii": lambda x: growth.indicator_empirical(
         _EXP, [0.0, 1.0], [1e2, 1e3, x]),

@@ -330,14 +330,12 @@ class TestMinorantArrays:
         cascade = growth.EpsilonCascade(2)
         for r in (2.0, 1e3):
             assert all(type(v) is float for v in (cascade.eps1(r), cascade.eps2(r)))
-        alpha = growth.DensityBudget.sector_budget(2, cascade)
-        assert type(alpha.alpha_of_r(50.0)) is float
 
 
 class TestSeriesCondition:
     def test_fast_tower_converges(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget(lambda l: 0.0 if l == math.inf else 1 / l ** 2)
+        alpha = lambda l: 0.0 if l == math.inf else 1 / l ** 2
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10)
         assert chk.converges and chk.terms_used <= 5
         # alpha(beta^n(10)) = beta^{n-1}(10)^{-2}
@@ -348,7 +346,7 @@ class TestSeriesCondition:
         # beta(r) = 2r and alpha = 1/log r: alpha(beta^n(10)) is
         # 1/(log 10 + n log 2), a harmonic series
         b = growth.GrowthMinorant(0.0, lambda l: l + math.log(2.0), "beta(r) = 2r")
-        alpha = growth.DensityBudget(lambda l: 1 / l)
+        alpha = lambda l: 1 / l
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10,
                                             max_terms=2000)
         assert not chk.converges and chk.terms_used == 2000
@@ -357,7 +355,7 @@ class TestSeriesCondition:
 
     def test_zero_budget(self):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget(lambda l: 0.0)
+        alpha = lambda l: 0.0
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10)
         assert chk.converges and chk.partial_sum == 0.0
 
@@ -365,14 +363,14 @@ class TestSeriesCondition:
         # beta = exp(r eps1(r)) with alpha = 12 eps3(r/2), N = 1, from r0 = 100
         cascade = growth.EpsilonCascade(1)
         beta = growth.GrowthMinorant.growth_scale(1.0, cascade)
-        alpha = growth.DensityBudget.sector_budget(2, cascade)
+        alpha = growth.sector_budget(2, cascade)
         chk = growth.series_condition_check(alpha, beta, 100.0, 1e-10)
         assert chk.converges and chk.terms_used <= 10
 
     @pytest.mark.parametrize("r0", [math.nan, math.inf, 0.0])
     def test_start_radius_finite_and_above_threshold(self, r0):
         b = growth.GrowthMinorant.exp_power(1.0, 1.0)
-        alpha = growth.DensityBudget(lambda l: 0.0)
+        alpha = lambda l: 0.0
         with pytest.raises(BelowThreshold):
             growth.series_condition_check(alpha, b, r0, 1e-10)
         with pytest.raises(BelowThreshold):

@@ -120,6 +120,13 @@ class TestLogDerivative:
         with pytest.raises(NearZero):
             models.log_derivative(sin_model, math.pi + 1e-14)
 
+    def test_infinite_value_raises(self):
+        # f is finite and far from zero at z, but f'/f is not representable
+        model = models.ExponentialSum([([complex(2.9, -1e300)], 0.0447),
+                                       ([1.35, 1.88], 1e300)])
+        with pytest.raises(OverflowUnrepresentable, match="f'/f leaves the float range"):
+            models.log_derivative(model, 1e8 * cmath.exp(0.5j))
+
     def test_matches_finite_difference(self, sin_model, cosh_model):
         rng = np.random.default_rng(7)
         checked = 0

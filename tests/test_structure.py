@@ -1,10 +1,12 @@
 """Module boundaries of the crglab package, read from its source."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import crglab
+from crglab import cli
 
 _SRC = Path(crglab.__file__).parent
 
@@ -184,3 +186,22 @@ def test_no_kind_dispatch_outside_the_boundaries():
     found = [site for p in sorted(_SRC.glob("*.py"))
              for site in _kind_tests(p.stem, ast.parse(p.read_text(), str(p)))]
     assert [s for s in found if s not in _KIND_TESTS_ALLOWED] == []
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    """'prog option' for each option of ``parser`` and of every command
+    under it, help excluded."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found += _options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            found.append(f"{parser.prog} {action.option_strings[0]}")
+    return found
+
+
+def test_option_count_is_pinned():
+    """Each independently settable CLI value is a configuration to test; a
+    change that adds or removes one changes this count on purpose."""
+    assert len(_options(cli._build_parser())) == 67
