@@ -23,13 +23,13 @@ from .errors import (
     require_positive,
 )
 from .growth import EpsilonCascade, angle_grid, scale_V
-from .models import CanonicalProduct, ExponentialSum, FunctionModel, log_derivative
+from .models import CanonicalProduct, FunctionModel, log_derivative
 
 _TWO_PI = 2.0 * math.pi
 
 
 def schwarz_log_derivative(model: FunctionModel, z: complex, t_r: float,
-                           node_count: int = 256) -> complex:
+                           node_count: int) -> complex:
     """Reconstruct L(z) = f'(z)/f(z) from boundary values of log|f|.
 
     Uses the Schwarz-formula identity
@@ -95,17 +95,16 @@ class DirectionalSample:
     residual: float   # (re_zl - predicted) / (V(r) * eps2(r))
 
 
-def check_8l(model: ExponentialSum, cascade: EpsilonCascade,
+def check_8l(model: FunctionModel, cascade: EpsilonCascade,
              samples: Sequence[tuple[float, float]]) -> list[DirectionalSample]:
     """Residuals of Re(z f'/f) against rho*h(theta)*V(r) in eps2 units, with
-    rho and h the order and exact indicator of an exponential sum (any other
-    model raises ValueError).
+    rho and h the order and exact indicator of the model; a model without an
+    exact indicator (an integer-order or non-canonical product) raises
+    ValueError.
 
     Every sample must keep angular distance >= 3*eps2(r) from all indicator
     breakpoints (the sector domain of validity); otherwise SectorViolation.
     """
-    if not isinstance(model, ExponentialSum):
-        raise ValueError(f"{type(model).__name__} is not an exponential sum")
     ind = model.exact_indicator()
     out = []
     breaks = ind.breakpoints

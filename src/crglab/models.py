@@ -36,6 +36,8 @@ from .errors import (ContourTooClose, NearZero, NonIntegerResidue,
 # log of the smallest positive normal double, plus 50 for slack.
 ZERO_HIT_LOG = math.log(sys.float_info.min) + 50.0
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 # Relative cancellation below which the logarithmic derivative is refused.
 _NEAR_ZERO_REL = 1e-6
 
@@ -326,7 +328,7 @@ def _log_ratio(s: np.ndarray, ds: np.ndarray, abs_s: np.ndarray,
     """(L, ok) with L = S'/S; ok is False, and L 0, where |S| is not above
     the near-zero guard, 1e-6 of the largest |term of S|."""
     ok = abs_s > _NEAR_ZERO_REL * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.where(ok, ds / np.where(ok, s, 1.0), 0.0)
     return ratio, ok
 
@@ -358,10 +360,12 @@ class CanonicalProduct:
 
     holds for every |z| <= r_max, and |z/a_{K+1}| <= 1/2 so the per-factor
     series bound applies. The resulting bound is stored in ``tail_bound``
-    and never recomputed per call. A (tail_tol, r_max) pair whose cutoff
-    would exceed ``MAX_CUTOFF`` factors is refused up front; the certified
-    log radius is log r_max. Evaluation walks the zeros in chunks of 2^19,
-    and each step builds arrays of at most 2^20 point-by-zero entries.
+    and never recomputed per call. K is sized from its logarithm, and a
+    (tail_tol, r_max) pair is refused up front where K would exceed
+    ``MAX_CUTOFF`` factors or 2|a_{K+1}|**(p+1) the float range, so no power
+    of the evaluation overflows; the certified log radius is log r_max.
+    Evaluation walks the zeros in chunks of 2^19, and each step builds
+    arrays of at most 2^20 point-by-zero entries.
 
     ``order`` is rho = 1/e, the convergence exponent of the zeros
     |a_k| = k**e. It is the order of f only at the canonical genus
@@ -387,30 +391,23 @@ class CanonicalProduct:
         self.genus = int(genus)
         self.tail_tol = float(tail_tol)
         self.r_max = float(r_max)
-        # the log of the cutoff is checked first, so that a cutoff past the
-        # float range is refused before a power can overflow; its factor 2 of
-        # slack lets the exact check below decide every cutoff near the limit
-        log_k_tol = (math.log(2.0 / (genus + 1)) - math.log(s - 1.0)
-                     + (genus + 1) * math.log(r_max)
-                     - math.log(tail_tol)) / (s - 1.0)
-        log_cutoff = max(math.log(2.0 * r_max) / rule.exponent,
-                         log_k_tol)
-        cutoff = math.inf
-        if log_cutoff <= math.log(2 * self.MAX_CUTOFF):
-            k_half = math.ceil((2.0 * r_max) ** (1.0 / rule.exponent))
-            c = (2.0 / (genus + 1)) * r_max ** (genus + 1) / (s - 1.0)
-            root = tail_tol ** (1.0 / (s - 1.0))
-            # a root below the normal floats has lost its digits, or is 0
-            k_tol = math.ceil(c ** (1.0 / (s - 1.0)) / root if root >= sys.float_info.min
-                              else math.exp(log_k_tol))
-            cutoff = max(k_half, k_tol, 1)
-        if cutoff > self.MAX_CUTOFF:
-            raise ValueError(
-                f"tail tolerance {tail_tol:g} at r_max {r_max:g} needs about "
-                f"10^{log_cutoff / math.log(10):.1f} factors (> "
-                f"{self.MAX_CUTOFF:.0e}); relax the tolerance or reduce r_max")
-        self.cutoff = cutoff
-        self.tail_bound = self._tail_estimate(r_max, self.cutoff)
+        # K* = max(k_half, k_tol) in logs: K >= k_half = (2 r_max)^(1/e) keeps
+        # |z/a_{K+1}| <= 1/2, and at k_tol the tail estimate is tail_tol. K is
+        # refused past MAX_CUTOFF or where 2|a_{K+1}|^(p+1) leaves the float
+        # range, which keeps |z|^p, a_k^p and a_k^p (z - a_k) finite for k <= K
+        log_k = max(math.log(2.0 * r_max) / rule.exponent,
+                    (self._log_tail(r_max, 1) - math.log(tail_tol)) / (s - 1.0))
+        if log_k > math.log(self.MAX_CUTOFF):
+            limit = f"about 10^{log_k / math.log(10):.1f} factors, past {self.MAX_CUTOFF:.0e}"
+        else:
+            self.cutoff = max(1, math.ceil(math.exp(log_k)))
+            limit = (f"{self.cutoff} factors, whose 2|a_(K+1)|^(p+1) = 2 * {self.cutoff + 1}^{s:g}"
+                     " passes the float range"
+                     if s * math.log(self.cutoff + 1) + math.log(2.0) > _LOG_FLOAT_MAX else "")
+        if limit:
+            raise ValueError(f"tail tolerance {tail_tol:g} at r_max {r_max:g} needs "
+                             f"{limit}; relax the tolerance or reduce r_max")
+        self.tail_bound = math.exp(self._log_tail(r_max, self.cutoff))
         self.order = 1.0 / rule.exponent
         self.certified_log_radius = math.log(self.r_max)
 
@@ -433,16 +430,18 @@ class CanonicalProduct:
                           -rho * (rule.angle + math.pi))
         return ExactIndicator(arcs=(arc,), rho=rho)
 
-    def _tail_estimate(self, r: float, k: int) -> float:
-        s = self.rule.exponent * (self.genus + 1)
+    def _log_tail(self, r: float, k: int) -> float:
+        """log of the tail estimate (2/(p+1)) r^(p+1) k^(1-s) / (s-1) past k
+        factors at |z| = r > 0, with s = e (p+1)."""
         p1 = self.genus + 1
-        return (2.0 / p1) * r ** p1 * k ** (1.0 - s) / (s - 1.0)
+        s = self.rule.exponent * p1
+        return (math.log(2.0 / p1) - math.log(s - 1.0) + p1 * math.log(r)
+                - (s - 1.0) * math.log(k))
 
     def derivative_tail_bound(self, r: float) -> float:
-        """Certified truncation bound for f'/f at |z| = r <= r_max."""
-        s = self.rule.exponent * (self.genus + 1)
-        p = self.genus
-        return 2.0 * r ** p * self.cutoff ** (1.0 - s) / (s - 1.0)
+        """Certified truncation bound for f'/f at |z| = r, 0 < r <= r_max:
+        (p+1)/r times the tail estimate of log f there."""
+        return (self.genus + 1) / r * math.exp(self._log_tail(r, self.cutoff))
 
     def counting_function(self, r: float) -> int:
         """n(r, 0): exact number of generated zeros with |a_k| <= r."""

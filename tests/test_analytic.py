@@ -79,9 +79,18 @@ class TestCheck8l:
         assert all(m <= 5.0 for m in maxima)
         assert all(b <= a + 1e-9 for a, b in zip(maxima, maxima[1:]))
 
-    def test_product_refused(self, k_squared_product, cascade_one):
-        with pytest.raises(ValueError, match="CanonicalProduct is not an exponential sum"):
-            analytic.check_8l(k_squared_product, cascade_one, [(100.0, 1.0)])
+    def test_k_squared_product_residual(self, cascade_one):
+        # f = sin(pi sqrt z)/(pi sqrt z) has zL = (pi sqrt z / 2) cot(pi sqrt z)
+        # - 1/2, so Re(zL) - rho h(theta) V(r) is -1/2 up to
+        # e^(-2 pi sqrt r sin(theta/2)) and the truncation of zL
+        product = models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 1e-3, 1010.0)
+        for r in (1e2, 1e3):
+            rows = analytic.check_8l(product, cascade_one,
+                                     [(r, t) for t in (1.5, math.pi / 2, math.pi, 4.0, 4.5)])
+            v_eps2 = math.sqrt(r) * cascade_one.eps2(r)
+            for s in rows:
+                assert abs(s.re_zl - s.predicted + 0.5) <= r * product.derivative_tail_bound(r)
+                assert s.residual == pytest.approx(-0.5 / v_eps2, abs=1e-3 / v_eps2)
 
 
 class TestKernelIntegral:

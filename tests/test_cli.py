@@ -12,11 +12,31 @@ import pytest
 import crglab
 from crglab.cli import run
 
+# a numeric warning on the way to a verdict or a refusal is a second stderr
+# line the user did not ask for
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SIN = "expsum:[(0,-0.5)]exp((0,1));[(0,0.5)]exp((0,-1))"
 EXP = "expsum:[1]exp(1)"
 # integer order rho = 1, and genus 1 above the canonical genus 0 of rho = 2/3
 POW1_G1 = "product:zeros=pow(1),genus=1,cut=0.1"
 POW15_G1 = "product:zeros=pow(1.5,angle=0.1),genus=1,cut=1e-4"
+# products whose cutoff K would put 2|a_(K+1)|^(p+1) past the float range
+PAST_FLOAT_RANGE = {
+    "indicator-product-power-past-float-range":
+        ["indicator", "--fn", "product:zeros=pow(40),genus=1,cut=0.1",
+         "--radii", "1e2,1e3,1e200", "--out", "i.csv"],
+    "density-product-power-past-float-range":
+        ["density", "--fn", "product:zeros=pow(40),genus=1,cut=0.1", "--r", "1e160",
+         "--plan", "mc:20:1", "--out", "d.json"],
+    "verify-crg-product-power-past-float-range":
+        ["verify-crg", "--fn", "product:zeros=pow(40,angle=1e-9),genus=0,cut=1e-300",
+         "--samples", "100:1.5", "--out", "v.csv"],
+    # its last zero would read inf, and every point a zero hit
+    "indicator-product-last-zero-past-float-range":
+        ["indicator", "--fn", "product:zeros=pow(100),genus=0,cut=1e-320",
+         "--radii", "50,100,150", "--out", "i.csv"],
+}
 
 
 def read_bytes(path):
@@ -266,7 +286,8 @@ class TestExitCodes:
         assert run(["schwarz-check", "--samples", "1e8:0.5", "--fn",
                     "expsum:[(2.9,-1e+300)]exp(0.0447);[(1.35,0),1.88]exp(1e+300)",
                     "--out", str(out)]) == 2
-        assert "f'/f leaves the float range" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "f'/f leaves the float range" in err[0]
         assert not out.exists()
 
     def test_unknown_command_is_one(self):
@@ -342,8 +363,8 @@ class TestExitCodes:
          "--plan", "mc:200:1", "--bailout-log", "nan", "--out", "m.json"],
         ["verify-crg", "--fn", SIN, "--samples", "1000:3.141592653589793",
          "--out", "v.csv"],
-        ["check-8l", "--fn", "product:zeros=pow(2),genus=0,cut=0.05",
-         "--samples", "100:1.5707963267948966", "--out", "8l.csv"],
+        *[["check-8l", "--fn", spec, "--samples", "100:1.5707963267948966",
+           "--out", "8l.csv"] for spec in (POW1_G1, POW15_G1)],
         *[["indicator", "--fn", EXP, "--thetas", n, "--radii", "1e2,1e3,1e4",
            "--out", "i.csv"] for n in ("0", "-3")],
         ["indicator", "--fn", "product:zeros=pow(0.6),genus=1,cut=0.1",
@@ -366,6 +387,7 @@ class TestExitCodes:
          "--out-disks", "d.txt", "--out-cert", "c.json"],
         _DENSITY + ["--plan", "mc:200:1", "--exclude-disks", "nan-centre-disks.txt",
                     "--out", "d.json"],
+        *PAST_FLOAT_RANGE.values(),
     ], ids=["plan-inf", "plan-1e400", "missing-exclude-disks", "out-in-missing-dir",
             "missing-points", "missing-radii-file",
             "fuchs-without-H", "besicovitch-without-radii", "fuchs-with-radii",
@@ -381,12 +403,13 @@ class TestExitCodes:
             "verify-crg-hypothesis-constant-negative", "check-14-tail-tol-nan",
             "check-14-m-arcs-negative", "schwarz-t-r-nan", "check-8l-theta-nan",
             "fuchs-H-inf", "cartan-R-inf", "measure-window-and-annulus",
-            "measure-bailout-nan", "verify-crg-expsum", "check-8l-product",
+            "measure-bailout-nan", "verify-crg-expsum", "check-8l-integer-order",
+            "check-8l-noncanonical-genus",
             "indicator-thetas-0", "indicator-thetas-negative",
             "indicator-product-radius-1e200", "indicator-N", "schwarz-check-N",
             "points-line-of-three", "radii-line-of-two", "measure-r0-below-crossing",
             "fuchs-point-nan", "besicovitch-point-nan", "cartan-zero-inf",
-            "exclude-disk-centre-nan"])
+            "exclude-disk-centre-nan", *PAST_FLOAT_RANGE])
     def test_bad_input_is_one_not_an_exception(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pts.txt").write_text("0.2 0.1\n-0.4 0.3\n")
@@ -409,6 +432,19 @@ class TestExitCodes:
         # the cutoff's tolerance power underflows to 0 at these radii
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["schwarz-check", "--fn", "product:zeros=pow(0.6),genus=1,cut=1e300",
+         "--samples", "40:1.5", "--out", "s.csv"],
+        ["density", "--fn", "product:zeros=pow(40),genus=1,cut=0.1", "--r", "1e100",
+         "--plan", "mc:20:1", "--out", "d.json"],
+    ], ids=["schwarz-check-cut-1e300", "density-pow40-r-1e100"])
+    def test_product_sized_in_logs_runs(self, argv, tmp_path, monkeypatch, capsys):
+        # tail_tol^(1/(s-1)) of the first overflows a float; the second keeps
+        # 2|a_(K+1)|^(p+1) inside the float range
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_parser_built_once(self, tmp_path, monkeypatch):
         builds = []
@@ -479,13 +515,15 @@ class TestRefusalReasons:
          "seed must be an integer, got 'x'"),
         (["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4xa",
           "--r0", "2", "--out", "m.pgm"], "height must be an integer, got 'a'"),
+        *[(argv, "passes the float range") for argv in PAST_FLOAT_RANGE.values()],
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
             "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4",
             "measure-product-bailout-35", "escape-map-product-bailout-35",
             "plan-count-2.7", "density-N", "measure-N", "escape-map-N",
             "beta-exp-power-one-number", "beta-exp-power-three-numbers",
             "beta-growth-scale-x", "beta-growth-scale-0", "density-disk-samples",
-            "check-14-disk-samples", "plan-grid-2.5", "plan-seed-x", "size-4xa"])
+            "check-14-disk-samples", "plan-grid-2.5", "plan-seed-x", "size-4xa",
+            *PAST_FLOAT_RANGE])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -251,8 +251,14 @@ class TestCanonicalProductContract:
             models.CanonicalProduct(models.PowerZeroRule(exponent=1.0),
                                     genus=0, tail_tol=1e-3, r_max=10.0)
 
+    def test_last_zero_past_the_float_range_refused(self):
+        # a_K = K^100 overflows for K past about 1189, where k_tol is about
+        # 1727: every factor would read NaN and every point a zero hit
+        with pytest.raises(ValueError, match="factors, .* passes the float range"):
+            models.CanonicalProduct(models.PowerZeroRule(100.0), 0, 1e-320, 150.0)
+
     def test_cutoff_where_the_tolerance_power_underflows(self):
-        # 1e-4 ** (1/0.01) underflows to 0; the cutoff comes from its log
+        # 1e-4 ** (1/0.01) underflows to 0; the cutoff never forms it
         prod = models.CanonicalProduct(models.PowerZeroRule(1.01), 0, 1e-4, 3e-300)
         assert prod.cutoff == 1
         assert prod.tail_bound == pytest.approx(6e-298, rel=1e-12)
@@ -375,7 +381,7 @@ class TestOneFactorPass:
     @pytest.mark.parametrize("rule,genus,tol,r_max,n", [
         (models.PowerZeroRule(2.0), 0, 1e-3, 300.0, 5),      # two chunks, 3 blocks
         (models.PowerZeroRule(1.5, angle=0.1), 1, 1e-4, 100.0, 56),
-        (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 50 zeros, 3 blocks
+        (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 51 zeros, 3 blocks
         (models.PowerZeroRule(1.0), 2, 1e-3, 30.0, 56),
     ], ids=["genus0-two-chunks", "genus1-angle", "genus1-many-blocks", "genus2"])
     def test_bits_match_the_two_loop_reference(self, rule, genus, tol, r_max, n):

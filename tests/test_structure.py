@@ -139,10 +139,10 @@ def test_only_criteria_sweeps_through_the_pool():
 
 # The model kinds, and the one function each where code may still ask which
 # kind it holds: the AST-to-model boundary, the product --bailout-log cap,
-# rendering a spec, and the guards of the two single-kind commands.
+# rendering a spec, and the guard of the one single-kind command, verify-crg.
 _KINDS = {"ExponentialSum", "CanonicalProduct", "ExpSumNode", "ProductNode"}
 _KIND_TESTS_ALLOWED = {"cli.build_model", "cli._build_dynamics_model", "parser.render",
-                       "analytic.check_8l", "analytic.verify_crg_ray_product"}
+                       "analytic.verify_crg_ray_product"}
 
 
 def _kind_tests(label: str, tree: ast.Module) -> list[str]:
