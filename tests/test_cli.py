@@ -245,6 +245,17 @@ class TestSchwarzAnd8l:
         row = read_bytes(out).decode().splitlines()[1].split(",")
         assert float(row[4]) == pytest.approx(0.0, abs=1e-10)
 
+    def test_check_8l_ray_product(self, tmp_path):
+        # f = sin(pi sqrt z)/(pi sqrt z): Re(zL) is rho h(theta) V(r) - 1/2
+        out = tmp_path / "8l.csv"
+        code = run(["check-8l", "--fn", "product:zeros=pow(2),genus=0,cut=0.05",
+                    "--samples", "100:1.5707963267948966;1000:1.5707963267948966",
+                    "--out", str(out)])
+        assert code == 0
+        for line in read_bytes(out).decode().splitlines()[1:]:
+            row = line.split(",")
+            assert float(row[2]) - float(row[3]) == pytest.approx(-0.5, abs=1e-6)
+
 
 class TestExitCodes:
     def test_parse_error_is_one(self, tmp_path):
