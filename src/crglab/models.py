@@ -15,8 +15,9 @@ returns log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such
 as |f(z)| versus beta(|z|) stay comparable long after exp() would overflow. An
 exponential sum is e^mu S with mu = max_k Re(b_k z), so log|f| = mu + log|S|
 and f'/f = S'/S come from the same scaled sums; a product sums log E(z/a_k, p)
-and its derivative over the same chunks of zeros. Either way
-``log_abs_and_derivative_many`` returns both from one pass.
+and its derivative over the same tiles of zeros, in real arithmetic on the
+point rotated onto the zero ray. Either way ``log_abs_and_derivative_many``
+returns both from one pass.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _NEAR_ZERO_REL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
+
+# |1 - z/a_k|^2 at or below which a point of a product is a zero hit: z/a_k is
+# rounded in three steps (the rotation onto the ray, 1/|a_k| and the product),
+# so a point on a zero can read |1 - z/a_k| of a few 1e-16 instead of 0
+_HIT_DEN = 1e-30
 
 
 @dataclass(frozen=True)
@@ -343,12 +349,8 @@ class PowerZeroRule:
     def __post_init__(self) -> None:
         require_positive("zero-rule exponent", self.exponent)
 
-    def modulus(self, k: float) -> float:
+    def modulus(self, k: float | np.ndarray) -> float | np.ndarray:
         return k ** self.exponent
-
-    def zeros(self, k_lo: int, k_hi: int) -> np.ndarray:
-        ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-        return ks ** self.exponent * cmath.exp(1j * self.angle)
 
 
 class CanonicalProduct:
@@ -362,10 +364,10 @@ class CanonicalProduct:
     series bound applies. The resulting bound is stored in ``tail_bound``
     and never recomputed per call. K is sized from its logarithm, and a
     (tail_tol, r_max) pair is refused up front where K would exceed
-    ``MAX_CUTOFF`` factors or 2|a_{K+1}|**(p+1) the float range, so no power
-    of the evaluation overflows; the certified log radius is log r_max.
-    Evaluation walks the zeros in chunks of 2^19, and each step builds
-    arrays of at most 2^20 point-by-zero entries.
+    ``MAX_CUTOFF`` factors or 2|a_{K+1}|**max(p+1, 2) the float range, so no
+    power of the evaluation overflows; the certified log radius is log r_max.
+    Evaluation walks the zeros in tiles of 2^12, and each step builds real
+    arrays of at most 2^15 point-by-zero entries.
 
     ``order`` is rho = 1/e, the convergence exponent of the zeros
     |a_k| = k**e. It is the order of f only at the canonical genus
@@ -374,7 +376,8 @@ class CanonicalProduct:
     the canonical product times e^{cz}, has order 1.
     """
 
-    _CHUNK = 1 << 19
+    _TILE = 1 << 12     # zeros per tile
+    _STEP = 1 << 15     # point-by-zero entries per step
     MAX_CUTOFF = 200_000_000
 
     def __init__(self, rule: PowerZeroRule, genus: int, tail_tol: float,
@@ -393,17 +396,19 @@ class CanonicalProduct:
         self.r_max = float(r_max)
         # K* = max(k_half, k_tol) in logs: K >= k_half = (2 r_max)^(1/e) keeps
         # |z/a_{K+1}| <= 1/2, and at k_tol the tail estimate is tail_tol. K is
-        # refused past MAX_CUTOFF or where 2|a_{K+1}|^(p+1) leaves the float
-        # range, which keeps |z|^p, a_k^p and a_k^p (z - a_k) finite for k <= K
+        # refused past MAX_CUTOFF or where 2|a_{K+1}|^q, q = max(p+1, 2), leaves
+        # the float range, which keeps |z|^q and so |z|^p and |1 - z/a_k|^2 finite
         log_k = max(math.log(2.0 * r_max) / rule.exponent,
                     (self._log_tail(r_max, 1) - math.log(tail_tol)) / (s - 1.0))
         if log_k > math.log(self.MAX_CUTOFF):
             limit = f"about 10^{log_k / math.log(10):.1f} factors, past {self.MAX_CUTOFF:.0e}"
         else:
             self.cutoff = max(1, math.ceil(math.exp(log_k)))
-            limit = (f"{self.cutoff} factors, whose 2|a_(K+1)|^(p+1) = 2 * {self.cutoff + 1}^{s:g}"
+            q = max(genus + 1, 2)
+            power = rule.exponent * q
+            limit = (f"{self.cutoff} factors, whose 2|a_(K+1)|^{q} = 2 * {self.cutoff + 1}^{power:g}"
                      " passes the float range"
-                     if s * math.log(self.cutoff + 1) + math.log(2.0) > _LOG_FLOAT_MAX else "")
+                     if power * math.log(self.cutoff + 1) + math.log(2.0) > _LOG_FLOAT_MAX else "")
         if limit:
             raise ValueError(f"tail tolerance {tail_tol:g} at r_max {r_max:g} needs "
                              f"{limit}; relax the tolerance or reduce r_max")
@@ -455,33 +460,62 @@ class CanonicalProduct:
 
     def _factor_sums(self, zs: np.ndarray, log: bool, phase: bool, deriv: bool
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(log_abs, valid, L, ok, arg) from one pass over the chunks of zeros,
-        with only the parts asked for: log|f|, f'/f and the unwrapped sum of
-        arg E(z/a_k, p) (``phase`` needs ``log``). Each chunk meets the points
-        in blocks of at most 2^20 entries; no bit depends on the block size."""
+        """(log_abs, valid, L, ok, arg) from one pass over the tiles of zeros,
+        with only the parts asked for (``phase`` needs ``log``); arg is the
+        unwrapped sum of arg E(z/a_k, p). On w = z e^(-i theta0), z/a_k is
+        w t_k with t_k = 1/|a_k|, so with x = 1 - Re(w) t_k, y = Im(w) t_k
+        and T_j = sum_k t_k^j every (point, zero) array is real:
+
+            log|f| = 1/2 sum_k log(x^2 + y^2) + Re sum_(j<=p) w^j T_j / j,
+            arg f  = sum_k atan2(-y, x) + Im sum_(j<=p) w^j T_j / j,
+            f'/f   = -e^(-i theta0) w^p sum_k t_k^(p+1) (x + iy) / (x^2 + y^2).
+
+        A row's sums read only its own point and the fixed tiles, so no bit
+        depends on which other points share the call."""
         zs = np.asarray(zs, dtype=np.complex128)
         flat = zs.ravel()
         r = float(np.max(np.abs(flat))) if flat.size else 0.0
         if r > self.r_max * (1 + 1e-12):
             raise ValueError(f"|z| = {r:g} exceeds the certified radius r_max = {self.r_max:g}")
-        log_abs, arg, total = (np.zeros(flat.shape, dtype=t) for t in (float, float, complex))
-        ok = np.ones(flat.shape, dtype=bool)
-        block = max(1, (1 << 20) // min(self._CHUNK, self.cutoff))
-        p = self.genus
-        for lo in range(1, self.cutoff + 1, self._CHUNK):
-            a = self.rule.zeros(lo, min(lo + self._CHUNK - 1, self.cutoff))
-            if deriv:   # the guard 1e-9 |a| and a**p, made once per chunk
-                guard, a_p = 1e-9 * np.abs(a), a ** p if p else None
-            for start in range(0, flat.size, block):
-                rows = slice(start, start + block)
-                if log:
-                    _add_log_factors(flat[rows], a, p, log_abs[rows], arg[rows] if phase else None)
-                if deriv:
-                    _add_log_derivative_factors(flat[rows], a, p, guard, a_p,
-                                                total[rows], ok[rows])
-        valid = log_abs >= ZERO_HIT_LOG   # a zero factor makes its row -inf or NaN
-        return tuple(x.reshape(zs.shape) for x in (
-            np.where(valid, log_abs, -np.inf), valid, np.where(ok, total, 0.0), ok, arg))
+        rot = cmath.exp(-1j * self.rule.angle)
+        w = flat * rot
+        log_sum, arg_sum, s_re, s_im = (np.zeros(flat.shape) for _ in range(4))
+        near = np.full(flat.shape, np.inf)   # the least |1 - z/a_k|^2 of each row
+        p, tile = self.genus, min(self._TILE, self.cutoff)
+        power_sums = np.zeros(p)
+        block = max(1, self._STEP // tile)
+        bufs = np.empty((4, block * tile))
+        # a row that hits a zero forms log 0, 0 * inf and 1/0; its sums are discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(1, self.cutoff + 1, tile):
+                t = 1.0 / self.rule.modulus(np.arange(lo, min(lo + tile, self.cutoff + 1),
+                                                      dtype=np.float64))
+                power_sums += [np.sum(t ** j) for j in range(1, p + 1)]
+                t_p1 = t ** (p + 1)
+                for start in range(0, flat.size, block):
+                    rows = slice(start, start + block)
+                    x, y, den, tmp = (b[:t.size * w[rows].size].reshape(-1, t.size) for b in bufs)
+                    np.subtract(1.0, np.multiply.outer(w.real[rows], t, out=x), out=x)
+                    np.multiply.outer(w.imag[rows], t, out=y)
+                    np.add(np.square(x, out=den), np.square(y, out=tmp), out=den)
+                    np.minimum(near[rows], den.min(axis=1), out=near[rows])
+                    if log:
+                        log_sum[rows] += np.log(den, out=tmp).sum(axis=1)
+                        if phase:   # atan2(-y, x) = -atan2(y, x)
+                            arg_sum[rows] -= np.arctan2(y, x, out=tmp).sum(axis=1)
+                    if deriv:
+                        q = np.divide(t_p1, den, out=den)
+                        s_re[rows] += np.multiply(x, q, out=tmp).sum(axis=1)
+                        s_im[rows] += np.multiply(y, q, out=tmp).sum(axis=1)
+            poly = sum((w ** j * (t_sum / j) for j, t_sum in enumerate(power_sums, 1)),
+                       np.zeros_like(w))
+            log_abs = 0.5 * log_sum + poly.real
+            total = -rot * w ** p * (s_re + 1j * s_im)
+        valid = (near > _HIT_DEN) & (log_abs >= ZERO_HIT_LOG)
+        ok = near > 1e-18   # |z - a_k| > 1e-9 |a_k| at every k
+        return tuple(a.reshape(zs.shape) for a in (
+            np.where(valid, log_abs, -np.inf), valid, np.where(ok, total, 0.0), ok,
+            arg_sum + poly.imag))
 
     def log_eval_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Truncated sum of log E(z/a_k, p); accurate to within tail_bound."""
@@ -516,42 +550,6 @@ class CanonicalProduct:
     def __repr__(self) -> str:
         return (f"CanonicalProduct(rule={self.rule}, genus={self.genus}, "
                 f"cutoff={self.cutoff}, tail_bound={self.tail_bound:.3e})")
-
-
-def _add_log_factors(zb: np.ndarray, a: np.ndarray, p: int, log_abs: np.ndarray,
-                     arg: np.ndarray | None) -> None:
-    """Add to each row's log_abs the sum over one chunk of zeros a of
-    log|E(z/a, p)|, and to its arg, unless None, the sum of arg E(z/a, p)."""
-    u = zb[:, None] / a[None, :]
-    one_m = np.subtract(1.0, u, out=None if p else u)   # u is read again only if p > 0
-    term_arg = None if arg is None else np.angle(one_m)
-    term_log = np.abs(one_m)
-    with np.errstate(divide="ignore"):
-        np.log(term_log, out=term_log)
-    for j in range(1, p + 1):
-        upow = u if j == 1 else upow * u
-        term_log += upow.real / j
-        if arg is not None:
-            term_arg += upow.imag / j
-    log_abs += term_log.sum(axis=1)
-    if arg is not None:
-        arg += term_arg.sum(axis=1)
-
-
-def _add_log_derivative_factors(zb: np.ndarray, a: np.ndarray, p: int,
-                                guard: np.ndarray, a_p: np.ndarray | None,
-                                total: np.ndarray, ok: np.ndarray) -> None:
-    """Add to each row's total the sum over one chunk of zeros a of the finite
-    z**p / (a_p (z - a)), with a_p = a**p for p > 0; clear ok unless
-    |z - a| > guard = 1e-9 |a| at every a."""
-    diff = zb[:, None] - a[None, :]
-    ok &= (np.abs(diff) > guard[None, :]).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):   # diff turns into the terms
-        if p:
-            np.multiply(a_p[None, :], diff, out=diff)
-        np.divide(zb[:, None] ** p if p else 1.0, diff, out=diff)
-    diff[~np.isfinite(diff)] = 0.0
-    total += diff.sum(axis=1)
 
 
 FunctionModel = Union[ExponentialSum, CanonicalProduct]

@@ -21,13 +21,17 @@ EXP = "expsum:[1]exp(1)"
 # integer order rho = 1, and genus 1 above the canonical genus 0 of rho = 2/3
 POW1_G1 = "product:zeros=pow(1),genus=1,cut=0.1"
 POW15_G1 = "product:zeros=pow(1.5,angle=0.1),genus=1,cut=1e-4"
-# products whose cutoff K would put 2|a_(K+1)|^(p+1) past the float range
+# products whose cutoff K would put 2|a_(K+1)|^max(p+1, 2) past the float range
 PAST_FLOAT_RANGE = {
     "indicator-product-power-past-float-range":
         ["indicator", "--fn", "product:zeros=pow(40),genus=1,cut=0.1",
          "--radii", "1e2,1e3,1e200", "--out", "i.csv"],
     "density-product-power-past-float-range":
         ["density", "--fn", "product:zeros=pow(40),genus=1,cut=0.1", "--r", "1e160",
+         "--plan", "mc:20:1", "--out", "d.json"],
+    # genus 0: |1 - z/a_k|^2 reaches |z|^2, past the float range at |z| = 3.1e160
+    "density-product-genus0-square-past-float-range":
+        ["density", "--fn", "product:zeros=pow(40),genus=0,cut=0.1", "--r", "1e160",
          "--plan", "mc:20:1", "--out", "d.json"],
     "verify-crg-product-power-past-float-range":
         ["verify-crg", "--fn", "product:zeros=pow(40,angle=1e-9),genus=0,cut=1e-300",

@@ -274,13 +274,19 @@ class TestExponentialSumValidation:
             models.ExponentialSum([([0.0], 1.0)])
 
 
-# The product evaluation as it stood before the single factor pass: two
-# copies of the point-block and factor-chunk loops, kept verbatim as the
-# oracle whose bits the single pass must reproduce.
+# The product evaluation in complex arithmetic, as it stood before the real
+# kernel: two copies of the point-block and factor-chunk loops over the zeros
+# a_k = |a_k| e^(i theta0), kept as an independent reference for the kernel.
 ZERO_HIT_LOG, _TWO_PI = models.ZERO_HIT_LOG, 2.0 * math.pi
 
 
+def _ray_zeros(rule: models.PowerZeroRule, k_lo: int, k_hi: int) -> np.ndarray:
+    return rule.modulus(np.arange(k_lo, k_hi + 1, dtype=np.float64)) * cmath.exp(1j * rule.angle)
+
+
 class _TwoLoopProduct(models.CanonicalProduct):
+    _CHUNK = 1 << 19
+
     def _check_radius(self, r: float) -> None:
         if r > self.r_max * (1 + 1e-12):
             raise ValueError(
@@ -307,7 +313,7 @@ class _TwoLoopProduct(models.CanonicalProduct):
             zb = flat[blk]
             for lo in range(1, self.cutoff + 1, self._CHUNK):
                 hi = min(lo + self._CHUNK - 1, self.cutoff)
-                a = self.rule.zeros(lo, hi)
+                a = _ray_zeros(self.rule, lo, hi)
                 u = zb[:, None] / a[None, :]
                 one_m = 1.0 - u
                 mag = np.abs(one_m)
@@ -345,7 +351,7 @@ class _TwoLoopProduct(models.CanonicalProduct):
             zb = flat[blk]
             for lo in range(1, self.cutoff + 1, self._CHUNK):
                 hi = min(lo + self._CHUNK - 1, self.cutoff)
-                a = self.rule.zeros(lo, hi)
+                a = _ray_zeros(self.rule, lo, hi)
                 diff = zb[:, None] - a[None, :]
                 ok[blk] &= (np.abs(diff) > 1e-9 * np.abs(a)[None, :]).all(axis=1)
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,79 +380,127 @@ class _TwoLoopProduct(models.CanonicalProduct):
         return np.where(valid, vals, 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOneFactorPass:
-    """Each product evaluation makes one pass over the factor chunks, with the
-    bits of the two-loop reference and at most 2^20 entries per step."""
+    """Each product evaluation makes one pass over the tiles of zeros in real
+    arithmetic, within rounding of the complex two-loop reference, with no
+    bit depending on the other points of the call, and at most 2^15 entries
+    per step."""
+
+    CASES = {   # K = 10000, 7072 and 3001: three tiles, two, and one short one
+        0: models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 1e-2, 50.0),
+        1: models.CanonicalProduct(models.PowerZeroRule(1.5, angle=0.1), 1, 1e-4, 100.0),
+        2: models.CanonicalProduct(models.PowerZeroRule(1.0), 2, 1e-3, 30.0),
+    }
+
+    @staticmethod
+    def _points(model, n, seed):
+        """n points of the disk |z| < r_max, the first three 0, a_3 and a
+        point 1e-12 from a_3."""
+        rng = np.random.default_rng(seed)
+        r_max = model.r_max
+        zs = r_max * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        a_3 = model.rule.modulus(3) * cmath.exp(1j * model.rule.angle)
+        zs[:3] = [0.0, a_3, a_3 + 1e-12]
+        return zs
 
     @pytest.mark.parametrize("rule,genus,tol,r_max,n", [
-        (models.PowerZeroRule(2.0), 0, 1e-3, 300.0, 5),      # two chunks, 3 blocks
+        (models.PowerZeroRule(2.0), 0, 1e-3, 300.0, 5),      # two reference chunks
         (models.PowerZeroRule(1.5, angle=0.1), 1, 1e-4, 100.0, 56),
         (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 51 zeros, 3 blocks
         (models.PowerZeroRule(1.0), 2, 1e-3, 30.0, 56),
     ], ids=["genus0-two-chunks", "genus1-angle", "genus1-many-blocks", "genus2"])
-    def test_bits_match_the_two_loop_reference(self, rule, genus, tol, r_max, n):
+    def test_matches_the_two_loop_reference(self, rule, genus, tol, r_max, n):
         model = models.CanonicalProduct(rule, genus, tol, r_max)
         ref = _TwoLoopProduct(rule, genus, tol, r_max)
-        rng = np.random.default_rng(19)
-        zs = r_max * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-        a_3 = rule.zeros(3, 3)[0]
-        zs[:3] = [0.0, a_3, a_3 + 1e-12]
-        for name in ("log_eval_many", "log_derivative_many",
-                     "log_abs_and_derivative_many", "plain_values"):
-            got, want = getattr(model, name)(zs), getattr(ref, name)(zs)
-            if name == "plain_values":
-                got, want = (got,), (want,)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes(), name
+        zs = self._points(model, n, 19)
+        log_abs, phase, valid = model.log_eval_many(zs)
+        want_abs, want_phase, want_valid = ref.log_eval_many(zs)
+        lvals, ok = model.log_derivative_many(zs)
+        want_l, want_ok = ref.log_derivative_many(zs)
+        assert np.array_equal(valid, want_valid) and np.array_equal(ok, want_ok)
+        assert (log_abs[~valid] == -math.inf).all() and (phase[~valid] == 0.0).all()
+        assert (lvals[~ok] == 0.0).all()
+        d_abs = np.abs(np.where(valid, log_abs, 0.0) - np.where(valid, want_abs, 0.0))
+        d_arg = np.abs(np.remainder(phase - want_phase + math.pi, _TWO_PI) - math.pi)
+        vals, want_vals = model.plain_values(zs), ref.plain_values(zs)
+        # 1e-12 from a_3, log(1 - z/a_3) has condition number |a_3|/1e-12 in
+        # any arithmetic, so a few ulp of z/a_3 move it by about this much
+        near = 1e-15 * abs(zs[1]) / 1e-12
+        assert d_abs[2] <= near and d_arg[2] <= near
+        assert d_abs[3:].max() <= 1e-9 and d_arg[3:].max() <= 1e-9
+        assert (np.abs(lvals - want_l) <= 1e-12 * np.maximum(1.0, np.abs(want_l))).all()
+        # plain_values: |e^(d + i phi) - 1| <= 2.1e-9 for |d|, |phi| <= 1e-9
+        assert (np.abs(vals - want_vals)[3:] <= 2.1e-9 * np.abs(want_vals)[3:]).all()
         # the guards are exercised: a zero hit at a_3, f'/f refused next to it
-        _, valid, _, ok = model.log_abs_and_derivative_many(zs[:3])
-        assert valid.tolist() == [True, False, True] and ok.tolist() == [True, False, False]
+        assert valid[:3].tolist() == [True, False, True] and ok[:3].tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("genus", [0, 1, 2])
+    def test_points_do_not_see_each_other(self, genus):
+        model = self.CASES[genus]
+        zs = self._points(model, 70, genus)    # nine blocks of a full tile
+        for name in ("log_eval_many", "log_derivative_many", "log_abs_and_derivative_many"):
+            together = getattr(model, name)(zs)
+            alone = [getattr(model, name)(zs[i:i + 1]) for i in range(zs.size)]
+            for j, got in enumerate(together):
+                assert got.tobytes() == np.concatenate([a[j] for a in alone]).tobytes(), name
+
+    def test_k_squared_product_is_the_sine_quotient(self):
+        # prod (1 - z/k^2) = sin(pi sqrt z) / (pi sqrt z), on ann(200)
+        model = models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 1e-3, 400.0)
+        zs = criteria.sample_points(criteria.AnnulusSpec(200.0),
+                                    criteria.MonteCarloPlan(200, 25))
+        log_abs, phase, valid = model.log_eval_many(zs)
+        lvals, ok = model.log_derivative_many(zs)
+        assert valid.all() and ok.all()
+        w = np.pi * np.sqrt(zs)
+        f = np.sin(w) / w
+        dlog = np.pi / (2.0 * np.sqrt(zs)) / np.tan(w) - 1.0 / (2.0 * zs)
+        assert np.abs(log_abs - np.log(np.abs(f))).max() <= model.tail_bound
+        assert np.abs(np.angle(np.exp(1j * (phase - np.angle(f))))).max() <= model.tail_bound
+        bounds = [model.derivative_tail_bound(r) for r in np.abs(zs)]
+        assert (np.abs(lvals - dlog) <= bounds).all()
 
     def test_fused_call_makes_each_chunk_once(self, monkeypatch):
-        model = models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 1e-3, 300.0)
-        chunk = models.CanonicalProduct._CHUNK
-        assert model.cutoff > chunk     # two chunks of zeros
+        model = self.CASES[0]
+        tile = models.CanonicalProduct._TILE
         calls = collections.Counter()
-        zeros = models.PowerZeroRule.zeros
+        modulus = models.PowerZeroRule.modulus
 
-        def counting(rule, k_lo, k_hi):
-            calls[k_lo, k_hi] += 1
-            return zeros(rule, k_lo, k_hi)
+        def counting(rule, k):
+            calls[int(k[0]), int(k[-1])] += 1
+            return modulus(rule, k)
 
-        monkeypatch.setattr(models.PowerZeroRule, "zeros", counting)
-        chunks = [(lo, min(lo + chunk - 1, model.cutoff))
-                  for lo in range(1, model.cutoff + 1, chunk)]
-        # 2 points x 2^19 zeros fill one block of 2^20 entries, 5 points three
-        # blocks; either way each chunk is made once, for both parts of f
-        for n in (2, 5):
+        monkeypatch.setattr(models.PowerZeroRule, "modulus", counting)
+        tiles = [(lo, min(lo + tile - 1, model.cutoff))
+                 for lo in range(1, model.cutoff + 1, tile)]
+        assert len(tiles) == 3
+        # 2 points fill one block of a tile, 70 points nine blocks; either way
+        # each tile is made once, for both parts of f
+        for n in (2, 70):
             calls.clear()
-            model.log_abs_and_derivative_many(np.linspace(1.0 + 1j, 250.0, n))
-            assert calls == {c: 1 for c in chunks}
+            model.log_abs_and_derivative_many(np.linspace(1.0 + 1j, 45.0, n))
+            assert calls == {t: 1 for t in tiles}
 
     def test_each_view_does_only_the_work_it_reads(self, k_squared_product, monkeypatch):
         seen = []
-        add_log, add_deriv = models._add_log_factors, models._add_log_derivative_factors
+        kernel = models.CanonicalProduct._factor_sums
 
-        def log_part(zb, a, p, log_abs, arg):
-            seen.append("log" if arg is None else "log+phase")
-            add_log(zb, a, p, log_abs, arg)
+        def recording(model, zs, log, phase, deriv):
+            seen.append((log, phase, deriv))
+            return kernel(model, zs, log, phase, deriv)
 
-        def deriv_part(*args):
-            seen.append("deriv")
-            add_deriv(*args)
-
-        monkeypatch.setattr(models, "_add_log_factors", log_part)
-        monkeypatch.setattr(models, "_add_log_derivative_factors", deriv_part)
+        monkeypatch.setattr(models.CanonicalProduct, "_factor_sums", recording)
         zs = np.array([3.0 + 1j, -50.0])
-        for name, parts in (("log_eval_many", ["log+phase"]),
-                            ("log_derivative_many", ["deriv"]),
-                            ("log_abs_and_derivative_many", ["log", "deriv"]),
-                            ("plain_values", ["log+phase"])):
+        # (log, phase, deriv): the phase only where the view returns it, the
+        # f'/f sums only where it returns L
+        for name, flags in (("log_eval_many", (True, True, False)),
+                            ("log_derivative_many", (False, False, True)),
+                            ("log_abs_and_derivative_many", (True, False, True)),
+                            ("plain_values", (True, True, False))):
             seen.clear()
             getattr(k_squared_product, name)(zs)
-            assert seen == parts, name
+            assert seen == [flags], name
 
     def test_fused_call_peak_memory(self):
         # the genus-1 product of perfbench's product workload, on ann(200)
@@ -460,4 +514,4 @@ class TestOneFactorPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2 ** 20
+        assert peak <= 4 * 2 ** 20
