@@ -407,7 +407,7 @@ class TestOneFactorPass:
     @pytest.mark.parametrize("rule,genus,tol,r_max,n", [
         (models.PowerZeroRule(2.0), 0, 1e-3, 300.0, 5),      # two reference chunks
         (models.PowerZeroRule(1.5, angle=0.1), 1, 1e-4, 100.0, 56),
-        (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 51 zeros, 3 blocks
+        (models.PowerZeroRule(1.5), 1, 0.02, 10.0, 50_000),  # 51 zeros, 78 blocks
         (models.PowerZeroRule(1.0), 2, 1e-3, 30.0, 56),
     ], ids=["genus0-two-chunks", "genus1-angle", "genus1-many-blocks", "genus2"])
     def test_matches_the_two_loop_reference(self, rule, genus, tol, r_max, n):
@@ -438,7 +438,7 @@ class TestOneFactorPass:
     @pytest.mark.parametrize("genus", [0, 1, 2])
     def test_points_do_not_see_each_other(self, genus):
         model = self.CASES[genus]
-        zs = self._points(model, 70, genus)    # nine blocks of a full tile
+        zs = self._points(model, 70, genus)    # 7 to 9 blocks per tile
         for name in ("log_eval_many", "log_derivative_many", "log_abs_and_derivative_many"):
             together = getattr(model, name)(zs)
             alone = [getattr(model, name)(zs[i:i + 1]) for i in range(zs.size)]
