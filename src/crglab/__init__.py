@@ -10,9 +10,14 @@ Modules:
     dynamics  orbit classification, escape rasters, measure estimation
     parser    the function-spec mini-language
     cli       command-line entry point
+
+A submodule is imported on first attribute access (``crglab.dynamics``), so
+``import crglab`` loads only the error hierarchy and a command loads only
+what it runs.
 """
 
-from . import analytic, covering, criteria, dynamics, growth, models, parser
+import importlib
+
 from .errors import CrgLabError
 
 __version__ = "0.1.0"
@@ -28,3 +33,13 @@ __all__ = [
     "CrgLabError",
     "__version__",
 ]
+
+
+_SUBMODULES = frozenset({"analytic", "cli", "covering", "criteria", "dynamics",
+                         "growth", "models", "parallel", "parser"})
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

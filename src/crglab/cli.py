@@ -19,7 +19,9 @@ read it (``check-14``, ``verify-crg``, ``check-8l``); and each covering
 construction is a subcommand of ``covering`` with exactly the options it
 reads, so an option a command does not read is refused. Commands raise,
 and ``run`` is the only place that reports an error or picks an exit code.
-The argument parser is built on the first ``run`` call and reused after.
+The argument parser is built on the first ``run`` call and reused after,
+and ``analytic``, ``covering`` and ``dynamics`` are imported by the
+commands that run them, so ``import crglab.cli`` does not load them.
 
 Exit codes follow the error hierarchy: 0 success, 1 usage or parse failure
 (any ValueError, including ParseError and BelowThreshold, or OSError),
@@ -38,7 +40,7 @@ from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import analytic, criteria, covering, dynamics, growth, models
+from . import criteria, growth, models
 from .errors import CertificateFailure, CrgLabError, require_positive
 from .parser import ExpSumNode, FunctionSpecAST, ProductNode, parse_function_spec
 
@@ -190,6 +192,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         pred = criteria.predicate_B(model, beta)
     disks = None
     if args.exclude_disks:
+        from . import covering
         disks = covering.DiskSet.from_text(Path(args.exclude_disks).read_text("ascii"))
     out = criteria.annulus_density(pred, ann, args.plan, disks).to_json_dict()
     out["set"] = args.set
@@ -233,6 +236,7 @@ def _build_dynamics_model(ast: FunctionSpecAST,
 
 
 def _cmd_escape_map(args: argparse.Namespace) -> int:
+    from . import dynamics
     w = args.window
     model = _build_dynamics_model(parse_function_spec(args.fn), args.bailout_log)
     beta = args.beta(model.order)
@@ -244,6 +248,7 @@ def _cmd_escape_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from . import dynamics
     region = (criteria.AnnulusSpec(args.annulus) if args.annulus is not None
               else args.window)
     model = _build_dynamics_model(parse_function_spec(args.fn), args.bailout_log)
@@ -255,6 +260,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_crg(args: argparse.Namespace) -> int:
+    from . import analytic
     model = build_model(parse_function_spec(args.fn),
                         max(r for r, _ in args.samples) * 1.01)
     cascade = growth.EpsilonCascade(args.N)
@@ -266,11 +272,13 @@ def _cmd_verify_crg(args: argparse.Namespace) -> int:
 
 
 def _read_points(path: str) -> list[complex]:
+    from . import covering
     text = Path(path).read_text("ascii")
     return [complex(*row) for row in covering.read_columns(text, 2)]
 
 
 def _cmd_covering(args: argparse.Namespace) -> int:
+    from . import covering
     if args.construction == "besicovitch":
         pts = _read_points(args.points)
         text = Path(args.radii).read_text("ascii")
@@ -293,6 +301,7 @@ def _cmd_covering(args: argparse.Namespace) -> int:
 
 
 def _cmd_schwarz_check(args: argparse.Namespace) -> int:
+    from . import analytic
     model = build_model(parse_function_spec(args.fn),
                         max(r for r, _ in args.samples) * 1.2 + args.t_r)
     rows = []
@@ -310,6 +319,7 @@ def _cmd_schwarz_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_8l(args: argparse.Namespace) -> int:
+    from . import analytic
     model = build_model(parse_function_spec(args.fn),
                         max(r for r, _ in args.samples) * 1.01)
     cascade = growth.EpsilonCascade(args.N)

@@ -26,15 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .covering import DiskSet
 from .errors import require_increasing, require_positive
 from .growth import GrowthMinorant, angle_grid
 from .models import FunctionModel
 from .parallel import map_chunked
+
+if TYPE_CHECKING:
+    from .covering import DiskSet
 
 _TWO_PI = 2.0 * math.pi
 

@@ -9,6 +9,11 @@ certificate about the observed horizon, never a proof of escape.
 Iteration runs in plain complex arithmetic while representable; the final
 comparison after a floating overflow is redone in log space from the last
 representable iterate, so escape steps are decided on true log-moduli.
+Before f(z_k) is evaluated, the model's closed-form ``log_abs_lower_bound``
+is asked for a lower bound of log|f(z_k)|; where it reaches the bailout, the
+point is decided at step k + 1 without the evaluation that would overflow,
+with the verdict the comparison at k + 1 would give, since the log|z_(k+1)|
+that comparison reads is at least the bound.
 Indeterminate is a first-class verdict: it marks orbits whose comparison
 could not be completed (overflow to NaN, beta-track beyond float range, or a
 bailout crossing with a broken track that cannot be iterated further).
@@ -95,6 +100,11 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
     the first step with log|z_k| <= log beta^k(r0) as BELOW_TRACK, since it
     can never be Escaped; without it the point is iterated on, so a later
     bailout crossing reads Indeterminate and no crossing Survived.
+    A point whose certified log|f(z_k)| reaches max(bailout_log, 0) is
+    decided at step k + 1 without evaluating f: Escaped where the track held
+    so far and the bound exceeds log beta^(k+1)(r0), Indeterminate where the
+    track already failed; any other point is evaluated. The bound is taken
+    only at points with log|z_k| at least the model's ``log_abs_reach``.
     When plain evaluation of the next iterate overflows, the step is redone
     through log-space evaluation: either the iterate is reconstructed as
     exp(log f), or its log-modulus is known to exceed 709 > bailout_log and
@@ -109,32 +119,45 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
     zero_hit = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore"):
         lm = np.log(np.abs(z))
+    # above log|f| = 0 no evaluation of f underflows to a zero hit
+    floor = max(bailout_log, 0.0)
+    reach = model.log_abs_reach(floor)
 
     for k in range(max_iter + 1):
         # survival-track comparison; lm > +inf sentinel is False, so a point
         # whose track left the float range can never be escape-certified
         track_ok &= lm > track[k]
-        # later writes win: zero hit over NaN over a crossing over the track
-        verdict = np.full(idx.size, SURVIVED, dtype=np.uint8)
+        # a bailout crossing, or NaN, whose track comparison fails too
+        out = ~(lm < bailout_log)
+        decided = out | zero_hit
         if stop_below_track:
-            verdict[~track_ok] = BELOW_TRACK
-        crossed = lm >= bailout_log
-        verdict[crossed] = np.where(track_ok[crossed], ESCAPED, INDETERMINATE)
-        verdict[np.isnan(lm)] = INDETERMINATE
-        verdict[zero_hit] = ZERO_HIT
-        decided = verdict != SURVIVED
+            decided |= ~track_ok
         if decided.any():
-            codes[idx[decided]], steps[idx[decided]] = verdict[decided], k
+            # a zero hit over a crossing or NaN over the track
+            verdict = np.where(out[decided],
+                               np.where(track_ok[decided], ESCAPED, INDETERMINATE),
+                               BELOW_TRACK)
+            verdict[zero_hit[decided]] = ZERO_HIT
+            codes[idx[decided]], steps[idx[decided]] = verdict, k
             keep = ~decided
             idx, z, lm, track_ok = idx[keep], z[keep], lm[keep], track_ok[keep]
 
         if k == max_iter or idx.size == 0:
             break
 
+        esc, ind = _crossings(model, z, lm >= reach, track_ok, floor, track[k + 1])
+        if esc.size or ind.size:
+            codes[idx[esc]], codes[idx[ind]] = ESCAPED, INDETERMINATE
+            steps[idx[esc]] = steps[idx[ind]] = k + 1
+            keep = np.ones(idx.size, dtype=bool)
+            keep[esc] = keep[ind] = False
+            idx, z, track_ok = idx[keep], z[keep], track_ok[keep]
+
         znext = model.plain_values(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lm = np.log(np.abs(znext))
-        bad = ~np.isfinite(np.abs(znext))
+            mod = np.abs(znext)
+            lm = np.log(mod)
+        bad = ~np.isfinite(mod)
         zero_hit = np.zeros(idx.size, dtype=bool)
         if bad.any():
             la, ph, ok = model.log_eval_many(z[bad])
@@ -148,6 +171,21 @@ def _classify_batch(model: FunctionModel, z0s: np.ndarray, track: np.ndarray,
         z = znext
 
     return codes, steps
+
+
+def _crossings(model: FunctionModel, z: np.ndarray, near: np.ndarray,
+               track_ok: np.ndarray, floor: float, next_track: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the points, among the ``near`` ones, whose certified
+    log|f(z)| reaches ``floor``, split into (Escaped, Indeterminate) at the
+    next step. The float log|f(z)| the next comparison would read is at
+    least the bound, so that comparison would give the same verdicts."""
+    near = np.flatnonzero(near)
+    if near.size == 0:
+        return near, near
+    lb = model.log_abs_lower_bound(z[near], floor)
+    sure, ok = lb >= floor, track_ok[near]
+    return near[sure & ok & (lb > next_track)], near[sure & ~ok]
 
 
 def escape_map(model: FunctionModel, window: Window, width: int, height: int,

@@ -133,6 +133,7 @@ class ExponentialSum:
         if len({(b.real, b.imag) for b in exps}) != len(exps):
             raise ValueError("exponents must be pairwise distinct")
         self.terms: tuple[tuple[tuple[complex, ...], complex], ...] = tuple(cleaned)
+        self._reaches: dict[float, float] = {}   # floor -> log_abs_reach(floor)
 
     def __repr__(self) -> str:
         parts = [f"{list(c)}*exp({b}z)" for c, b in self.terms]
@@ -245,6 +246,82 @@ class ExponentialSum:
         abs_s = np.abs(s)
         return (*_log_modulus(mu, s, abs_s), *_log_ratio(s, ds, abs_s, scale))
 
+    def _gaps(self) -> np.ndarray:
+        """The matrix |b_k - b_i| of exponent gaps."""
+        exps = self.exponents()
+        return np.array([[abs(b - c) for c in exps] for b in exps])
+
+    def log_abs_lower_bound(self, zs: np.ndarray,
+                            floor: float = -math.inf) -> np.ndarray:
+        """A lower bound of log|f(z)| at each point, or -inf where no term
+        dominates, in closed form: f is not evaluated.
+
+        This is the domination step of ``disk_re_zl_lower_bound`` at R = 0,
+        with U_k >= |P_k(z)| >= l_k at rho = |z|: where the dominant term j
+        has l_j > 0 and Q = sum_(k != j) (U_k/l_j) exp(Re((b_k - b_j) z))
+        <= 1/2, f = T_j (1 + E) with |E| <= Q, so
+
+            log|f(z)| >= Re(b_j z) + log l_j + log(1 - Q).
+
+        The bound returned is that less a rounding slack of
+        1e-9 (1 + |Re(b_j z) + log l_j|). It is -inf where Q > 1/2, where any
+        step overflows or is NaN, and where l_j <= 1e-4 U_j: there l_j is a
+        residue of cancellation whose rounding the slack does not cover.
+        Points whose upper bound max_k (Re(b_k z) + log U_k) + log(#terms)
+        of log|f| falls below ``floor`` read -inf without the domination
+        step, which spares a caller that only asks whether log|f| >= floor.
+        """
+        zs = np.asarray(zs, dtype=np.complex128)
+        abs_z = np.abs(zs)
+        out = np.full(zs.shape, -np.inf)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                         under="ignore"):
+            upper = np.full(zs.shape, -np.inf)
+            for coeffs, b in self.terms:
+                log_up = np.log(_poly_bounds(coeffs, abs_z, abs_z)[0])
+                np.maximum(upper, (b * zs).real + log_up, out=upper)
+            near = upper >= floor - math.log(len(self.terms))
+            if not near.any():
+                return out
+            zs, abs_z = zs[near], abs_z[near]
+            # per term k: (U_k, l_k) at rho = |z|, Re(b_k z) and U_k again
+            terms = []
+            for coeffs, b in self.terms:
+                up, _, low = _poly_bounds(coeffs, abs_z, abs_z)
+                terms.append((up, low, (b * zs).real, up))
+            _, l_j, re_j, u_j, _, q = _dominance(terms, self._gaps(), 0.0)
+            head = re_j + np.log(l_j)
+            bound = head + np.log1p(-q) - 1e-9 * (1.0 + np.abs(head))
+        ok = (l_j > 1e-4 * u_j) & (q <= 0.5) & np.isfinite(bound)
+        out[near] = np.where(ok, bound, -np.inf)
+        return out
+
+    def log_abs_reach(self, floor: float) -> float:
+        """log r* such that log|f(z)| < floor wherever |z| < r*, from the
+        upper bound max_k (|b_k| r + log U_k(r)) + log(#terms) of log|f| on
+        |z| = r, which increases with r: -inf where that bound reaches
+        ``floor`` at r = e^-700, else the bound bisected in log r up to 700.
+        Cached per floor."""
+        if floor not in self._reaches:
+            # per term: |b_k| and (log |c_ki|, i) over the nonzero c_ki
+            logs = [(abs(b), [(math.log(abs(c)), i) for i, c in enumerate(coeffs) if c])
+                    for coeffs, b in self.terms]
+
+            def upper(log_r: float) -> float:
+                return math.log(len(logs)) + max(
+                    size * math.exp(log_r) + _log_sum_exp([lc + i * log_r for lc, i in mags])
+                    for size, mags in logs)
+
+            lo, hi = -700.0, 700.0
+            if upper(lo) >= floor:
+                lo = -math.inf
+            else:
+                for _ in range(30):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if upper(mid) >= floor else (mid, hi)
+            self._reaches[floor] = lo
+        return self._reaches[floor]
+
     def disk_re_zl_lower_bound(self, centers: np.ndarray,
                                radii: np.ndarray) -> np.ndarray:
         """A lower bound of Re(zeta L(zeta)) on each closed disk
@@ -275,26 +352,17 @@ class ExponentialSum:
         exps = self.exponents()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                          under="ignore"):
-            # per term k: (U_k, U'_k, l_k), Re(b_k z) and the row |b_k - b_.|
-            terms = [(*_poly_bounds(coeffs, hi, lo), (b * centers).real,
-                      np.array([abs(b - c) for c in exps])) for coeffs, b in self.terms]
-            # the dominant term: the first of the largest Re(b_k z) + log l_k
-            j = np.zeros(hi.shape, dtype=np.intp)
-            best = l_j = d_up_j = re_j = np.full(hi.shape, -np.inf)
-            for k, (_, d_up, low, re_bz, _) in enumerate(terms):
-                score = re_bz + np.log(np.where(low > 0.0, low, 0.0))
-                wins = score > best
-                best, j, l_j, d_up_j, re_j = (
-                    np.where(wins, new, old) for new, old in
-                    ((score, best), (k, j), (low, l_j), (d_up, d_up_j), (re_bz, re_j)))
+            # per term k: (U_k, U'_k, l_k) and Re(b_k z)
+            terms = [(*_poly_bounds(coeffs, hi, lo), (b * centers).real)
+                     for coeffs, b in self.terms]
+            gaps = self._gaps()
+            j, l_j, re_j, d_up_j, ratios, q = _dominance(
+                [(up, low, re_bz, d_up) for up, d_up, low, re_bz in terms], gaps, radii)
             rel_j = d_up_j / l_j
-            q, dq = np.zeros(hi.shape), np.zeros(hi.shape)
-            for k, (up, d_up, _, re_bz, gaps) in enumerate(terms):
-                gap = gaps[j]   # |b_k - b_j|
-                ratio = np.exp(re_bz - re_j + gap * radii) / l_j
-                other = j != k
-                q += np.where(other, ratio * up, 0.0)
-                dq += np.where(other, ratio * (d_up + up * (gap + rel_j)), 0.0)
+            dq = np.zeros(hi.shape)
+            for k, ((up, d_up, _, _), ratio) in enumerate(zip(terms, ratios)):
+                gap = gaps[k][j]   # |b_k - b_j|
+                dq += np.where(j != k, ratio * (d_up + up * (gap + rel_j)), 0.0)
             abs_b_j = np.array([abs(c) for c in exps])[j]
             delta = rel_j + dq / (1.0 - q)
             bound = (re_j - abs_b_j * radii - hi * delta
@@ -303,12 +371,57 @@ class ExponentialSum:
         return np.where(ok, bound, -np.inf)
 
 
+def _dominance(terms: Sequence[tuple[np.ndarray, ...]], gaps: np.ndarray,
+               radii: np.ndarray | float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                          list[np.ndarray], np.ndarray]:
+    """The domination step of the Rouche bounds on the disks |zeta - z| <= R.
+
+    ``terms`` holds per term k (U_k, l_k, Re(b_k z), X_k), with
+    U_k >= |P_k| >= l_k on the disk and X_k any per-term quantity the caller
+    needs at the dominant term, and ``gaps`` the matrix |b_k - b_i|. The
+    dominant term j is the first of the largest Re(b_k z) + log l_k, and
+    every other term has |T_k/T_j| <= ratio_k U_k with
+    ratio_k = exp(Re((b_k - b_j) z) + |b_k - b_j| R) / l_j. Returns
+    (j, l_j, Re(b_j z), X_j, [ratio_k], Q = sum_(k != j) ratio_k U_k); the
+    three picked values are -inf where no term has l_k > 0.
+    """
+    shape = np.shape(terms[0][2])
+    j = np.zeros(shape, dtype=np.intp)
+    best = l_j = re_j = x_j = np.full(shape, -np.inf)
+    for k, (_, low, re_bz, x) in enumerate(terms):
+        score = re_bz + np.log(np.where(low > 0.0, low, 0.0))
+        wins = score > best
+        best, j, l_j, re_j, x_j = (
+            np.where(wins, new, old) for new, old in
+            ((score, best), (k, j), (low, l_j), (re_bz, re_j), (x, x_j)))
+    ratios, q = [], np.zeros(shape)
+    for k, (up, _, re_bz, _) in enumerate(terms):
+        ratio = _exp(re_bz - re_j + gaps[k][j] * radii) / l_j
+        ratios.append(ratio)
+        q += np.where(j != k, ratio * up, 0.0)
+    return j, l_j, re_j, x_j, ratios, q
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, without calling it below -746, where exp is
+    0: numpy takes a slow path for each result that underflows."""
+    return np.exp(x, out=np.zeros(np.shape(x)), where=~(x < -746.0))
+
+
+def _log_sum_exp(xs: Sequence[float]) -> float:
+    top = max(xs)
+    return top + math.log(sum(math.exp(x - top) for x in xs))
+
+
 def _poly_bounds(coeffs: Sequence[complex], hi: np.ndarray, lo: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, U', l) for P = sum_i c_i zeta^i of degree d on lo <= |zeta| <= hi:
     U = sum_i |c_i| hi^i >= |P|, U' = sum_i i |c_i| hi^(i-1) >= |P'| and
-    l = |c_d| lo^d - sum_(i<d) |c_i| hi^i <= |P|."""
+    l = |c_d| lo^d - sum_(i<d) |c_i| hi^i <= |P|; floats for a constant P."""
     mags = [abs(c) for c in coeffs]
+    if len(mags) == 1:   # a constant: the same bounds at every radius
+        return mags[0], 0.0, mags[0]
     rest, d_up = np.zeros(hi.shape), np.zeros(hi.shape)
     for m in reversed(mags[:-1]):   # sum_(i<d) |c_i| hi^i
         rest = rest * hi + m
@@ -533,6 +646,17 @@ class CanonicalProduct:
         """(log_abs, valid, L, ok) from one pass over the factor chunks, without
         the phase; bit-identical to ``log_eval_many`` and ``log_derivative_many``."""
         return self._factor_sums(zs, log=True, phase=False, deriv=True)[:4]
+
+    def log_abs_lower_bound(self, zs: np.ndarray,
+                            floor: float = -math.inf) -> np.ndarray:
+        """-inf at every point: no closed-form lower bound of log|f| for a
+        product yet, so each one is evaluated."""
+        return np.full(np.shape(zs), -np.inf)
+
+    def log_abs_reach(self, floor: float) -> float:
+        """+inf: with no lower bound of log|f| to take, no point is worth
+        bounding."""
+        return math.inf
 
     def disk_re_zl_lower_bound(self, centers: np.ndarray,
                                radii: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -46,6 +45,7 @@ def map_chunked(fn: Callable[[np.ndarray], np.ndarray],
     if workers == 1 or len(slices) == 1:
         parts = [fn(values[s]) for s in slices]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda s: fn(values[s]), slices))
     return np.concatenate(parts)

@@ -579,17 +579,29 @@ class TestOneWayIn:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy serves only kernel_integral_I, which no command calls
+    @staticmethod
+    def _loaded_after_cli_import(condition: str) -> str:
+        """The sorted names of sys.modules matching ``condition`` (an
+        expression in m) after ``import crglab.cli`` in a fresh interpreter."""
         src = os.path.dirname(os.path.dirname(crglab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, crglab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+             f"import sys, crglab.cli; print(sorted(m for m in sys.modules if {condition}))"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy serves only kernel_integral_I, which no command calls
+        assert self._loaded_after_cli_import("m.split('.')[0] == 'scipy'") == "[]"
+
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # the commands that run analytic, covering or dynamics import them,
+        # and the thread pool is imported when a sweep first uses one
+        unused = ("crglab.analytic", "crglab.covering", "crglab.dynamics",
+                  "concurrent.futures")
+        assert self._loaded_after_cli_import(f"m in {unused!r}") == "[]"
 
 
 class TestFloatFormatting:

@@ -384,3 +384,100 @@ class TestCompactedClassifier:
         measured = sum(map(sum, batches["measure"]))
         full = sum(map(sum, batches["escape-map"]))
         assert measured < 0.1 * full
+
+
+def _no_bound(zs, floor=-math.inf):
+    return np.full(np.shape(zs), -np.inf)
+
+
+def _counting(evaluate, counts, key):
+    """``evaluate`` that adds the number of points it sees to counts[key]."""
+    def counted(zs):
+        counts[key] += np.size(zs)
+        return evaluate(zs)
+    return counted
+
+
+def _crossing_case(name):
+    """(model, beta, r0, window) of the closed-form crossing corpus."""
+    scale = growth.GrowthMinorant.growth_scale(1.0, growth.EpsilonCascade(1))
+    half = growth.GrowthMinorant.exp_power(0.5, 1.0)
+    sums = {
+        "sin": (SIN_TERMS, scale, (0.0, 6.3, -3.0, 3.0)),
+        "exp": ([([1.0], 1.0)], half, (-3.0, 6.0, -4.0, 4.0)),
+        # (1 + z) e^z + z^2 e^-z
+        "poly": ([([1.0, 1.0], 1.0), ([0.0, 0.0, 1.0], -1.0)], scale, (-6.0, 6.0, -6.0, 6.0)),
+        "three-term": ([([1.0], 1.0), ([1.0], complex(-0.5, 0.866)),
+                        ([1.0], complex(-0.5, -0.866))], half, (-6.0, 6.0, -6.0, 6.0)),
+        # (z - 800) e^z, whose orbits pass near -800, where l_j = 0
+        "minus-800": ([([-800.0, 1.0], 1.0)], half, (795.0, 805.0, -3.0, 3.0)),
+        "tiny-term": ([([1.0], 3.0), ([1e-300], -3.0)], half, (-4.0, 4.0, -4.0, 4.0)),
+    }
+    if name == "product":    # zeros at k^2, certified out to the bailout e^4
+        product = models.CanonicalProduct(models.PowerZeroRule(exponent=2.0), genus=0,
+                                          tail_tol=0.2, r_max=math.exp(4.0) * 1.01)
+        return product, growth.GrowthMinorant.exp_power(2.0, 0.5), 2.0, (-40.0, 40.0, -40.0, 40.0)
+    terms, beta, window = sums[name]
+    return models.ExponentialSum(terms), beta, 2.0, window
+
+
+class TestClosedFormCrossing:
+    """A point whose certified log|f| reaches the bailout is decided one step
+    early, with the verdict and step that evaluating it would give."""
+
+    @pytest.mark.parametrize("name", ["sin", "exp", "poly", "three-term", "minus-800",
+                                      "tiny-term", "product"])
+    def test_verdicts_match_a_run_without_the_bound(self, name, monkeypatch):
+        model, beta, r0, (x0, x1, y0, y1) = _crossing_case(name)
+        rng = np.random.default_rng(28)
+        n = 300 if name == "product" else 1500
+        parts = [rng.uniform(x0, x1, n) + 1j * rng.uniform(y0, y1, n), SPECIAL_POINTS]
+        if name != "product":
+            parts += [criteria.sample_points(criteria.AnnulusSpec(r),
+                                             criteria.MonteCarloPlan(200, 7))
+                      for r in (3.0, 30.0, 40.0, 50.0)]
+            parts.append(rng.uniform(-3.0, 3.0, 50)
+                         + 1j * rng.choice([-1, 1], 50) * rng.uniform(705, 715, 50))
+        zs = np.concatenate(parts)
+        bound = model.log_abs_lower_bound
+        decided = []
+
+        def counted(z, floor=-math.inf):
+            lb = bound(z, floor)
+            decided.append(int(np.sum(lb >= floor)))
+            return lb
+
+        max_iter = 50
+        for bailout_log in ((4.0,) if name == "product" else (4.0, 12.0, 500.0, 700.0)):
+            track = dynamics._orbit_track(model, beta, r0, max_iter, bailout_log)
+            broken = track.copy()
+            broken[3] = np.inf          # a sentinel inside the horizon
+            for trk in (track, broken):
+                for stop in (False, True):
+                    monkeypatch.setattr(model, "log_abs_lower_bound", _no_bound)
+                    want = dynamics._classify_batch(model, zs, trk, max_iter,
+                                                    bailout_log, stop_below_track=stop)
+                    monkeypatch.setattr(model, "log_abs_lower_bound", counted)
+                    got = dynamics._classify_batch(model, zs, trk, max_iter,
+                                                   bailout_log, stop_below_track=stop)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+        # the bound decides points of every sum, and none of a product
+        assert (sum(decided) == 0) == (name == "product")
+
+    def test_crossing_skips_the_overflowing_evaluation(self, monkeypatch):
+        # sin on ann(40), mc:8192:1: most orbits leave e^500 at step 2 after
+        # an iterate of modulus up to e^80; evaluating each one overflowed and
+        # was redone in log space (15,687 points through plain_values and
+        # 7,437 through log_eval_many without the bound)
+        monkeypatch.setenv("CRG_THREADS", "1")
+        model = models.ExponentialSum(SIN_TERMS)
+        counts = {"plain_values": 0, "log_eval_many": 0}
+        for method in counts:
+            monkeypatch.setattr(model, method, _counting(getattr(model, method), counts, method))
+        beta = growth.GrowthMinorant.growth_scale(1.0, growth.EpsilonCascade(1))
+        rep = dynamics.measure_estimate(model, criteria.AnnulusSpec(40.0),
+                                        criteria.MonteCarloPlan(8192, 1), beta)
+        assert rep.hits == 7455
+        assert counts["log_eval_many"] <= 0.01 * 7437
+        assert counts["plain_values"] <= 8300

@@ -264,6 +264,105 @@ class TestCanonicalProductContract:
         assert prod.tail_bound == pytest.approx(6e-298, rel=1e-12)
 
 
+def _random_sum(rng) -> list[tuple[list[complex], complex]]:
+    """1 to 4 terms, each a polynomial of degree <= 2 with coefficients of
+    modulus 1e-5 to 1e5 times e^(b z), b on a 0.1 lattice; b = 0 is one
+    of the exponents about a quarter of the time."""
+    terms, seen = [], set()
+    while len(terms) < rng.integers(1, 5):
+        b = 0j if rng.random() < 0.25 else complex(*np.round(rng.normal(0, 2, 2), 1))
+        if b not in seen:
+            seen.add(b)
+            coeffs = rng.normal(0, 1, (rng.integers(1, 4), 2)) @ [1, 1j]
+            terms.append((list(coeffs * 10.0 ** rng.uniform(-5, 5, coeffs.size)), b))
+    return terms
+
+
+def _near_cancelling(terms, rng) -> np.ndarray:
+    """Points where term 1 is -t times term 0 with t in [0.05, 0.5], so
+    |f| meets the bound's |T_0|(1 - Q) where no other term counts, and points
+    nearing a root of a linear P_k along its outward ray, where l_k is a
+    residue of cancellation."""
+    pts = []
+    if len(terms) > 1 and len(terms[0][0]) == len(terms[1][0]) == 1:
+        (c0,), b0 = terms[0]
+        (c1,), b1 = terms[1]
+        t = rng.uniform(0.05, 0.5, 20)
+        turns = 2j * math.pi * rng.integers(-3, 4, 20)
+        pts.append((np.log(-t * c0 / c1) + turns) / (b1 - b0))
+    for coeffs, _ in terms:
+        if len(coeffs) == 2:
+            pts.append(-coeffs[0] / coeffs[1] * (1 + 2.0 ** -rng.integers(30, 53, 20)))
+    return np.concatenate(pts) if pts else np.zeros(0, dtype=complex)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLogAbsLowerBound:
+    """The closed-form lower bound of log|f| that decides orbit crossings."""
+
+    def test_sound_on_random_sums(self):
+        rng = np.random.default_rng(28)
+        bounded = tight = reached = 0
+        for case in range(600):
+            terms = _random_sum(rng)
+            if case % 50 == 0:      # a coefficient near the float range
+                terms[0][0][-1] = 1e300
+            model = models.ExponentialSum(terms)
+            zs = np.concatenate([
+                10.0 ** rng.uniform(-2, 3, 300) * np.exp(2j * math.pi * rng.random(300)),
+                10.0 ** rng.uniform(3, 30, 20) * np.exp(2j * math.pi * rng.random(20)),
+                _near_cancelling(model.terms, rng)])
+            lb = model.log_abs_lower_bound(zs)
+            log_abs, _, valid = model.log_eval_many(zs)
+            # inside the radius e^reach, log|f| stays below the floor
+            below = np.log(np.abs(zs)) < model.log_abs_reach(5.0)
+            assert (log_abs[below & valid] < 5.0).all()
+            reached += (below & valid).sum()
+            assert not np.isnan(lb).any() and (lb < np.inf).all()
+            fin = np.isfinite(lb)
+            # below ZERO_HIT_LOG log_eval_many reads -inf, and so must the truth
+            assert (lb[fin & ~valid] < models.ZERO_HIT_LOG).all()
+            ok = fin & valid
+            assert (lb[ok] <= log_abs[ok]).all()
+            bounded += ok.sum()
+            tight += (log_abs[ok] - lb[ok] < 1e-6 * (1.0 + np.abs(log_abs[ok]))).sum()
+        # the bound holds on most points and meets log|f| within its slack on some
+        assert bounded > 100_000 and tight > 100 and reached > 10_000
+
+    def test_polynomial_sum_and_no_domination(self):
+        # (1 + z)e^z + z^2 e^-z: at z = -10 the second term dominates with
+        # l = |z|^2 and Q = 11 e^-20 / 100; at z = i it has l = 1 against
+        # U = 2 for the first term, so Q = 2 > 1/2
+        model = models.ExponentialSum([([1.0, 1.0], 1.0), ([0.0, 0.0, 1.0], -1.0)])
+        lb = model.log_abs_lower_bound(np.array([-10.0, 1j]))
+        log_abs = model.log_eval_many(np.array([-10.0]))[0][0]
+        assert lb[0] <= log_abs < lb[0] + 1e-7
+        assert lb[1] == -np.inf
+        poly = models.ExponentialSum([([-8.0, 0.0, 0.0, 1.0], 0.0)])   # z^3 - 8
+        lb = poly.log_abs_lower_bound(np.array([1e30, 3.0, 2.0]))
+        assert lb[0] == pytest.approx(90 * math.log(10), rel=1e-8)
+        assert lb[1] == pytest.approx(math.log(19.0), rel=1e-8)
+        assert lb[2] == -np.inf       # l = 2^3 - 8 = 0 at the root
+
+    def test_floor_spares_only_points_that_cannot_reach_it(self, sin_model):
+        zs = np.array([1.0 + 600j, 1.0 + 400j, 3.0])
+        full = sin_model.log_abs_lower_bound(zs)
+        spared = sin_model.log_abs_lower_bound(zs, 500.0)
+        assert full[0] == spared[0] > 500.0
+        assert np.isfinite(full[1]) and spared[1] == -np.inf
+        assert (spared[2], full[2]) == (-np.inf, -np.inf)   # no term dominates on R
+
+    def test_reach_of_sin(self, sin_model):
+        # log|sin z| <= |Im z| <= |z|, and the bound |z| reaches 500 at |z| = 500
+        assert math.log(499.99) < sin_model.log_abs_reach(500.0) <= math.log(500.0)
+        assert sin_model.log_abs_reach(-1e9) == -np.inf
+
+    def test_product_has_no_bound_yet(self, k_squared_product):
+        lb = k_squared_product.log_abs_lower_bound(np.array([50.0 + 10j, -40.0]), 0.0)
+        assert (lb == -np.inf).all()
+        assert k_squared_product.log_abs_reach(0.0) == np.inf
+
+
 class TestExponentialSumValidation:
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(ValueError):
