@@ -25,8 +25,6 @@ from .errors import (
 from .growth import EpsilonCascade, angle_grid, scale_V
 from .models import CanonicalProduct, FunctionModel, log_derivative
 
-_TWO_PI = 2.0 * math.pi
-
 
 def schwarz_log_derivative(model: FunctionModel, z: complex, t_r: float,
                            node_count: int) -> complex:
@@ -110,7 +108,7 @@ def check_8l(model: FunctionModel, cascade: EpsilonCascade,
     breaks = ind.breakpoints
     for r, theta in samples:
         e2 = cascade.eps2(r)
-        dist = min(abs(math.remainder(theta - tb, _TWO_PI)) for tb in breaks)
+        dist = min(abs(math.remainder(theta - tb, math.tau)) for tb in breaks)
         if dist < 3.0 * e2:
             raise SectorViolation(
                 f"theta = {theta:g} is {dist:.3g} < 3*eps2 = {3 * e2:.3g} "
@@ -154,8 +152,8 @@ def kernel_integral_I(rho_at_r: float, p: int, z: complex) -> KernelIntegralResu
         raise BranchViolation("z = 0 is outside the branch domain")
     theta = math.atan2(z.imag, z.real)
     if theta <= 0.0:
-        theta += _TWO_PI
-    if not (0.0 < theta < _TWO_PI):
+        theta += math.tau
+    if not (0.0 < theta < math.tau):
         raise BranchViolation(f"arg z = {theta:g} not in (0, 2*pi)")
     radius = abs(z)
 
@@ -240,9 +238,9 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
     for (r, theta), z, measured, ok in zip(samples, zs, log_abs.tolist(), valid):
         eps = cascade.eps1(r)
         half_band = math.sqrt(eps)
-        if not (half_band <= theta <= _TWO_PI - half_band):
+        if not (half_band <= theta <= math.tau - half_band):
             raise BandViolation(
-                f"theta = {theta:g} outside [{half_band:g}, {_TWO_PI - half_band:g}]")
+                f"theta = {theta:g} outside [{half_band:g}, {math.tau - half_band:g}]")
         v = scale_V(rho, r)
         n_r = product.counting_function(r)
         if abs(n_r - c * v) > declared_constant * eps * v:

@@ -24,7 +24,8 @@ and ``analytic``, ``covering`` and ``dynamics`` are imported by the
 commands that run them, so ``import crglab.cli`` does not load them.
 
 Exit codes follow the error hierarchy: 0 success, 1 usage or parse failure
-(any ValueError, including ParseError and BelowThreshold, or OSError),
+(any ValueError, including ParseError and BelowThreshold, OSError, or a
+MemoryError from an input too large to hold),
 3 certificate or audit failure (CertificateFailure), 2 any other CrgLabError
 (overflow, zero hit, contour too close).
 """
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import criteria, growth, models
-from .errors import CertificateFailure, CrgLabError, require_positive
+from .errors import CertificateFailure, CrgLabError, require_increasing, require_positive
 from .parser import ExpSumNode, FunctionSpecAST, ProductNode, parse_function_spec
 
 
@@ -201,14 +202,21 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_check14(args: argparse.Namespace) -> int:
+    r_list = require_increasing("r_list", args.r_list)
     model = build_model(parse_function_spec(args.fn),
-                        criteria.AnnulusSpec(max(args.r_list)).reach)
+                        criteria.AnnulusSpec(r_list[-1]).reach)
     cascade = growth.EpsilonCascade(args.N)
     beta = growth.GrowthMinorant.growth_scale(model.order, cascade)
     alpha = growth.sector_budget(args.m_arcs, cascade)
     series = growth.series_condition_check(alpha, beta, args.r0, args.tail_tol)
-    margins = criteria.hypothesis_check_14b(model, beta, alpha, args.r_list,
-                                            args.plan)
+    pred = criteria.predicate_B(model, beta)
+    margins = []
+    for r in r_list:
+        density = criteria.annulus_density(pred, criteria.AnnulusSpec(r), args.plan).density
+        a_r = float(alpha(math.log(r)))
+        margin = density - (1.0 - a_r)
+        margins.append({"r": r, "density": density, "alpha": a_r, "margin": margin,
+                        "flagged": margin < 0.0})
     write_json(args.out, {
         "format_version": 1,
         "series": {
@@ -217,7 +225,7 @@ def _cmd_check14(args: argparse.Namespace) -> int:
             "terms_used": series.terms_used,
             "r0": args.r0,
         },
-        "margins": [asdict(m) for m in margins],
+        "margins": margins,
     })
     return 0
 
@@ -446,6 +454,10 @@ def run(argv: Sequence[str]) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"invalid input: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)

@@ -266,9 +266,9 @@ def _densest_disk(pts: np.ndarray, rho: float) -> tuple[int, complex]:
     the same float test, in descending-bound order, until a bound falls
     below the best count found. Every candidate left untested counts less
     than the winner, or as many but later in the order, so the winner and
-    its bits are those of testing every candidate. Pivots go in blocks of at most _BAND_BLOCK band entries, so
-    no temporary grows with n^2. Cost: O(P log P) for P band pairs, plus n
-    per tested candidate.
+    its bits are those of testing every candidate. Pivots go in blocks of at
+    most _BAND_BLOCK band entries, so no temporary grows with n^2. Cost:
+    O(P log P) for P band pairs, plus n per tested candidate.
     """
     n = len(pts)
     tol = 1e-9 * max(rho, 1.0)

@@ -26,19 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import require_increasing, require_positive
+from .errors import require_positive
 from .growth import GrowthMinorant, angle_grid
 from .models import FunctionModel
 from .parallel import map_chunked
 
 if TYPE_CHECKING:
     from .covering import DiskSet
-
-_TWO_PI = 2.0 * math.pi
 
 # thresholds defining the escape-criteria sets A and B
 A_THRESHOLD = 64.0
@@ -47,12 +45,16 @@ B_RADIUS_FACTOR = 32.0
 
 @dataclass(frozen=True)
 class AnnulusSpec:
-    """The annulus r/2 < |z| < 2r."""
+    """The annulus r/2 < |z| < 2r, for an r > 0 whose ``reach`` 3.1 r is
+    finite, so that every sample and every B disk point is a float."""
 
     r: float
 
     def __post_init__(self) -> None:
         require_positive("annulus radius", self.r)
+        if not math.isfinite(self.reach):
+            raise ValueError(f"annulus radius {self.r:g} puts the reach 3.1 r "
+                             "of its B disks past the float range")
 
     @property
     def inner(self) -> float:
@@ -168,7 +170,7 @@ def _place(region: Region, plan: SamplePlan, draws: np.ndarray) -> np.ndarray:
     if isinstance(plan, GridPlan):
         j, i = np.divmod(draws, plan.n1)
         if isinstance(region, AnnulusSpec):
-            thetas = (i + 0.5) * (_TWO_PI / plan.n1)
+            thetas = (i + 0.5) * (math.tau / plan.n1)
             s = region.r * np.sqrt(0.25 + 3.75 * (j + 0.5) / plan.n2)
             return s * np.exp(1j * thetas)
         x = region.x0 + (i + 0.5) * (region.x1 - region.x0) / plan.n1
@@ -177,7 +179,7 @@ def _place(region: Region, plan: SamplePlan, draws: np.ndarray) -> np.ndarray:
     u, v = draws[:, 0], draws[:, 1]
     if isinstance(region, AnnulusSpec):
         s = region.r * np.sqrt(0.25 + 3.75 * u)
-        return s * np.exp(1j * _TWO_PI * v)
+        return s * np.exp(1j * math.tau * v)
     return (region.x0 + u * (region.x1 - region.x0)
             + 1j * (region.y0 + v * (region.y1 - region.y0)))
 
@@ -338,27 +340,3 @@ def annulus_density(predicate: Callable[[np.ndarray], np.ndarray],
         half = 1.96 * math.sqrt(max(density * (1.0 - density), 0.0) / n)
     return DensityReport(region.region_dict(), plan.plan_dict(), hits, n,
                          density, half, excluded)
-
-
-@dataclass(frozen=True)
-class MarginRow:
-    r: float
-    density: float
-    alpha: float
-    margin: float
-    flagged: bool
-
-
-def hypothesis_check_14b(model: FunctionModel, beta: GrowthMinorant,
-                         alpha: Callable[[float], float], r_list: Sequence[float],
-                         plan: SamplePlan) -> list[MarginRow]:
-    """margin(r) = dens(B, ann(r)) - (1 - alpha(r)), with ``alpha`` a
-    function of log r; negative margins flagged."""
-    pred = predicate_B(model, beta)
-    rows = []
-    for r in require_increasing("r_list", r_list):
-        rep = annulus_density(pred, AnnulusSpec(r), plan)
-        a_r = float(alpha(math.log(r)))
-        margin = rep.density - (1.0 - a_r)
-        rows.append(MarginRow(r, rep.density, a_r, margin, margin < 0.0))
-    return rows

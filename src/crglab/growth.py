@@ -19,8 +19,6 @@ from .errors import (BelowThreshold, OverflowUnrepresentable, ZeroHit,
                      require_increasing, require_positive)
 from .models import FunctionModel
 
-_TWO_PI = 2.0 * math.pi
-
 # log values above this are collapsed to the +inf sentinel when iterating
 # a minorant; exp() of anything near it is unrepresentable anyway.
 LOG_SENTINEL = 1e300
@@ -87,7 +85,7 @@ def angle_grid(n: int) -> np.ndarray:
     """The n angles 2 pi k / n, k = 0..n-1."""
     if n < 1:
         raise ValueError(f"need at least one angle, got {n}")
-    return np.arange(n) * (_TWO_PI / n)
+    return np.arange(n) * (math.tau / n)
 
 
 def _log_moduli(model: FunctionModel, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +141,6 @@ class GrowthMinorant:
 
     threshold_x0: float
     log_beta_of_log: Callable[[np.ndarray], np.ndarray]
-    description: str
     fast_escaping_form: bool = False
 
     def log_beta_many(self, rs: np.ndarray) -> np.ndarray:
@@ -162,9 +159,7 @@ class GrowthMinorant:
             with np.errstate(over="ignore"):   # c * exp(x) past the float range is +inf
                 return c * _safe_exp(mu * l)
 
-        return GrowthMinorant(_find_threshold(lb), lb,
-                              f"beta(r) = exp({c:g} * r**{mu:g})",
-                              fast_escaping_form=True)
+        return GrowthMinorant(_find_threshold(lb), lb, fast_escaping_form=True)
 
     @staticmethod
     def growth_scale(rho: float, cascade: EpsilonCascade) -> "GrowthMinorant":
@@ -175,10 +170,7 @@ class GrowthMinorant:
         def lb(l: np.ndarray) -> np.ndarray:
             return _safe_exp(rho * l) * cascade.eps1_from_log(l)
 
-        return GrowthMinorant(
-            _find_threshold(lb), lb,
-            f"beta(r) = exp(r**{rho:g} / log^{cascade.N}(r))",
-            fast_escaping_form=True)
+        return GrowthMinorant(_find_threshold(lb), lb, fast_escaping_form=True)
 
 def _safe_exp(x: np.ndarray) -> np.ndarray:
     """exp(x) elementwise, cut to +inf at x >= 709, just below where exp

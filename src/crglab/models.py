@@ -42,8 +42,6 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Relative cancellation below which the logarithmic derivative is refused.
 _NEAR_ZERO_REL = 1e-6
 
-_TWO_PI = 2.0 * math.pi
-
 # |1 - z/a_k|^2 at or below which a point of a product is a zero hit: z/a_k is
 # rounded in three steps (the rotation onto the ray, 1/|a_k| and the product),
 # so a point on a zero can read |1 - z/a_k| of a few 1e-16 instead of 0
@@ -74,7 +72,7 @@ class ExactIndicator:
     def h(self, theta: float | np.ndarray) -> float | np.ndarray:
         """h elementwise; a scalar theta gives a float."""
         lo = self.arcs[0].theta_lo
-        t = lo + np.mod(np.asarray(theta, dtype=float) - lo, _TWO_PI)
+        t = lo + np.mod(np.asarray(theta, dtype=float) - lo, math.tau)
         # the first arc ending at or past t (1e-15 slack), else the last
         ends = np.array([a.theta_hi for a in self.arcs]) + 1e-15
         j = np.minimum(np.searchsorted(ends, t), len(self.arcs) - 1)
@@ -133,7 +131,9 @@ class ExponentialSum:
         if len({(b.real, b.imag) for b in exps}) != len(exps):
             raise ValueError("exponents must be pairwise distinct")
         self.terms: tuple[tuple[tuple[complex, ...], complex], ...] = tuple(cleaned)
-        self._reaches: dict[float, float] = {}   # floor -> log_abs_reach(floor)
+        # the exponent gaps |b_k - b_i| and sizes |b_k| of the Rouche bounds
+        self._gap_matrix = np.array([[abs(b - c) for c in exps] for b in exps])
+        self._abs_b = np.array([abs(b) for b in exps])
 
     def __repr__(self) -> str:
         parts = [f"{list(c)}*exp({b}z)" for c, b in self.terms]
@@ -158,19 +158,19 @@ class ExponentialSum:
         # angle atan2(-d.real, d.imag), and a single vertex gives d = 0 and
         # the one arc [0, 2 pi]
         edges = [v - u for u, v in zip(verts[-1:] + verts[:-1], verts)]
-        starts = [math.atan2(-edges[0].real, edges[0].imag) % _TWO_PI]
+        starts = [math.atan2(-edges[0].real, edges[0].imag) % math.tau]
         for d_in, d_out in zip(edges, edges[1:]):
             # the arc of a vertex is its exterior angle, in [0, pi]; adding
             # these keeps the arcs in hull order even where rounding would
             # swap two nearly equal normal angles
             c = d_in.conjugate() * d_out
             starts.append(min(starts[-1] + math.atan2(abs(c.imag), c.real),
-                              starts[0] + _TWO_PI))
+                              starts[0] + math.tau))
         # the arcs past 2 pi, a suffix, wrap round to the front
-        k = sum(t < _TWO_PI for t in starts)
+        k = sum(t < math.tau for t in starts)
         arc_order = [*range(k, len(verts)), *range(k)]
-        lo = [starts[j] - _TWO_PI if j >= k else starts[j] for j in arc_order]
-        hi = lo[1:] + [lo[0] + _TWO_PI]
+        lo = [starts[j] - math.tau if j >= k else starts[j] for j in arc_order]
+        hi = lo[1:] + [lo[0] + math.tau]
         arcs = []
         for j, t0, t1 in zip(arc_order, lo, hi):
             if t1 > t0:  # a vertex whose exterior angle rounds to 0 wins nowhere
@@ -246,11 +246,6 @@ class ExponentialSum:
         abs_s = np.abs(s)
         return (*_log_modulus(mu, s, abs_s), *_log_ratio(s, ds, abs_s, scale))
 
-    def _gaps(self) -> np.ndarray:
-        """The matrix |b_k - b_i| of exponent gaps."""
-        exps = self.exponents()
-        return np.array([[abs(b - c) for c in exps] for b in exps])
-
     def log_abs_lower_bound(self, zs: np.ndarray,
                             floor: float = -math.inf) -> np.ndarray:
         """A lower bound of log|f(z)| at each point, or -inf where no term
@@ -289,7 +284,7 @@ class ExponentialSum:
             for coeffs, b in self.terms:
                 up, _, low = _poly_bounds(coeffs, abs_z, abs_z)
                 terms.append((up, low, (b * zs).real, up))
-            _, l_j, re_j, u_j, _, q = _dominance(terms, self._gaps(), 0.0)
+            _, l_j, re_j, u_j, _, q = _dominance(terms, self._gap_matrix, 0.0)
             head = re_j + np.log(l_j)
             bound = head + np.log1p(-q) - 1e-9 * (1.0 + np.abs(head))
         ok = (l_j > 1e-4 * u_j) & (q <= 0.5) & np.isfinite(bound)
@@ -300,27 +295,23 @@ class ExponentialSum:
         """log r* such that log|f(z)| < floor wherever |z| < r*, from the
         upper bound max_k (|b_k| r + log U_k(r)) + log(#terms) of log|f| on
         |z| = r, which increases with r: -inf where that bound reaches
-        ``floor`` at r = e^-700, else the bound bisected in log r up to 700.
-        Cached per floor."""
-        if floor not in self._reaches:
-            # per term: |b_k| and (log |c_ki|, i) over the nonzero c_ki
-            logs = [(abs(b), [(math.log(abs(c)), i) for i, c in enumerate(coeffs) if c])
-                    for coeffs, b in self.terms]
+        ``floor`` at r = e^-700, else the bound bisected in log r up to 700."""
+        # per term: |b_k| and (log |c_ki|, i) over the nonzero c_ki
+        logs = [(abs(b), [(math.log(abs(c)), i) for i, c in enumerate(coeffs) if c])
+                for coeffs, b in self.terms]
 
-            def upper(log_r: float) -> float:
-                return math.log(len(logs)) + max(
-                    size * math.exp(log_r) + _log_sum_exp([lc + i * log_r for lc, i in mags])
-                    for size, mags in logs)
+        def upper(log_r: float) -> float:
+            return math.log(len(logs)) + max(
+                size * math.exp(log_r) + _log_sum_exp([lc + i * log_r for lc, i in mags])
+                for size, mags in logs)
 
-            lo, hi = -700.0, 700.0
-            if upper(lo) >= floor:
-                lo = -math.inf
-            else:
-                for _ in range(30):
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (lo, mid) if upper(mid) >= floor else (mid, hi)
-            self._reaches[floor] = lo
-        return self._reaches[floor]
+        lo, hi = -700.0, 700.0
+        if upper(lo) >= floor:
+            return -math.inf
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if upper(mid) >= floor else (mid, hi)
+        return lo
 
     def disk_re_zl_lower_bound(self, centers: np.ndarray,
                                radii: np.ndarray) -> np.ndarray:
@@ -349,13 +340,12 @@ class ExponentialSum:
         radii = np.asarray(radii, dtype=np.float64)
         abs_z = np.abs(centers)
         hi, lo = abs_z + radii, np.maximum(abs_z - radii, 0.0)
-        exps = self.exponents()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                          under="ignore"):
             # per term k: (U_k, U'_k, l_k) and Re(b_k z)
             terms = [(*_poly_bounds(coeffs, hi, lo), (b * centers).real)
                      for coeffs, b in self.terms]
-            gaps = self._gaps()
+            gaps = self._gap_matrix
             j, l_j, re_j, d_up_j, ratios, q = _dominance(
                 [(up, low, re_bz, d_up) for up, d_up, low, re_bz in terms], gaps, radii)
             rel_j = d_up_j / l_j
@@ -363,7 +353,7 @@ class ExponentialSum:
             for k, ((up, d_up, _, _), ratio) in enumerate(zip(terms, ratios)):
                 gap = gaps[k][j]   # |b_k - b_j|
                 dq += np.where(j != k, ratio * (d_up + up * (gap + rel_j)), 0.0)
-            abs_b_j = np.array([abs(c) for c in exps])[j]
+            abs_b_j = self._abs_b[j]
             delta = rel_j + dq / (1.0 - q)
             bound = (re_j - abs_b_j * radii - hi * delta
                      - 1e-9 * hi * (abs_b_j + delta))   # the rounding slack
@@ -543,7 +533,7 @@ class CanonicalProduct:
             raise ValueError(f"genus {self.genus} is not the canonical genus "
                              f"{math.floor(rho)} of order rho = {rho:g}")
         rule = self.rule
-        arc = SinusoidArc(rule.angle, rule.angle + _TWO_PI,
+        arc = SinusoidArc(rule.angle, rule.angle + math.tau,
                           math.pi / math.sin(math.pi * rho),
                           -rho * (rule.angle + math.pi))
         return ExactIndicator(arcs=(arc,), rho=rho)
@@ -633,7 +623,7 @@ class CanonicalProduct:
     def log_eval_many(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Truncated sum of log E(z/a_k, p); accurate to within tail_bound."""
         log_abs, valid, _, _, phase = self._factor_sums(zs, log=True, phase=True, deriv=False)
-        phase = np.remainder(phase + math.pi, _TWO_PI) - math.pi
+        phase = np.remainder(phase + math.pi, math.tau) - math.pi
         phase = np.where(phase == -math.pi, math.pi, phase)
         return log_abs, np.where(valid, phase, 0.0), valid
 

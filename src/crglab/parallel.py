@@ -1,9 +1,9 @@
 """Deterministic worker-thread fan-out.
 
 The environment variable CRG_THREADS caps worker parallelism; absence means
-auto. Work is split into fixed-size index chunks whose results are written
-back by position, so outputs are bit-identical for any worker count or
-completion order.
+min(8, the number of CPUs the process may run on). Work is split into
+fixed-size index chunks whose results are written back by position, so
+outputs are bit-identical for any worker count or completion order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ _CHUNK = 8192
 def worker_count() -> int:
     raw = os.environ.get("CRG_THREADS")
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        return min(8, cpus)
     try:
         n = int(raw)
     except ValueError:

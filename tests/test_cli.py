@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import crglab
+from crglab import criteria, parallel
 from crglab.cli import run
 
 # a numeric warning on the way to a verdict or a refusal is a second stderr
@@ -305,6 +306,22 @@ class TestExitCodes:
         assert len(err) == 1 and "f'/f leaves the float range" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("message,reason", [
+        ("Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000)",
+         "Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000)"),
+        ("", "allocation failed")], ids=["numpy", "bare"])
+    def test_memory_error_is_one(self, message, reason, tmp_path, monkeypatch, capsys):
+        # the draws of mc:1e12:1 would take 14.6 TiB; raised here, not allocated
+        def draws(plan):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(criteria, "_draws", draws)
+        out = tmp_path / "d.json"
+        assert run(["density", "--fn", EXP, "--r", "200", "--plan", "mc:1e12:1",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"invalid input: out of memory: {reason}\n"
+        assert not out.exists()
+
     def test_unknown_command_is_one(self):
         assert run(["no-such-command"]) == 1
 
@@ -531,6 +548,19 @@ class TestRefusalReasons:
         (["escape-map", "--fn", SIN, "--window", "0,6.2832,-3,3", "--size", "4xa",
           "--r0", "2", "--out", "m.pgm"], "height must be an integer, got 'a'"),
         *[(argv, "passes the float range") for argv in PAST_FLOAT_RANGE.values()],
+        *[(["check-14", "--fn", SIN, "--r0", "100", "--r-list", r_list,
+            "--plan", "mc:200:1", "--out", "c.json"], reason)
+          for r_list, reason in (
+              ("2000,1000", "r_list must hold at least 1 strictly increasing values"),
+              ("", "argument --r-list: could not convert string to float"))],
+        # 2r and 3.1r overflow: the samples read inf, and e^z read 0.034
+        *[(argv, "annulus radius 1e+308 puts the reach 3.1 r of its B disks "
+                 "past the float range") for argv in (
+            ["density", "--fn", EXP, "--r", "1e308", "--plan", "mc:1000:1",
+             "--out", "d.json"],
+            ["check-14", "--fn", SIN, "--r0", "100", "--r-list", "1000,1e308",
+             "--plan", "mc:200:1", "--out", "c.json"],
+            _MEASURE + ["--annulus", "1e308"])],
     ], ids=["window-inf", "window-three-numbers", "schwarz-radius-negative",
             "check-8l-radius-negative", "check-8l-radius-0", "size-3", "size-4x4x4",
             "measure-product-bailout-35", "escape-map-product-bailout-35",
@@ -538,7 +568,9 @@ class TestRefusalReasons:
             "beta-exp-power-one-number", "beta-exp-power-three-numbers",
             "beta-growth-scale-x", "beta-growth-scale-0", "density-disk-samples",
             "check-14-disk-samples", "plan-grid-2.5", "plan-seed-x", "size-4xa",
-            *PAST_FLOAT_RANGE])
+            *PAST_FLOAT_RANGE, "check-14-r-list-decreasing", "check-14-r-list-empty",
+            "density-reach-past-float-range", "check-14-reach-past-float-range",
+            "measure-reach-past-float-range"])
     def test_argument_refused_with_its_reason(self, argv, reason, tmp_path,
                                               monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -658,6 +690,20 @@ class TestByteDeterminismAcrossThreads:
         assert blobs[0] == blobs[1]
         rep = json.loads(blobs[0])
         assert 0.0 < rep["excluded_fraction"] < 1.0 and rep["hits"] > 0
+
+    @pytest.mark.parametrize("cpus,want", [({0}, 1), ({0, 1}, 2), (set(range(12)), 8)])
+    def test_default_workers_are_the_cpus_the_process_may_run_on(self, cpus, want,
+                                                                  monkeypatch):
+        monkeypatch.delenv("CRG_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert parallel.worker_count() == want
+
+    def test_default_workers_without_affinity_are_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("CRG_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert parallel.worker_count() == 3
 
     def test_invalid_thread_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRG_THREADS", "zero")

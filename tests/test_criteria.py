@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from crglab import criteria, growth, models
+from crglab.cli import run
 from crglab.covering import DiskSet
 
 
@@ -406,32 +408,46 @@ class TestExclusions:
         assert rep.excluded_fraction == pytest.approx(1.0 / 60.0, abs=1e-3)
 
 
+def _check14_rows(tmp_path, fn, r_list, plan):
+    """The margin rows that ``check-14`` writes."""
+    out = tmp_path / "c14.json"
+    assert run(["check-14", "--fn", fn, "--r0", "100", "--r-list", r_list,
+                "--plan", plan, "--out", str(out)]) == 0
+    rows = json.loads(out.read_bytes())["margins"]
+    for row in rows:
+        assert list(row) == ["r", "density", "alpha", "margin", "flagged"]
+        assert row["margin"] == row["density"] - (1.0 - row["alpha"])
+        assert row["flagged"] == (row["margin"] < 0.0)
+    return rows
+
+
 class TestHypothesis14b:
-    def test_exp_fails_as_it_must(self, exp_model, beta_half):
-        rows = criteria.hypothesis_check_14b(
-            exp_model, beta_half, lambda l: 0.5, [200.0],
-            criteria.MonteCarloPlan(20_000, 3))
-        assert rows[0].flagged
-        assert rows[0].margin == pytest.approx(-0.17, abs=0.03)
+    """check-14's rows: margin(r) = dens(B, ann(r)) - (1 - alpha(r)), with
+    dens(B) from ``annulus_density``, flagged where it is negative."""
 
-    def test_sin_default_margin_regression(self, sin_model):
-        cascade = growth.EpsilonCascade(1)
-        beta = growth.GrowthMinorant.growth_scale(1.0, cascade)
-        alpha = growth.sector_budget(2, cascade)
-        rows = criteria.hypothesis_check_14b(
-            sin_model, beta, alpha, [1000.0],
-            criteria.MonteCarloPlan(4000, 11))
-        assert not rows[0].flagged and rows[0].margin > 0
+    def test_exp_fails_as_it_must(self, tmp_path, monkeypatch):
+        # alpha = 0.5 in place of the sector budget, which exceeds 1 at
+        # every float radius
+        monkeypatch.setattr(growth, "sector_budget", lambda m, cascade: lambda l: 0.5)
+        rows = _check14_rows(tmp_path, "expsum:[1]exp(1)", "200,400", "mc:20000:3")
+        assert [row["r"] for row in rows] == [200.0, 400.0]
+        assert all(row["flagged"] for row in rows)
+        assert rows[0]["margin"] == pytest.approx(-0.085, abs=0.03)
+
+    def test_sin_default_margin_regression(self, tmp_path):
+        sin = "expsum:[(0,-0.5)]exp((0,1));[(0,0.5)]exp((0,-1))"
+        [row] = _check14_rows(tmp_path, sin, "1000", "mc:4000:11")
+        assert not row["flagged"] and row["margin"] > 0
         # regression baseline from the first verified run
-        assert rows[0].density == pytest.approx(0.914, abs=0.02)
+        assert row["density"] == pytest.approx(0.914, abs=0.02)
 
-    def test_always_true_stub_margin_equals_alpha(self):
-        alpha = lambda l: 0.25
-        rep = criteria.annulus_density(lambda zs: np.ones(zs.shape, bool),
-                                       criteria.AnnulusSpec(50.0),
-                                       criteria.MonteCarloPlan(1000, 5))
-        margin = rep.density - (1.0 - alpha(math.log(50.0)))
-        assert margin == pytest.approx(0.25)
+    def test_always_true_stub_margin_equals_alpha(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(criteria, "predicate_B",
+                            lambda model, beta: lambda zs: np.ones(zs.shape, bool))
+        [row] = _check14_rows(tmp_path, "expsum:[1]exp(1)", "50", "mc:1000:5")
+        alpha = growth.sector_budget(2, growth.EpsilonCascade(1))
+        assert row["density"] == 1.0
+        assert row["margin"] == pytest.approx(alpha(math.log(50.0)))
 
 
 class TestReportSerialization:

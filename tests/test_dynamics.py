@@ -327,11 +327,12 @@ class TestCompactedClassifier:
         track = dynamics._orbit_track(model, beta, r0, max_iter, bailout_log)
         want_codes, want_steps = _full_mask_classify(model, zs, track, max_iter, bailout_log)
 
-        codes, steps = dynamics._classify_batch(model, zs, track, max_iter, bailout_log)
+        crossing = dynamics._crossing_floor(model, bailout_log)
+        codes, steps = dynamics._classify_batch(model, zs, track, bailout_log, *crossing)
         assert np.array_equal(codes, want_codes)
         assert np.array_equal(steps, want_steps)
 
-        codes, steps = dynamics._classify_batch(model, zs, track, max_iter, bailout_log,
+        codes, steps = dynamics._classify_batch(model, zs, track, bailout_log, *crossing,
                                                 stop_below_track=True)
         assert np.array_equal(codes == ESCAPED, want_codes == ESCAPED)
         # a point that never fell below the track is decided as before
@@ -450,16 +451,17 @@ class TestClosedFormCrossing:
         max_iter = 50
         for bailout_log in ((4.0,) if name == "product" else (4.0, 12.0, 500.0, 700.0)):
             track = dynamics._orbit_track(model, beta, r0, max_iter, bailout_log)
+            crossing = dynamics._crossing_floor(model, bailout_log)
             broken = track.copy()
             broken[3] = np.inf          # a sentinel inside the horizon
             for trk in (track, broken):
                 for stop in (False, True):
                     monkeypatch.setattr(model, "log_abs_lower_bound", _no_bound)
-                    want = dynamics._classify_batch(model, zs, trk, max_iter,
-                                                    bailout_log, stop_below_track=stop)
+                    want = dynamics._classify_batch(model, zs, trk, bailout_log,
+                                                    *crossing, stop_below_track=stop)
                     monkeypatch.setattr(model, "log_abs_lower_bound", counted)
-                    got = dynamics._classify_batch(model, zs, trk, max_iter,
-                                                   bailout_log, stop_below_track=stop)
+                    got = dynamics._classify_batch(model, zs, trk, bailout_log,
+                                                   *crossing, stop_below_track=stop)
                     assert np.array_equal(got[0], want[0])
                     assert np.array_equal(got[1], want[1])
         # the bound decides points of every sum, and none of a product

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crglab import analytic, covering, criteria, growth, models
+from crglab import analytic, cli, covering, criteria, growth, models
 from crglab.errors import require_increasing, require_positive
 
 
@@ -30,13 +30,15 @@ class TestRequireIncreasing:
 
     def test_empty_radius_lists_refused(self, sin_model):
         # an empty list made zheng_ratio return inf, a vacuous d > 1
-        # certificate, and hypothesis_check_14b return no rows
+        # certificate, and check-14 write no margin rows
         with pytest.raises(ValueError, match="r_list"):
             growth.zheng_ratio(sin_model, [])
+        args = cli._build_parser().parse_args(
+            ["check-14", "--fn", "expsum:[1]exp(1)", "--r0", "100", "--r-list", "1000",
+             "--plan", "mc:10:1", "--out", "unwritten.json"])
+        args.r_list = []   # --r-list parses to no empty list, so it is set here
         with pytest.raises(ValueError, match="r_list"):
-            criteria.hypothesis_check_14b(
-                sin_model, _BETA, growth.sector_budget(2, _CASCADE),
-                [], criteria.MonteCarloPlan(10, 1))
+            args.func(args)
 
 
 _RULE = models.PowerZeroRule(2.0)

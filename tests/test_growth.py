@@ -345,7 +345,7 @@ class TestSeriesCondition:
     def test_slow_doubling_diverges(self):
         # beta(r) = 2r and alpha = 1/log r: alpha(beta^n(10)) is
         # 1/(log 10 + n log 2), a harmonic series
-        b = growth.GrowthMinorant(0.0, lambda l: l + math.log(2.0), "beta(r) = 2r")
+        b = growth.GrowthMinorant(0.0, lambda l: l + math.log(2.0))
         alpha = lambda l: 1 / l
         chk = growth.series_condition_check(alpha, b, 10.0, 1e-10,
                                             max_terms=2000)

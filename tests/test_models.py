@@ -376,7 +376,7 @@ class TestExponentialSumValidation:
 # The product evaluation in complex arithmetic, as it stood before the real
 # kernel: two copies of the point-block and factor-chunk loops over the zeros
 # a_k = |a_k| e^(i theta0), kept as an independent reference for the kernel.
-ZERO_HIT_LOG, _TWO_PI = models.ZERO_HIT_LOG, 2.0 * math.pi
+ZERO_HIT_LOG = models.ZERO_HIT_LOG
 
 
 def _ray_zeros(rule: models.PowerZeroRule, k_lo: int, k_hi: int) -> np.ndarray:
@@ -431,7 +431,7 @@ class _TwoLoopProduct(models.CanonicalProduct):
                 phase[blk] += term_arg.sum(axis=1)
         valid = ~hit & (log_abs >= ZERO_HIT_LOG)
         log_abs = np.where(valid, log_abs, -np.inf)
-        phase = np.remainder(phase + math.pi, _TWO_PI) - math.pi
+        phase = np.remainder(phase + math.pi, math.tau) - math.pi
         phase = np.where(phase == -math.pi, math.pi, phase)
         phase = np.where(valid, phase, 0.0)
         return (log_abs.reshape(zs.shape), phase.reshape(zs.shape),
@@ -521,7 +521,7 @@ class TestOneFactorPass:
         assert (log_abs[~valid] == -math.inf).all() and (phase[~valid] == 0.0).all()
         assert (lvals[~ok] == 0.0).all()
         d_abs = np.abs(np.where(valid, log_abs, 0.0) - np.where(valid, want_abs, 0.0))
-        d_arg = np.abs(np.remainder(phase - want_phase + math.pi, _TWO_PI) - math.pi)
+        d_arg = np.abs(np.remainder(phase - want_phase + math.pi, math.tau) - math.pi)
         vals, want_vals = model.plain_values(zs), ref.plain_values(zs)
         # 1e-12 from a_3, log(1 - z/a_3) has condition number |a_3|/1e-12 in
         # any arithmetic, so a few ulp of z/a_3 move it by about this much

@@ -137,6 +137,54 @@ def test_only_criteria_sweeps_through_the_pool():
     assert callers == ["criteria.py", "parallel.py"]
 
 
+def _self_mutations(tree: ast.Module) -> list[str]:
+    """'Class.method' of each store to, or deletion of, an attribute or item
+    reached from ``self`` in a method other than ``__init__`` of a top-level
+    class of ``tree``; tuple targets and augmented assignments count."""
+    found = []
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            for node in ast.walk(method):
+                if (isinstance(node, (ast.Attribute, ast.Subscript))
+                        and not isinstance(node.ctx, ast.Load)):
+                    root = node.value
+                    while isinstance(root, (ast.Attribute, ast.Subscript)):
+                        root = root.value
+                    if isinstance(root, ast.Name) and root.id == "self":
+                        found.append(f"{cls.name}.{method.name}")
+    return found
+
+
+def test_mutation_check_finds_attributes_items_and_tuples():
+    source = '''
+class Model:
+    def __init__(self):
+        self.cache = {}
+
+    def memo(self, x):
+        self.cache[x] = x
+
+    def pair(self):
+        a, self.b = 1, 2
+        self.c.d += 1
+        del self.cache[0]
+
+    def pure(self, other):
+        other.x = self.cache
+        y = [self.cache]
+'''
+    assert _self_mutations(ast.parse(source)) == ["Model.memo"] + ["Model.pair"] * 3
+
+
+def test_models_are_immutable_after_construction():
+    """The pool's threads share one model per command, so no method other
+    than ``__init__`` may change it."""
+    source = (_SRC / "models.py").read_text()
+    assert _self_mutations(ast.parse(source)) == []
+
+
 # The model kinds, and the one function each where code may still ask which
 # kind it holds: the AST-to-model boundary, the product --bailout-log cap,
 # rendering a spec, and the guard of the one single-kind command, verify-crg.
