@@ -203,28 +203,27 @@ class CRGComparison:
     eps_residual: float
 
 
-def verify_crg_ray_product(product: CanonicalProduct, c: float,
-                           cascade: EpsilonCascade,
+def verify_crg_ray_product(product: CanonicalProduct, cascade: EpsilonCascade,
                            samples: Sequence[tuple[float, float]],
                            declared_constant: float = 1.0) -> list[CRGComparison]:
-    """Compare log|f(r e^{i theta})| with c*pi*cos((theta-pi)rho)/sin(pi rho) * V(r),
-    rho the product's order and V(r) = r**rho.
+    """Compare log|f(r e^{i theta})| with h(theta) V(r), h the product's
+    ``exact_indicator()``, rho its order and V(r) = r**rho: the zeros
+    |a_k| = k**e have n(r) = floor(r**rho), so the density constant is 1.
 
     Preconditions enforced per sample: theta inside the band
     sqrt(eps(r)) <= theta <= 2pi - sqrt(eps(r)) (else BandViolation), zeros on
     the positive ray within the angular envelope, and the counting hypothesis
-    |n(r,0) - c*V(r)| <= declared_constant * eps(r) * V(r) (else
+    |n(r,0) - V(r)| <= declared_constant * eps(r) * V(r) (else
     HypothesisFailure), and no sample on a zero (else ZeroInDisk), checked
     sample by sample in that order. A model that is not a canonical product,
-    a product without an exact indicator, a c or declared_constant that is
-    not positive and finite, and a sample beyond the product's r_max raise
+    a product without an exact indicator, a declared_constant that is not
+    positive and finite, and a sample beyond the product's r_max raise
     ValueError before any sample is checked. All samples are evaluated in
     one call.
     """
     if not isinstance(product, CanonicalProduct):
         raise ValueError(f"{type(product).__name__} is not a canonical product")
-    rho = product.exact_indicator().rho
-    require_positive("c", c)
+    ind = product.exact_indicator()
     require_positive("declared_constant", declared_constant)
     angle = product.rule.angle
     if angle != 0.0:
@@ -241,14 +240,13 @@ def verify_crg_ray_product(product: CanonicalProduct, c: float,
         if not (half_band <= theta <= math.tau - half_band):
             raise BandViolation(
                 f"theta = {theta:g} outside [{half_band:g}, {math.tau - half_band:g}]")
-        v = scale_V(rho, r)
+        v = scale_V(ind.rho, r)
         n_r = product.counting_function(r)
-        if abs(n_r - c * v) > declared_constant * eps * v:
+        if abs(n_r - v) > declared_constant * eps * v:
             raise HypothesisFailure(
-                f"counting deviation |{n_r} - {c * v:.6g}| exceeds "
+                f"counting deviation |{n_r} - {v:.6g}| exceeds "
                 f"{declared_constant:g} * eps * V at r = {r:g}")
-        predicted = (c * math.pi * math.cos((theta - math.pi) * rho)
-                     / math.sin(math.pi * rho) * v)
+        predicted = ind.h(theta) * v
         if not ok:
             raise ZeroInDisk(f"sample point {complex(z)} hit a zero of the product")
         resid = (measured - predicted) / v

@@ -42,7 +42,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import criteria, growth, models
-from .errors import CertificateFailure, CrgLabError, require_increasing, require_positive
+from .errors import (CertificateFailure, CrgLabError, OverflowUnrepresentable,
+                     require_increasing, require_positive)
 from .parser import ExpSumNode, FunctionSpecAST, ProductNode, parse_function_spec
 
 
@@ -68,9 +69,17 @@ def write_json(path: str, obj: dict) -> None:
 
 
 def build_model(ast: FunctionSpecAST, r_max: float) -> models.FunctionModel:
-    """Materialise an AST; products fix their cutoff for radii up to r_max."""
+    """Materialise an AST for radii up to r_max: products fix their cutoff
+    for it, and a sum whose certified log radius it passes is refused."""
     if isinstance(ast, ExpSumNode):
-        return models.ExponentialSum([(t.coeffs, t.exponent) for t in ast.terms])
+        model = models.ExponentialSum([(t.coeffs, t.exponent) for t in ast.terms])
+        # a radius that is not positive and finite is refused where it is read
+        if 0.0 < r_max < math.inf and math.log(r_max) > model.certified_log_radius:
+            raise OverflowUnrepresentable(
+                f"|z| reaches {r_max:g}, past the radius "
+                f"{math.exp(model.certified_log_radius):.6g} beyond which some b_k z "
+                "of the sum leaves the float range")
+        return model
     rule = models.PowerZeroRule(exponent=ast.power, angle=ast.angle)
     return models.CanonicalProduct(rule, ast.genus, ast.cut, r_max)
 
@@ -233,14 +242,16 @@ def _cmd_check14(args: argparse.Namespace) -> int:
 def _build_dynamics_model(ast: FunctionSpecAST,
                           bailout_log: float) -> models.FunctionModel:
     """Orbits are followed out to |z| = exp(bailout_log); a product must be
-    certified that far, which is only tractable for modest bailouts."""
+    certified that far, which is only tractable for modest bailouts, and a
+    sum must stay in its float range there (``dynamics`` refuses a bailout
+    past 700)."""
     if isinstance(ast, ProductNode):
         if bailout_log > 34.0:
             raise ValueError(
                 "product orbits need --bailout-log <= 34 so the truncation "
                 "stays certifiable out to exp(bailout_log)")
         return build_model(ast, math.exp(bailout_log) * 1.01)
-    return build_model(ast, 1.0)
+    return build_model(ast, math.exp(min(bailout_log, 700.0)))
 
 
 def _cmd_escape_map(args: argparse.Namespace) -> int:
@@ -272,7 +283,7 @@ def _cmd_verify_crg(args: argparse.Namespace) -> int:
     model = build_model(parse_function_spec(args.fn),
                         max(r for r, _ in args.samples) * 1.01)
     cascade = growth.EpsilonCascade(args.N)
-    rows = analytic.verify_crg_ray_product(model, args.c, cascade, args.samples,
+    rows = analytic.verify_crg_ray_product(model, cascade, args.samples,
                                            args.hypothesis_constant)
     write_csv(args.out, [f.name for f in fields(analytic.CRGComparison)],
               [astuple(c) for c in rows])
@@ -399,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify-crg", "CSV of measured vs predicted log|f|", _cmd_verify_crg,
                     cascade=True)
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--samples", type=_parse_samples, required=True, help="r:theta;...")
     p.add_argument("--hypothesis-constant", type=float, default=1.0)
 

@@ -64,8 +64,7 @@ def _orbit_track(model: FunctionModel, beta: GrowthMinorant, r0: float,
     if bailout_log > model.certified_log_radius:
         raise ValueError(
             f"bailout_log = {bailout_log:g} exceeds the model's certified "
-            f"radius (log r_max = {model.certified_log_radius:.3g}); rebuild "
-            "the product with a larger r_max or lower the bailout")
+            f"radius (log r = {model.certified_log_radius:.3g}); lower the bailout")
     return np.array(beta_log_track(beta, r0, max_iter))
 
 
@@ -193,7 +192,7 @@ def _crossings(model: FunctionModel, z: np.ndarray, near: np.ndarray,
     near = np.flatnonzero(near)
     if near.size == 0:
         return near, near
-    lb = model.log_abs_lower_bound(z[near], floor)
+    lb = model.log_abs_lower_bound(z[near])
     sure, ok = lb >= floor, track_ok[near]
     return near[sure & ok & (lb > next_track)], near[sure & ~ok]
 

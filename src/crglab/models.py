@@ -8,7 +8,9 @@ Two families are supported:
   sequence a_k = k**e * exp(i*theta0), truncated at a certified cutoff.
 
 Each model carries its own ``order`` rho, ``exact_indicator()`` and
-``certified_log_radius``, so no caller asks which family it holds.
+``certified_log_radius`` (log r_max for a product; for a sum, the log of the
+radius past which some b_k z leaves the float range), so no caller asks which
+family it holds.
 
 The primary representation of a value is its logarithm: ``log_eval_many``
 returns log|f(z)| and the argument of f(z) in (-pi, pi], so quantities such
@@ -115,7 +117,6 @@ class ExponentialSum:
     """
 
     order = 1.0
-    certified_log_radius = math.inf   # log-space evaluation holds at every radius
 
     def __init__(self, terms: Iterable[tuple[Sequence[complex], complex]]):
         cleaned: list[tuple[tuple[complex, ...], complex]] = []
@@ -134,6 +135,11 @@ class ExponentialSum:
         # the exponent gaps |b_k - b_i| and sizes |b_k| of the Rouche bounds
         self._gap_matrix = np.array([[abs(b - c) for c in exps] for b in exps])
         self._abs_b = np.array([abs(b) for b in exps])
+        # |Re(b_k z)| and |Im(b_k z)| are at most |b_k| |z|, so every b_k z is
+        # finite for |z| up to the radius, less 1e-12 for rounding; +inf for a
+        # polynomial, whose own overflow is not bounded here
+        top = float(self._abs_b.max())
+        self.certified_log_radius = _LOG_FLOAT_MAX - math.log(top) - 1e-12 if top else math.inf
 
     def __repr__(self) -> str:
         parts = [f"{list(c)}*exp({b}z)" for c, b in self.terms]
@@ -246,8 +252,7 @@ class ExponentialSum:
         abs_s = np.abs(s)
         return (*_log_modulus(mu, s, abs_s), *_log_ratio(s, ds, abs_s, scale))
 
-    def log_abs_lower_bound(self, zs: np.ndarray,
-                            floor: float = -math.inf) -> np.ndarray:
+    def log_abs_lower_bound(self, zs: np.ndarray) -> np.ndarray:
         """A lower bound of log|f(z)| at each point, or -inf where no term
         dominates, in closed form: f is not evaluated.
 
@@ -262,23 +267,11 @@ class ExponentialSum:
         1e-9 (1 + |Re(b_j z) + log l_j|). It is -inf where Q > 1/2, where any
         step overflows or is NaN, and where l_j <= 1e-4 U_j: there l_j is a
         residue of cancellation whose rounding the slack does not cover.
-        Points whose upper bound max_k (Re(b_k z) + log U_k) + log(#terms)
-        of log|f| falls below ``floor`` read -inf without the domination
-        step, which spares a caller that only asks whether log|f| >= floor.
         """
         zs = np.asarray(zs, dtype=np.complex128)
         abs_z = np.abs(zs)
-        out = np.full(zs.shape, -np.inf)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore",
                          under="ignore"):
-            upper = np.full(zs.shape, -np.inf)
-            for coeffs, b in self.terms:
-                log_up = np.log(_poly_bounds(coeffs, abs_z, abs_z)[0])
-                np.maximum(upper, (b * zs).real + log_up, out=upper)
-            near = upper >= floor - math.log(len(self.terms))
-            if not near.any():
-                return out
-            zs, abs_z = zs[near], abs_z[near]
             # per term k: (U_k, l_k) at rho = |z|, Re(b_k z) and U_k again
             terms = []
             for coeffs, b in self.terms:
@@ -288,8 +281,7 @@ class ExponentialSum:
             head = re_j + np.log(l_j)
             bound = head + np.log1p(-q) - 1e-9 * (1.0 + np.abs(head))
         ok = (l_j > 1e-4 * u_j) & (q <= 0.5) & np.isfinite(bound)
-        out[near] = np.where(ok, bound, -np.inf)
-        return out
+        return np.where(ok, bound, -np.inf)
 
     def log_abs_reach(self, floor: float) -> float:
         """log r* such that log|f(z)| < floor wherever |z| < r*, from the
@@ -637,8 +629,7 @@ class CanonicalProduct:
         the phase; bit-identical to ``log_eval_many`` and ``log_derivative_many``."""
         return self._factor_sums(zs, log=True, phase=False, deriv=True)[:4]
 
-    def log_abs_lower_bound(self, zs: np.ndarray,
-                            floor: float = -math.inf) -> np.ndarray:
+    def log_abs_lower_bound(self, zs: np.ndarray) -> np.ndarray:
         """-inf at every point: no closed-form lower bound of log|f| for a
         product yet, so each one is evaluated."""
         return np.full(np.shape(zs), -np.inf)

@@ -49,7 +49,7 @@ def test_criterion_02_crg_ray_product_oracle(cascade_one):
                                       genus=0, tail_tol=0.05, r_max=2e5)
     angles = (math.pi / 2, math.pi, 3 * math.pi / 2)
     rows = analytic.verify_crg_ray_product(
-        product, 1.0, cascade_one,
+        product, cascade_one,
         [(1e4, t) for t in angles] + [(1e3, math.pi), (1e5, math.pi)])
     at_1e4 = [abs(r.normalized_residual) for r in rows[:3]]
     r_1e3 = abs(rows[3].normalized_residual)
@@ -250,7 +250,7 @@ def test_criterion_11_byte_determinism(tmp_path, monkeypatch):
                   "--size", "100x77", "--r0", "2", "--out", str(base / "ea.pgm")],
                  base / "ea.pgm"),
                 (["verify-crg", "--fn", "product:zeros=pow(2),genus=0,cut=0.2",
-                  "--c", "1", "--samples", "1000:3.141592653589793",
+                  "--samples", "1000:3.141592653589793",
                   "--out", str(base / "v.csv")], base / "v.csv"),
                 (["check-8l", "--fn", SIN_SPEC,
                   "--samples", "100:1.5707963267948966;1000:1.8",

@@ -138,10 +138,15 @@ def wide_product():
                                    genus=0, tail_tol=0.05, r_max=2e5)
 
 
+# n(1e3) = 31 of the k^2 zeros is 0.136 eps(1e3) V(1e3) off V(1e3) = 31.62, so a
+# declared constant of 0.1 fails the counting hypothesis there
+_TOO_TIGHT = 0.1
+
+
 class TestVerifyCrg:
     def test_against_sinh_oracle(self, wide_product, cascade_one):
         rows = analytic.verify_crg_ray_product(
-            wide_product, 1.0, cascade_one, [(1e4, math.pi)])
+            wide_product, cascade_one, [(1e4, math.pi)])
         row = rows[0]
         # oracle through the closed-form identity prod(1 - z/k^2)
         oracle = (math.pi * 100.0 - math.log(2 * math.pi * 100.0)
@@ -152,7 +157,7 @@ class TestVerifyCrg:
 
     def test_residual_decreases_in_r(self, wide_product, cascade_one):
         rows = analytic.verify_crg_ray_product(
-            wide_product, 1.0, cascade_one,
+            wide_product, cascade_one,
             [(1e3, math.pi), (1e4, math.pi), (1e5, math.pi)])
         resid = [abs(r.normalized_residual) for r in rows]
         assert resid[2] < resid[1] < resid[0]
@@ -160,14 +165,33 @@ class TestVerifyCrg:
     def test_band_violation(self, wide_product, cascade_one):
         eps = cascade_one.eps1(1e4)
         with pytest.raises(BandViolation):
-            analytic.verify_crg_ray_product(wide_product, 1.0, cascade_one,
+            analytic.verify_crg_ray_product(wide_product, cascade_one,
                                             [(1e4, eps ** 2)])
 
     def test_counting_hypothesis_guard(self, wide_product, cascade_one):
-        # a wrong density constant c must be rejected by the pre-check
+        # a declared constant below the counting deviation must be rejected
+        # by the pre-check
         with pytest.raises(HypothesisFailure):
-            analytic.verify_crg_ray_product(wide_product, 3.0, cascade_one,
-                                            [(1e4, math.pi)])
+            analytic.verify_crg_ray_product(wide_product, cascade_one,
+                                            [(1e3, math.pi)], _TOO_TIGHT)
+        analytic.verify_crg_ray_product(wide_product, cascade_one,
+                                        [(1e3, math.pi)], 2 * _TOO_TIGHT)
+
+    def test_rotated_ray_rotates_the_rows(self, wide_product, cascade_one):
+        # the prediction follows the zero ray: on zeros k^2 e^(0.01 i) the
+        # rows at theta + 0.01 are those of the zeros k^2 at theta
+        theta0 = 0.01
+        rotated = models.CanonicalProduct(models.PowerZeroRule(2.0, angle=theta0),
+                                          genus=0, tail_tol=0.05, r_max=2e5)
+        samples = [(1e3, 2.0), (1e4, math.pi), (1e5, 4.0)]
+        want = analytic.verify_crg_ray_product(wide_product, cascade_one, samples)
+        got = analytic.verify_crg_ray_product(
+            rotated, cascade_one, [(r, t + theta0) for r, t in samples])
+        for g, w in zip(got, want):
+            assert g.theta == pytest.approx(w.theta + theta0, rel=1e-15)
+            assert (g.measured, g.predicted, g.normalized_residual, g.eps_residual) == \
+                pytest.approx((w.measured, w.predicted, w.normalized_residual,
+                               w.eps_residual), rel=1e-9)
 
     def test_one_evaluation_for_all_samples(self, wide_product, cascade_one, monkeypatch):
         calls = []
@@ -179,17 +203,18 @@ class TestVerifyCrg:
 
         monkeypatch.setattr(models.CanonicalProduct, "log_eval_many", counting)
         samples = [(r, t) for r in (1e3, 1e4) for t in (2.0, math.pi, 4.0)]
-        rows = analytic.verify_crg_ray_product(wide_product, 1.0, cascade_one, samples)
+        rows = analytic.verify_crg_ray_product(wide_product, cascade_one, samples)
         assert calls == [6] and [(row.r, row.theta) for row in rows] == samples
 
-    @pytest.mark.parametrize("c,samples,error", [
-        (3.0, [(1e4, 1e-3)], BandViolation),           # band before the hypothesis
-        (3.0, [(1e4, math.pi), (1e4, 1e-3)], HypothesisFailure),
-        (1.0, [(1e4, math.pi), (1e4, 1e-3)], BandViolation),
+    @pytest.mark.parametrize("declared,samples,error", [
+        (_TOO_TIGHT, [(1e3, 1e-3)], BandViolation),    # band before the hypothesis
+        (_TOO_TIGHT, [(1e3, math.pi), (1e3, 1e-3)], HypothesisFailure),
+        (1.0, [(1e3, math.pi), (1e3, 1e-3)], BandViolation),
     ], ids=["band-first", "first-sample-first", "second-sample"])
-    def test_refusals_in_sample_order(self, wide_product, cascade_one, c, samples, error):
+    def test_refusals_in_sample_order(self, wide_product, cascade_one, declared, samples,
+                                      error):
         with pytest.raises(error):
-            analytic.verify_crg_ray_product(wide_product, c, cascade_one, samples)
+            analytic.verify_crg_ray_product(wide_product, cascade_one, samples, declared)
 
     @pytest.mark.parametrize("exponent,genus", [(1.0, 1), (1.5, 1)])
     def test_noncanonical_product_refused(self, exponent, genus, cascade_one):
@@ -199,13 +224,11 @@ class TestVerifyCrg:
             models.PowerZeroRule(exponent=exponent), genus, tail_tol=0.1,
             r_max=200.0)
         with pytest.raises(ValueError):
-            analytic.verify_crg_ray_product(product, 1.0, cascade_one,
-                                            [(100.5, math.pi / 4)])
+            analytic.verify_crg_ray_product(product, cascade_one, [(100.5, math.pi / 4)])
 
     def test_sum_refused(self, sin_model, cascade_one):
         with pytest.raises(ValueError, match="ExponentialSum is not a canonical product"):
-            analytic.verify_crg_ray_product(sin_model, 1.0, cascade_one,
-                                            [(100.5, math.pi / 4)])
+            analytic.verify_crg_ray_product(sin_model, cascade_one, [(100.5, math.pi / 4)])
 
 
 def test_sin_log_modulus_oracle_self_check():

@@ -175,7 +175,7 @@ class TestVerifyCrgCommand:
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "crg.csv"
         code = run(["verify-crg", "--fn", "product:zeros=pow(2),genus=0,cut=0.05",
-                    "--c", "1", "--samples", "1000:3.141592653589793",
+                    "--samples", "1000:3.141592653589793",
                     "--out", str(out)])
         assert code == 0
         lines = read_bytes(out).decode().splitlines()
@@ -306,6 +306,34 @@ class TestExitCodes:
         assert len(err) == 1 and "f'/f leaves the float range" in err[0]
         assert not out.exists()
 
+    # 1e300 z leaves the float range past |z| = 1.8e8; density at r = 1e8 read
+    # 0.46635 with exit 0, as its invalid points counted as non-members
+    _WIDE = "expsum:[1]exp(1e300);[1]exp(1)"
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--fn", _WIDE, "--set", "A", "--r", "1e8", "--beta", "growth-scale",
+         "--plan", "mc:20000:1", "--out", "d.json"],
+        ["measure", "--fn", _WIDE, "--annulus", "40", "--plan", "mc:200:1",
+         "--out", "m.json"],
+        ["escape-map", "--fn", _WIDE, "--window", "0,6.2832,-3,3", "--size", "4x4",
+         "--r0", "2", "--out", "m.pgm"],
+    ], ids=["density", "measure", "escape-map"])
+    def test_sum_past_its_float_range_is_two(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "past the radius 1.79769e+08 beyond which some b_k z" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--fn", EXP, "--r", "1e307", "--plan", "mc:200:1", "--out", "d.json"],
+        ["measure", "--fn", _WIDE, "--annulus", "40", "--plan", "mc:200:1",
+         "--bailout-log", "18", "--out", "m.json"],
+    ], ids=["exp-at-1e307", "wide-sum-bailout-18"])
+    def test_sum_inside_its_float_range_runs(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+
     @pytest.mark.parametrize("message,reason", [
         ("Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000)",
          "Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000)"),
@@ -376,9 +404,9 @@ class TestExitCodes:
                     "--out", "d.json"],
         *[["indicator", "--fn", spec, "--radii", "1e2,1e3,inf", "--out", "i.csv"]
           for spec in (EXP, "product:zeros=pow(2),genus=0,cut=0.05")],
-        *[["verify-crg", "--fn", "product:zeros=pow(2),genus=0,cut=0.05", *opt,
-           "--samples", "1000:3.141592653589793", "--out", "v.csv"]
-          for opt in (["--c", "nan"], ["--hypothesis-constant", "-1"])],
+        ["verify-crg", "--fn", "product:zeros=pow(2),genus=0,cut=0.05",
+         "--hypothesis-constant", "-1", "--samples", "1000:3.141592653589793",
+         "--out", "v.csv"],
         *[["check-14", "--fn", SIN, "--r0", "100", "--r-list", "1000", *opt,
            "--plan", "mc:200:1", "--out", "c.json"]
           for opt in (["--tail-tol", "nan"], ["--m-arcs", "-1"])],
@@ -431,7 +459,7 @@ class TestExitCodes:
             "escape-map-r0-nan", "check-14-r0-nan", "measure-window-without-r0",
             "besicovitch-radii-length", "density-beta-nan", "density-beta-inf",
             "exclude-disk-radius-nan", "indicator-radius-inf",
-            "indicator-product-radius-inf", "verify-crg-c-nan",
+            "indicator-product-radius-inf",
             "verify-crg-hypothesis-constant-negative", "check-14-tail-tol-nan",
             "check-14-m-arcs-negative", "schwarz-t-r-nan", "check-8l-theta-nan",
             "fuchs-H-inf", "cartan-R-inf", "measure-window-and-annulus",

@@ -70,7 +70,8 @@ class TestClassifyOrbit:
 
     def test_bailout_within_the_certified_radius(self, exp_model, beta_half):
         # a product certified out to |z| = e^4 takes bailout 4 and refuses
-        # 4.5; a sum, certified at every radius, takes the largest, 700
+        # 4.5; e^z, certified out to |z| = 1.8e308, takes the largest, 700,
+        # and a sum with 1e300 z, certified out to 1.8e8 = e^18.9, refuses 20
         product = models.CanonicalProduct(models.PowerZeroRule(2.0), 0, 0.2,
                                           math.exp(4.0))
         window = criteria.Window(0.0, 1.0, 0.0, 1.0)
@@ -86,6 +87,10 @@ class TestClassifyOrbit:
         with pytest.raises(ValueError, match="certified radius"):
             dynamics.measure_estimate(product, window, plan, beta_half, 2.0,
                                       bailout_log=4.5)
+        wide = models.ExponentialSum([([1.0], 1e300), ([1.0], 1.0)])
+        with pytest.raises(ValueError, match="certified radius"):
+            dynamics.measure_estimate(wide, window, plan, beta_half, 2.0,
+                                      bailout_log=20.0)
 
 
 class TestEscapeMonotonicity:
@@ -387,7 +392,7 @@ class TestCompactedClassifier:
         assert measured < 0.1 * full
 
 
-def _no_bound(zs, floor=-math.inf):
+def _no_bound(zs):
     return np.full(np.shape(zs), -np.inf)
 
 
@@ -443,9 +448,9 @@ class TestClosedFormCrossing:
         bound = model.log_abs_lower_bound
         decided = []
 
-        def counted(z, floor=-math.inf):
-            lb = bound(z, floor)
-            decided.append(int(np.sum(lb >= floor)))
+        def counted(z):
+            lb = bound(z)
+            decided.append(int(np.sum(lb >= crossing[0])))
             return lb
 
         max_iter = 50

@@ -51,9 +51,9 @@ def _k_squared():
     return models.CanonicalProduct(_RULE, 0, 0.05, 2e3)
 
 
-def _crg(c=1.0, declared=1.0):
+def _crg(declared):
     return analytic.verify_crg_ray_product(
-        _k_squared(), c, _CASCADE, [(1e3, math.pi)], declared)
+        _k_squared(), _CASCADE, [(1e3, math.pi)], declared)
 
 
 # one entry per real parameter that must be positive; each takes the value
@@ -78,8 +78,7 @@ _PARAMETERS = {
     "DiskSet.radius": lambda x: covering.DiskSet(((0j, x),)),
     "schwarz_log_derivative.t_r": lambda x: analytic.schwarz_log_derivative(_EXP, 0j, x, 16),
     "AnnulusSpec": criteria.AnnulusSpec,
-    "verify_crg_ray_product.c": lambda x: _crg(c=x),
-    "verify_crg_ray_product.declared_constant": lambda x: _crg(declared=x),
+    "verify_crg_ray_product.declared_constant": _crg,
 }
 
 

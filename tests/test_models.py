@@ -344,21 +344,13 @@ class TestLogAbsLowerBound:
         assert lb[1] == pytest.approx(math.log(19.0), rel=1e-8)
         assert lb[2] == -np.inf       # l = 2^3 - 8 = 0 at the root
 
-    def test_floor_spares_only_points_that_cannot_reach_it(self, sin_model):
-        zs = np.array([1.0 + 600j, 1.0 + 400j, 3.0])
-        full = sin_model.log_abs_lower_bound(zs)
-        spared = sin_model.log_abs_lower_bound(zs, 500.0)
-        assert full[0] == spared[0] > 500.0
-        assert np.isfinite(full[1]) and spared[1] == -np.inf
-        assert (spared[2], full[2]) == (-np.inf, -np.inf)   # no term dominates on R
-
     def test_reach_of_sin(self, sin_model):
         # log|sin z| <= |Im z| <= |z|, and the bound |z| reaches 500 at |z| = 500
         assert math.log(499.99) < sin_model.log_abs_reach(500.0) <= math.log(500.0)
         assert sin_model.log_abs_reach(-1e9) == -np.inf
 
     def test_product_has_no_bound_yet(self, k_squared_product):
-        lb = k_squared_product.log_abs_lower_bound(np.array([50.0 + 10j, -40.0]), 0.0)
+        lb = k_squared_product.log_abs_lower_bound(np.array([50.0 + 10j, -40.0]))
         assert (lb == -np.inf).all()
         assert k_squared_product.log_abs_reach(0.0) == np.inf
 
@@ -371,6 +363,23 @@ class TestExponentialSumValidation:
     def test_all_zero_polynomials_rejected(self):
         with pytest.raises(ValueError):
             models.ExponentialSum([([0.0], 1.0)])
+
+
+class TestSumFloatRange:
+    @pytest.mark.parametrize("b", [1e300, complex(3e299, -4e299), -1e300j, 2.5])
+    def test_every_exponent_term_finite_up_to_the_radius(self, b):
+        model = models.ExponentialSum([([1.0], b), ([1.0], 1.0)])
+        # the grid, and the direction where b z is real and positive
+        phis = np.append(np.linspace(0.0, 2 * math.pi, 4001), -cmath.phase(b))
+        at = np.exp(model.certified_log_radius) * np.exp(1j * phis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(b * at).all()
+            # the radius is the largest: a step of 1e-9 past it overflows
+            assert not np.isfinite(b * (at[-1] * math.exp(1e-9)))
+
+    def test_polynomial_has_no_exponent_radius(self):
+        assert models.ExponentialSum([([1.0, 2.0], 0.0)]).certified_log_radius == np.inf
+        assert models.ExponentialSum([([1.0], 1e999)]).certified_log_radius == -np.inf
 
 
 # The product evaluation in complex arithmetic, as it stood before the real

@@ -252,4 +252,4 @@ def _options(parser: argparse.ArgumentParser) -> list[str]:
 def test_option_count_is_pinned():
     """Each independently settable CLI value is a configuration to test; a
     change that adds or removes one changes this count on purpose."""
-    assert len(_options(cli._build_parser())) == 67
+    assert len(_options(cli._build_parser())) == 66
